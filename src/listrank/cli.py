@@ -53,6 +53,7 @@ from .training import (
     Checkpoint,
     LOSS_NAMES,
     TrainConfig,
+    checkpoint_fingerprint,
     distill,
     finetune_ltr,
     init_checkpoint,
@@ -344,6 +345,17 @@ def _cmd_distill(args, opts):
     return 0
 
 
+def _load_student_store(path: str, student: Checkpoint):
+    """Load an embedding store and check that ``student`` built it."""
+    store = load_store(path)
+    expected = checkpoint_fingerprint(student)
+    if store.fingerprint != expected:
+        raise StoreError(
+            f"{path}: built by checkpoint {store.fingerprint}, not by the student ({expected})"
+        )
+    return store
+
+
 def _candidate_docs(dataset: Dataset, wanted):
     by_id = {}
     for group in dataset.groups:
@@ -368,7 +380,7 @@ def _cmd_rank(args, opts):
         if not resolved["store"]:
             raise ConfigurationError("--student mode requires --store")
         student = load_checkpoint(resolved["student"])
-        store = load_store(resolved["store"])
+        store = _load_student_store(resolved["store"], student)
         candidate_ids = wanted if wanted is not None else list(store.doc_ids)
         result = rank_with_student(student, store, resolved["query"], candidate_ids, tokenizer)
     else:
@@ -392,7 +404,7 @@ def _cmd_bench(args, opts):
     student = load_checkpoint(resolved["student"])
     dataset = load_dataset(resolved["data"])
     if resolved["store"]:
-        store = load_store(resolved["store"])
+        store = _load_student_store(resolved["store"], student)
     else:
         catalog = [doc for group in dataset.groups for doc in group.docs]
         store = precompute_embeddings(student, catalog, tokenizer)

@@ -17,6 +17,7 @@ import os
 import struct
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class EmbeddingStore:
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValidationError("store doc ids must be unique")
         self._index = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self._id_rank = None
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -72,12 +74,25 @@ class EmbeddingStore:
             raise MissingIdError(f"doc_id {doc_id!r} is not in the store", [doc_id])
         return self.vectors[self._index[doc_id]]
 
-    def gather(self, doc_ids) -> np.ndarray:
-        missing = sorted(d for d in set(doc_ids) if d not in self._index)
-        if missing:
-            raise MissingIdError(f"doc ids missing from the store: {', '.join(missing)}", missing)
-        rows = [self._index[d] for d in doc_ids]
-        return self.vectors[rows]
+    def gather(self, doc_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Store rows of a sequence of ids and their vectors, in request order."""
+        try:
+            rows = np.fromiter(map(self._index.__getitem__, doc_ids), dtype=np.intp, count=len(doc_ids))
+        except KeyError:
+            missing = sorted({d for d in doc_ids if d not in self._index})
+            raise MissingIdError(
+                f"doc ids missing from the store: {', '.join(missing)}", missing
+            ) from None
+        return rows, self.vectors[rows]
+
+    def id_rank(self) -> np.ndarray:
+        """Position of each stored doc_id in ascending ``str`` order.
+
+        Built on first use, so loading a store does not pay for it.
+        """
+        if self._id_rank is None:
+            self._id_rank = _str_rank(self.doc_ids)
+        return self._id_rank
 
 
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
@@ -183,14 +198,29 @@ class RankResult:
     latency_ms: float
 
 
-def _sorted_ranking(doc_ids, scores):
-    paired = sorted(zip(doc_ids, scores), key=lambda t: (-t[1], t[0]))
-    return [(doc_id, float(score)) for doc_id, score in paired]
+def _str_rank(ids) -> np.ndarray:
+    """Position of each of the unique ``ids`` in ascending ``str`` order.
+
+    Python's ``sorted`` gives the order: numpy ``U`` arrays drop trailing NULs,
+    so sorting them could tie ids that differ.
+    """
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _sorted_ranking(doc_ids, id_rank, scores):
+    """(doc_id, score) pairs by descending score, ties by ascending doc_id.
+
+    ``id_rank[i]`` orders ``doc_ids[i]`` among the candidates by ``str`` order.
+    """
+    order = np.lexsort((id_rank, -scores))
+    return list(zip(map(doc_ids.__getitem__, order.tolist()), scores[order].tolist()))
 
 
 def _check_candidates(candidate_ids):
     if len(set(candidate_ids)) != len(candidate_ids):
-        dupes = sorted({d for d in candidate_ids if candidate_ids.count(d) > 1})
+        dupes = sorted(d for d, n in Counter(candidate_ids).items() if n > 1)
         raise ValidationError(f"duplicate candidate ids: {dupes}")
 
 
@@ -202,18 +232,25 @@ def rank_with_student(
     tokenizer: Tokenizer,
 ) -> RankResult:
     """Rank candidates by dot product of the query embedding with stored
-    document vectors. The timed window covers query encoding, scoring, and
-    the sort; it excludes store loading."""
+    document vectors. The timed window covers the gather and float64 upcast
+    of the candidates' vectors, query encoding, scoring, and the sort; it
+    excludes store loading."""
+    if store.dim != student.config.model_dim:
+        raise ValidationError(
+            f"store vectors have width {store.dim}, but the student embeds "
+            f"to width {student.config.model_dim}"
+        )
     candidate_ids = list(candidate_ids)
     _check_candidates(candidate_ids)
     if not candidate_ids:
         return RankResult([], 0.0)
-    doc_vecs = store.gather(candidate_ids).astype(np.float64)
     start = time.perf_counter()
+    rows, vectors = store.gather(candidate_ids)
+    doc_vecs = vectors.astype(np.float64)
     seq = tokenizer.encode_single(query, student.config.max_len)
     q_emb = enc.embed_text(student.params, student.config, seq)
     scores = doc_vecs @ q_emb
-    ranking = _sorted_ranking(candidate_ids, scores)
+    ranking = _sorted_ranking(candidate_ids, store.id_rank()[rows], scores)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 
@@ -229,7 +266,8 @@ def rank_with_teacher(
     The timed window covers pair encoding, all forwards, and the sort.
     """
     candidates = list(candidates)
-    _check_candidates([d.doc_id for d in candidates])
+    doc_ids = [d.doc_id for d in candidates]
+    _check_candidates(doc_ids)
     if not candidates:
         return RankResult([], 0.0)
     start = time.perf_counter()
@@ -238,7 +276,7 @@ def rank_with_teacher(
     ]
     ids, mask = enc.pad_token_rows(rows)
     scores, _ = enc.score_cls_batch(teacher.params, teacher.config, ids, mask)
-    ranking = _sorted_ranking([d.doc_id for d in candidates], scores)
+    ranking = _sorted_ranking(doc_ids, _str_rank(doc_ids), scores)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 

@@ -9,12 +9,14 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from listrank.cli import main
 from listrank.dataset import load_dataset
 from listrank.metrics import METRIC_CSV_HEADER
-from listrank.serve import load_store
+from listrank.serve import EmbeddingStore, load_store, save_store
+from listrank.training import checkpoint_fingerprint, load_checkpoint
 
 
 def run_cli(argv):
@@ -23,6 +25,11 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def error_lines(stderr):
+    """stderr with the config echo and progress lines removed."""
+    return [line for line in stderr.splitlines() if not line.startswith("[")]
 
 
 def echoed_config(stderr, command):
@@ -267,6 +274,44 @@ class TestPipelineCommands:
         ])
         assert code == 1
         assert "--store" in err
+
+    def test_rank_rejects_store_of_another_student(self, pipeline):
+        """The teacher has the student's width, so only the fingerprint
+        shows that the store was not built by it."""
+        code, stdout, err = run_cli([
+            "rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],
+            "--student", pipeline["model"], "--store", pipeline["store"],
+        ])
+        assert code == 1
+        assert stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith("error: ") and "built by checkpoint" in line
+
+    def test_rank_rejects_store_of_another_width(self, pipeline, tmp_path):
+        student = load_checkpoint(pipeline["student"])
+        dim = student.config.model_dim + 2
+        path = str(tmp_path / "wide.store")
+        save_store(EmbeddingStore(dim=dim, fingerprint=checkpoint_fingerprint(student),
+                                  doc_ids=["a", "b"], vectors=np.ones((2, dim))), path)
+        code, stdout, err = run_cli([
+            "rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],
+            "--student", pipeline["student"], "--store", path,
+        ])
+        assert code == 1
+        assert stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith("error: ") and "width" in line
+
+    def test_bench_rejects_store_of_another_student(self, pipeline):
+        code, stdout, err = run_cli([
+            "bench", "--teacher", pipeline["model"], "--student", pipeline["model"],
+            "--tokenizer", pipeline["tokenizer"], "--data", pipeline["data"],
+            "--store", pipeline["store"], "--n-queries", "30", "--list-size", "4",
+        ])
+        assert code == 1
+        assert stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith("error: ") and "built by checkpoint" in line
 
     def test_bench_writes_latency_csv(self, pipeline):
         code, stdout, _ = run_cli([

@@ -7,6 +7,7 @@ against independent arithmetic rather than against themselves.
 """
 
 import os
+import random
 import struct
 
 import numpy as np
@@ -32,6 +33,8 @@ from listrank.serve import (
     EmbeddingStore,
     LatencyStats,
     RankResult,
+    _sorted_ranking,
+    _str_rank,
     benchmark_latency,
     benchmark_workload,
     load_store,
@@ -99,13 +102,24 @@ class TestEmbeddingStore:
 
     def test_gather_preserves_request_order(self):
         store = tiny_store(n=4)
-        got = store.gather(["doc2", "doc0", "doc2"])
+        rows, got = store.gather(["doc2", "doc0", "doc2"])
+        np.testing.assert_array_equal(rows, [2, 0, 2])
         np.testing.assert_array_equal(got, store.vectors[[2, 0, 2]])
 
     def test_gather_reports_missing_ids_sorted(self):
         with pytest.raises(MissingIdError) as excinfo:
             tiny_store().gather(["doc0", "zed", "abba"])
         assert excinfo.value.missing_ids == ["abba", "zed"]
+
+    def test_id_rank_is_str_order_built_on_first_use(self, tmp_path):
+        ids = ["b", "a\x00", "a", "é", "Z", "a\x00\x00"]
+        path = tmp_path / "x.store"
+        save_store(EmbeddingStore(dim=2, fingerprint="f", doc_ids=ids, vectors=np.zeros((6, 2))), path)
+        store = load_store(path)
+        assert store._id_rank is None
+        rank = store.id_rank()
+        assert [ids[k] for k in np.argsort(rank)] == sorted(ids)
+        assert store.id_rank() is rank
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -211,6 +225,62 @@ class TestStoreFiles:
             load_store(path)
 
 
+def python_sorted(doc_ids, scores):
+    """The ranking order by a plain Python sort on (-score, doc_id)."""
+    paired = sorted(zip(doc_ids, scores), key=lambda t: (-t[1], t[0]))
+    return [(doc_id, float(score)) for doc_id, score in paired]
+
+
+def same_bytes(got, expected):
+    """Equal ids, and scores equal to the bit (so 0.0 and -0.0 differ)."""
+    return [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in expected]
+
+
+class TestSortedRanking:
+    """``_sorted_ranking`` against Python's sort on (-score, doc_id)."""
+
+    @staticmethod
+    def check(doc_ids, scores):
+        scores = np.asarray(scores, dtype=np.float64)
+        got = _sorted_ranking(doc_ids, _str_rank(doc_ids), scores)
+        assert same_bytes(got, python_sorted(doc_ids, scores))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_lists_with_many_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        doc_ids = [f"d{k}" for k in rng.permutation(n)]
+        self.check(doc_ids, rng.integers(-3, 4, size=n) * 0.25)
+
+    def test_all_equal_scores_order_by_id(self):
+        doc_ids = ["m", "b", "z", "a", "b0", "B"]
+        self.check(doc_ids, [1.5] * len(doc_ids))
+
+    def test_zero_and_negative_zero_tie(self):
+        doc_ids = ["c", "a", "d", "b", "e"]
+        scores = [0.0, -0.0, 0.0, -0.0, 1.0]
+        self.check(doc_ids, scores)
+        got = _sorted_ranking(doc_ids, _str_rank(doc_ids), np.asarray(scores))
+        assert [d for d, _ in got] == ["e", "a", "b", "c", "d"]
+
+    def test_non_ascii_and_nul_ids(self):
+        doc_ids = ["é", "e", "z", "日本", "a\x00", "a", "Ω", "ñ"]
+        rng = np.random.default_rng(5)
+        self.check(doc_ids, rng.integers(0, 2, size=len(doc_ids)).astype(float))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_store_subsets_out_of_id_order(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = ["a", "é", "b\x00", "b", "日", "Z"] + [f"x{k}" for k in range(200)]
+        ids = [pool[k] for k in rng.permutation(len(pool))]
+        store = EmbeddingStore(dim=2, fingerprint="f", doc_ids=ids, vectors=np.zeros((len(ids), 2)))
+        wanted = [ids[k] for k in rng.choice(len(ids), size=int(rng.integers(1, len(ids))), replace=False)]
+        rows, _ = store.gather(wanted)
+        scores = rng.integers(0, 3, size=len(wanted)).astype(np.float64)
+        got = _sorted_ranking(wanted, store.id_rank()[rows], scores)
+        assert same_bytes(got, python_sorted(wanted, scores))
+
+
 class TestRankWithStudent:
     def test_scores_are_store_dot_products(self, world, store):
         _, tokenizer, _, student, catalog = world
@@ -242,6 +312,21 @@ class TestRankWithStudent:
         result = rank_with_student(student, twin_store, "same", ["zz", "aa"], tokenizer)
         assert [d for d, _ in result.ranking] == ["aa", "zz"]
 
+    def test_full_store_with_duplicate_texts_matches_python_sort(self, world):
+        """Documents that share a text embed identically, so the full-store
+        ranking is full of tied runs; each resolves by ascending doc_id."""
+        _, tokenizer, _, student, _ = world
+        rng = random.Random(7)
+        texts = [f"attr{k} attr{k + 1}" for k in range(6)]
+        catalog = [Document(f"d{k:03d}", rng.choice(texts)) for k in rng.sample(range(300), 120)]
+        dup_store = precompute_embeddings(student, catalog, tokenizer)
+        ids = list(dup_store.doc_ids)
+        result = rank_with_student(student, dup_store, "attr2 attr3", ids, tokenizer)
+        seq = tokenizer.encode_single("attr2 attr3", student.config.max_len)
+        scores = dup_store.vectors.astype(np.float64) @ embed_text(student.params, student.config, seq)
+        assert same_bytes(result.ranking, python_sorted(ids, scores))
+        assert len({s for _, s in result.ranking}) <= len(texts)
+
     def test_empty_candidates_return_empty_result(self, world, store):
         _, tokenizer, _, student, _ = world
         result = rank_with_student(student, store, "anything", [], tokenizer)
@@ -253,10 +338,28 @@ class TestRankWithStudent:
         with pytest.raises(ValidationError):
             rank_with_student(student, store, "q", [doc_id, doc_id], tokenizer)
 
+    def test_many_duplicates_in_a_large_list_reported_sorted(self, world, store):
+        _, tokenizer, _, student, _ = world
+        ids = [f"c{k:05d}" for k in range(20000)] + ["c00007", "c19999", "c00007", "c00500"]
+        with pytest.raises(ValidationError) as excinfo:
+            rank_with_student(student, store, "q", ids + ["nonexistent"], tokenizer)
+        assert str(excinfo.value) == "duplicate candidate ids: ['c00007', 'c00500', 'c19999']"
+
     def test_unknown_candidate_rejected(self, world, store):
         _, tokenizer, _, student, _ = world
         with pytest.raises(MissingIdError):
             rank_with_student(student, store, "q", ["nonexistent"], tokenizer)
+
+    def test_store_of_another_width_rejected(self, world):
+        _, tokenizer, _, student, catalog = world
+        wide = EmbeddingStore(
+            dim=student.config.model_dim + 1,
+            fingerprint=checkpoint_fingerprint(student),
+            doc_ids=[d.doc_id for d in catalog],
+            vectors=np.zeros((len(catalog), student.config.model_dim + 1)),
+        )
+        with pytest.raises(ValidationError, match="width"):
+            rank_with_student(student, wide, "q", [catalog[0].doc_id], tokenizer)
 
 
 class TestRankWithTeacher:
