@@ -53,6 +53,7 @@ from .training import (
     Checkpoint,
     LOSS_NAMES,
     TrainConfig,
+    _check_tokenizer,
     checkpoint_fingerprint,
     distill,
     finetune_ltr,
@@ -380,6 +381,7 @@ def _cmd_rank(args, opts):
         if not resolved["store"]:
             raise ConfigurationError("--student mode requires --store")
         student = load_checkpoint(resolved["student"])
+        _check_tokenizer(student, tokenizer)
         store = _load_student_store(resolved["store"], student)
         candidate_ids = wanted if wanted is not None else list(store.doc_ids)
         result = rank_with_student(student, store, resolved["query"], candidate_ids, tokenizer)
@@ -387,6 +389,7 @@ def _cmd_rank(args, opts):
         if not resolved["data"]:
             raise ConfigurationError("--teacher mode requires --data")
         teacher = load_checkpoint(resolved["teacher"])
+        _check_tokenizer(teacher, tokenizer)
         docs = _candidate_docs(load_dataset(resolved["data"]), wanted)
         result = rank_with_teacher(teacher, resolved["query"], docs, tokenizer)
     _progress("rank", f"ranked {len(result.ranking)} candidates in {result.latency_ms:.3f} ms")
@@ -402,6 +405,8 @@ def _cmd_bench(args, opts):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     teacher = load_checkpoint(resolved["teacher"])
     student = load_checkpoint(resolved["student"])
+    _check_tokenizer(teacher, tokenizer)
+    _check_tokenizer(student, tokenizer)
     dataset = load_dataset(resolved["data"])
     if resolved["store"]:
         store = _load_student_store(resolved["store"], student)

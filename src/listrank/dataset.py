@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -17,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyInputError, MissingIdError, ParseError, ValidationError
+from .fileio import atomic_write
 from .metrics import nearest_rank_percentile
 
 GRADE_MAX = 4
@@ -280,19 +280,18 @@ def corpus_lines(dataset: Dataset) -> list[str]:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """One query group per line; grades always stored as integers."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for group in dataset.groups:
-            record = {
-                "query_id": group.query_id,
-                "query": group.query_text,
-                "docs": [
-                    {"doc_id": doc.doc_id, "text": doc.text, "grade": grade}
-                    for doc, grade in zip(group.docs, group.grades)
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
-    os.replace(tmp, path)
+    lines = []
+    for group in dataset.groups:
+        record = {
+            "query_id": group.query_id,
+            "query": group.query_text,
+            "docs": [
+                {"doc_id": doc.doc_id, "text": doc.text, "grade": grade}
+                for doc, grade in zip(group.docs, group.grades)
+            ],
+        }
+        lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+    atomic_write(path, "".join(lines).encode("utf-8"))
 
 
 def _parse_group(obj: dict, line_no: int) -> QueryGroup:

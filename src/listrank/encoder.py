@@ -16,20 +16,16 @@ padding follows them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigurationError, ContractError, ValidationError
-from .tokenizer import CLS_ID, PAD_ID, TokenSequence
+from .tokenizer import CLS_ID, PAD_ID
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
-
-#: Architecture used by the full-scale reference system this package scales
-#: down from; kept for documentation and experiments, not used by defaults.
-FULL_SCALE = dict(n_layers=6, n_heads=12, model_dim=768, ffn_dim=3072, max_len=512, vocab_size=30000)
 
 
 @dataclass(frozen=True)
@@ -62,15 +58,7 @@ class EncoderConfig:
         return self.model_dim // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "model_dim": self.model_dim,
-            "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "pooling": self.pooling,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,12 +82,8 @@ class LayerParams:
     ln2_scale: np.ndarray
     ln2_offset: np.ndarray
 
-    _FIELDS = (
-        "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
-        "ln1_scale", "ln1_offset",
-        "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2",
-        "ln2_scale", "ln2_offset",
-    )
+
+_LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
 
 
 @dataclass
@@ -118,24 +102,24 @@ class EncoderParams:
         yield "tok_emb", self.tok_emb
         yield "pos_emb", self.pos_emb
         for i, layer in enumerate(self.layers):
-            for name in LayerParams._FIELDS:
+            for name in _LAYER_FIELDS:
                 yield f"layer{i}.{name}", getattr(layer, name)
         yield "score_w", self.score_w
         yield "score_b", self.score_b
         yield "mlm_bias", self.mlm_bias
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            tok_emb=self.tok_emb.copy(),
-            pos_emb=self.pos_emb.copy(),
-            layers=[
-                LayerParams(**{f: getattr(layer, f).copy() for f in LayerParams._FIELDS})
-                for layer in self.layers
-            ],
-            score_w=self.score_w.copy(),
-            score_b=self.score_b.copy(),
-            mlm_bias=self.mlm_bias.copy(),
-        )
+        return _map_arrays(self, np.ndarray.copy)
+
+
+def _map_arrays(params: EncoderParams, fn) -> EncoderParams:
+    """New parameters holding ``fn(array)`` for every array of ``params``."""
+    return EncoderParams(
+        **{f.name: fn(getattr(params, f.name)) for f in fields(EncoderParams) if f.name != "layers"},
+        layers=[
+            LayerParams(**{f: fn(getattr(layer, f)) for f in _LAYER_FIELDS}) for layer in params.layers
+        ],
+    )
 
 
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
@@ -175,17 +159,7 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        tok_emb=np.zeros_like(params.tok_emb),
-        pos_emb=np.zeros_like(params.pos_emb),
-        layers=[
-            LayerParams(**{f: np.zeros_like(getattr(layer, f)) for f in LayerParams._FIELDS})
-            for layer in params.layers
-        ],
-        score_w=np.zeros_like(params.score_w),
-        score_b=np.zeros_like(params.score_b),
-        mlm_bias=np.zeros_like(params.mlm_bias),
-    )
+    return _map_arrays(params, np.zeros_like)
 
 
 def add_params(into: EncoderParams, other: EncoderParams) -> None:
@@ -456,47 +430,3 @@ def mlm_logits_batch(params: EncoderParams, states) -> np.ndarray:
     projection tied to the token embedding matrix."""
     states = np.asarray(states, dtype=np.float64)
     return states @ params.tok_emb.T + params.mlm_bias
-
-
-# -- single-sequence wrappers ----------------------------------------------
-
-
-def _as_batch(seq: TokenSequence):
-    return np.asarray([seq.ids], dtype=np.int64), np.asarray([seq.attention_mask], dtype=np.int64)
-
-
-def forward(params: EncoderParams, config: EncoderConfig, seq: TokenSequence):
-    """Hidden states ``[length, model_dim]`` for one token sequence."""
-    ids, mask = _as_batch(seq)
-    hidden, trace = forward_batch(params, config, ids, mask)
-    return hidden[0], trace
-
-
-def backward(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_hidden) -> EncoderParams:
-    d_hidden = np.asarray(d_hidden, dtype=np.float64)
-    if d_hidden.ndim == 2 and trace.hidden.shape[0] == 1:
-        d_hidden = d_hidden[None, :, :]
-    return backward_batch(params, config, trace, d_hidden)
-
-
-def score_cls(params: EncoderParams, config: EncoderConfig, seq: TokenSequence):
-    ids, mask = _as_batch(seq)
-    scores, trace = score_cls_batch(params, config, ids, mask)
-    return float(scores[0]), trace
-
-
-def embed_text(params: EncoderParams, config: EncoderConfig, seq: TokenSequence) -> np.ndarray:
-    ids, mask = _as_batch(seq)
-    emb, _ = embed_batch(params, config, ids, mask)
-    return emb[0]
-
-
-def mlm_logits(params: EncoderParams, hidden, positions) -> np.ndarray:
-    """Logits ``[len(positions), vocab]`` for chosen positions of one sequence."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.int64)
-    if hidden.ndim != 2:
-        raise ValidationError("hidden must be [length, model_dim]")
-    if positions.size and (positions.min() < 0 or positions.max() >= hidden.shape[0]):
-        raise ValidationError("masked position outside sequence")
-    return mlm_logits_batch(params, hidden[positions])

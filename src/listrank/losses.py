@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .dataset import GRADE_MAX
 from .errors import ConfigurationError, EmptyInputError, ValidationError
-
-GRADE_MAX = 4
 
 _SIGMOID_CLAMP = 50.0
 

@@ -6,16 +6,13 @@ document. The student embeds documents ahead of time into an EmbeddingStore
 query plus dot products against precomputed vectors. ``benchmark_latency``
 runs both systems over the identical workload and reports the speedup.
 
-Store files are written atomically and carry a content hash plus the
-fingerprint of the checkpoint that produced them.
+Store files are written through the shared ``fileio.atomic_write`` and carry
+a content hash plus the fingerprint of the checkpoint that produced them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import struct
-import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -32,13 +29,13 @@ from .errors import (
     StoreIntegrityError,
     ValidationError,
 )
+from .fileio import DIGEST_BYTES, atomic_write, digest
 from .metrics import nearest_rank_percentile
 from .tokenizer import Tokenizer
 from .training import Checkpoint, checkpoint_fingerprint
 
 STORE_MAGIC = b"LREMB001"
 STORE_VERSION = 1
-_HASH_BYTES = 8
 _EMBED_CHUNK = 256
 
 
@@ -137,18 +134,8 @@ def save_store(store: EmbeddingStore, path: str) -> None:
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
     parts.append(payload)
-    parts.append(hashlib.blake2b(payload, digest_size=_HASH_BYTES).digest())
-    blob = b"".join(parts)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".store-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    parts.append(digest(payload))
+    atomic_write(path, b"".join(parts))
 
 
 def load_store(path: str) -> EmbeddingStore:
@@ -177,11 +164,11 @@ def load_store(path: str) -> EmbeddingStore:
     except (struct.error, UnicodeDecodeError) as exc:
         raise StoreFormatError(f"{path}: id table unreadable ({exc})") from exc
     payload_len = count * dim * 4
-    if len(blob) < pos + payload_len + _HASH_BYTES:
+    if len(blob) < pos + payload_len + DIGEST_BYTES:
         raise StoreFormatError(f"{path}: vector payload truncated")
     payload = blob[pos : pos + payload_len]
-    stored_digest = blob[pos + payload_len : pos + payload_len + _HASH_BYTES]
-    if hashlib.blake2b(payload, digest_size=_HASH_BYTES).digest() != stored_digest:
+    stored_digest = blob[pos + payload_len : pos + payload_len + DIGEST_BYTES]
+    if digest(payload) != stored_digest:
         raise StoreIntegrityError(f"{path}: content hash mismatch")
     vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
     return EmbeddingStore(dim=dim, fingerprint=fingerprint, doc_ids=doc_ids, vectors=vectors)
@@ -247,9 +234,9 @@ def rank_with_student(
     start = time.perf_counter()
     rows, vectors = store.gather(candidate_ids)
     doc_vecs = vectors.astype(np.float64)
-    seq = tokenizer.encode_single(query, student.config.max_len)
-    q_emb = enc.embed_text(student.params, student.config, seq)
-    scores = doc_vecs @ q_emb
+    ids = np.asarray([tokenizer.encode_single(query, student.config.max_len).ids])
+    q_emb, _ = enc.embed_batch(student.params, student.config, ids, np.ones_like(ids))
+    scores = doc_vecs @ q_emb[0]
     ranking = _sorted_ranking(candidate_ids, store.id_rank()[rows], scores)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)

@@ -9,7 +9,6 @@ lossless and decode(encode(s)) == s for any UTF-8 string.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections import Counter
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EmptyInputError, ParseError, ValidationError
+from .fileio import atomic_write, digest
 
 PAD_ID = 0
 CLS_ID = 1
@@ -179,11 +179,10 @@ class Tokenizer:
         return (json.dumps(payload, ensure_ascii=True, separators=(",", ":")) + "\n").encode("ascii")
 
     def content_hash(self) -> str:
-        return hashlib.blake2b(self.to_json_bytes(), digest_size=8).hexdigest()
+        return digest(self.to_json_bytes()).hex()
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+        atomic_write(path, self.to_json_bytes())
 
 
 def load_tokenizer(path) -> Tokenizer:

@@ -8,6 +8,7 @@ checked without spawning subprocesses.
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -326,3 +327,66 @@ class TestPipelineCommands:
         assert len(lines) == 3
         assert lines[1].startswith("teacher,") and lines[1].endswith(",1")
         assert lines[2].startswith("student,")
+
+
+class TestTokenizerContract:
+    """Every command that combines a checkpoint with a tokenizer refuses one
+    other than the tokenizer the checkpoint was trained with."""
+
+    @pytest.fixture(scope="class")
+    def foreign(self, pipeline, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("foreign") / "tok.json")
+        code, _, err = run_cli(["tokenize-train", "--data", pipeline["data"], "--vocab-size", "290",
+                                "--out", path])
+        assert code == 0, err
+        return path
+
+    def assert_refused(self, argv):
+        code, stdout, err = run_cli(argv)
+        assert code == 1
+        assert stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith("error: tokenizer ") and "does not match" in line
+
+    def test_eval_refuses_foreign_tokenizer(self, pipeline, foreign):
+        self.assert_refused(["eval", "--model", pipeline["model"], "--tokenizer", foreign,
+                             "--data", pipeline["data"]])
+
+    def test_eval_of_student_refuses_foreign_tokenizer(self, pipeline, foreign):
+        self.assert_refused(["eval", "--model", pipeline["student"], "--tokenizer", foreign,
+                             "--data", pipeline["data"]])
+
+    def test_rank_with_teacher_refuses_foreign_tokenizer(self, pipeline, foreign):
+        self.assert_refused(["rank", "--query", "attr1", "--tokenizer", foreign,
+                             "--teacher", pipeline["model"], "--data", pipeline["data"]])
+
+    def test_rank_with_student_refuses_foreign_tokenizer(self, pipeline, foreign):
+        self.assert_refused(["rank", "--query", "attr1", "--tokenizer", foreign,
+                             "--student", pipeline["student"], "--store", pipeline["store"]])
+
+    def test_bench_refuses_foreign_tokenizer(self, pipeline, foreign):
+        self.assert_refused(["bench", "--teacher", pipeline["model"], "--student", pipeline["student"],
+                             "--tokenizer", foreign, "--data", pipeline["data"],
+                             "--store", pipeline["store"], "--n-queries", "30", "--list-size", "4"])
+
+    def test_distill_refuses_foreign_tokenizer(self, pipeline, foreign, tmp_path):
+        self.assert_refused(["distill", "--teacher", pipeline["model"], "--data", pipeline["data"],
+                             "--tokenizer", foreign, "--out", str(tmp_path / "s.ckpt"), "--epochs", "1"])
+
+
+def test_checkpoint_with_aliased_manifest_fails_with_one_line(pipeline, tmp_path):
+    """A manifest whose pos_emb entry points at tok_emb's bytes is refused."""
+    with open(pipeline["model"], "rb") as fh:
+        blob = fh.read()
+    path = tmp_path / "aliased.ckpt"
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + header_len])
+    header["manifest"][1]["offset"] = 0
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len :])
+    code, stdout, err = run_cli(["eval", "--model", str(path), "--tokenizer", pipeline["tokenizer"],
+                                 "--data", pipeline["data"]])
+    assert code == 1
+    assert stdout == ""
+    [line] = error_lines(err)
+    assert line.startswith(f"error: {path}: manifest entry 1 is ") and "'offset': 0" in line

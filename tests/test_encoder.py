@@ -11,31 +11,31 @@ import pytest
 from listrank.encoder import (
     EncoderConfig,
     add_params,
-    backward,
     backward_batch,
     embed_batch,
-    embed_text,
-    forward,
     forward_batch,
     init_params,
-    mlm_logits,
     mlm_logits_batch,
     pad_token_rows,
-    score_cls,
     score_cls_backward,
     score_cls_batch,
     zeros_like_params,
 )
 from listrank.errors import ConfigurationError, ContractError, ValidationError
-from listrank.tokenizer import CLS_ID, PAD_ID, TokenSequence
+from listrank.tokenizer import CLS_ID, PAD_ID
 
 TINY = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
+TINY_ROWS = [[CLS_ID, 7, 12, 9, 6], [CLS_ID, 5, 18], [CLS_ID, 11, 6, 13]]
 
 
 def tiny_batch():
     """Three variable-length rows, CLS-first, with padding."""
-    rows = [[CLS_ID, 7, 12, 9, 6], [CLS_ID, 5, 18], [CLS_ID, 11, 6, 13]]
-    return pad_token_rows(rows)
+    return pad_token_rows(TINY_ROWS)
+
+
+def each_row_alone(run):
+    """``run(ids, mask)`` on every row of the tiny batch as a one-row batch."""
+    return [run(np.array([row]), np.ones((1, len(row)), dtype=np.int64)) for row in TINY_ROWS]
 
 
 class TestEncoderConfig:
@@ -175,12 +175,12 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward_batch(params, TINY, ids, np.array([[0, 1]]))
 
-    def test_single_sequence_wrapper_matches_batch(self):
+    def test_sequence_alone_matches_its_row_in_a_padded_batch(self):
         params = init_params(TINY, seed=0)
-        seq = TokenSequence(ids=[CLS_ID, 7, 12], attention_mask=[1, 1, 1])
-        single, _ = forward(params, TINY, seq)
-        batched, _ = forward_batch(params, TINY, [seq.ids], [seq.attention_mask])
-        np.testing.assert_array_equal(single, batched[0])
+        batched, _ = forward_batch(params, TINY, *tiny_batch())
+        alone = each_row_alone(lambda ids, mask: forward_batch(params, TINY, ids, mask)[0])
+        for row, hidden in enumerate(alone):
+            np.testing.assert_allclose(hidden[0], batched[row, : hidden.shape[1]], rtol=0, atol=1e-12)
 
 
 class TestScoreHead:
@@ -205,13 +205,12 @@ class TestScoreHead:
         with pytest.raises(ContractError):
             score_cls_batch(params, TINY, ids, np.ones_like(ids))
 
-    def test_single_sequence_wrapper_matches_batch(self):
+    def test_sequence_alone_scores_as_in_a_padded_batch(self):
         params = init_params(TINY, seed=0)
-        seq = TokenSequence(ids=[CLS_ID, 9, 6], attention_mask=[1, 1, 1])
-        value, _ = score_cls(params, TINY, seq)
-        batch_scores, _ = score_cls_batch(params, TINY, [seq.ids], [seq.attention_mask])
-        assert isinstance(value, float)
-        assert value == batch_scores[0]
+        batched, _ = score_cls_batch(params, TINY, *tiny_batch())
+        alone = each_row_alone(lambda ids, mask: score_cls_batch(params, TINY, ids, mask)[0])
+        assert all(scores.shape == (1,) for scores in alone)
+        np.testing.assert_allclose(np.concatenate(alone), batched, rtol=0, atol=1e-12)
 
 
 class TestPooling:
@@ -233,12 +232,14 @@ class TestPooling:
             real = mask[row] == 1
             np.testing.assert_allclose(emb[row], hidden[row][real].mean(axis=0), rtol=1e-12)
 
-    def test_embed_text_matches_embed_batch(self):
-        params = init_params(TINY, seed=0)
-        seq = TokenSequence(ids=[CLS_ID, 7, 12], attention_mask=[1, 1, 1])
-        single = embed_text(params, TINY, seq)
-        batched, _ = embed_batch(params, TINY, [seq.ids], [seq.attention_mask])
-        np.testing.assert_array_equal(single, batched[0])
+    def test_sequence_alone_embeds_as_in_a_padded_batch(self):
+        for pooling in ("cls", "mean"):
+            config = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16,
+                                   vocab_size=20, max_len=5, pooling=pooling)
+            params = init_params(config, seed=0)
+            batched, _ = embed_batch(params, config, *tiny_batch())
+            alone = each_row_alone(lambda ids, mask: embed_batch(params, config, ids, mask)[0])
+            np.testing.assert_allclose(np.concatenate(alone), batched, rtol=0, atol=1e-12, err_msg=pooling)
 
 
 class TestMlmHead:
@@ -263,16 +264,6 @@ class TestMlmHead:
         np.testing.assert_allclose(diff[:, 13], states @ delta, rtol=1e-12)
         untouched = [j for j in range(20) if j != 13]
         np.testing.assert_array_equal(diff[:, untouched], 0.0)
-
-    def test_position_gather_and_validation(self):
-        params = init_params(TINY, seed=0)
-        hidden = np.random.default_rng(3).standard_normal((5, 8))
-        logits = mlm_logits(params, hidden, [0, 3])
-        np.testing.assert_array_equal(logits, mlm_logits_batch(params, hidden[[0, 3]]))
-        with pytest.raises(ValidationError):
-            mlm_logits(params, hidden, [5])
-        with pytest.raises(ValidationError):
-            mlm_logits(params, np.zeros((2, 3, 8)), [0])
 
 
 class TestBackward:
@@ -310,16 +301,6 @@ class TestBackward:
         scores, trace2 = score_cls_batch(params, TINY, ids, mask)
         with pytest.raises(ContractError):
             score_cls_backward(params, TINY, trace2, np.zeros((7,)))
-
-    def test_single_sequence_backward_accepts_2d_upstream(self):
-        params = init_params(TINY, seed=0)
-        seq = TokenSequence(ids=[CLS_ID, 7, 12], attention_mask=[1, 1, 1])
-        hidden, trace = forward(params, TINY, seq)
-        d = np.random.default_rng(5).standard_normal(hidden.shape)
-        flat = backward(params, TINY, trace, d)
-        batched = backward(params, TINY, trace, d[None, :, :])
-        for (name, a), (_, b) in zip(flat.named_arrays(), batched.named_arrays()):
-            np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_score_head_gradient_spot_check(self):
         """Central differences on the scoring head parameters; the full

@@ -16,7 +16,7 @@ import pytest
 from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.encoder import (
     EncoderConfig,
-    embed_text,
+    embed_batch,
     pad_token_rows,
     score_cls_batch,
 )
@@ -47,6 +47,12 @@ from listrank.tokenizer import train_bpe
 from listrank.training import checkpoint_fingerprint, init_checkpoint
 
 TINY_ENC = dict(n_layers=1, n_heads=2, model_dim=16, ffn_dim=32, max_len=16)
+
+
+def embed_alone(ckpt, tokenizer, text):
+    """The encoder's embedding of ``text`` run as a one-row batch."""
+    ids, mask = pad_token_rows([tokenizer.encode_single(text, ckpt.config.max_len).ids])
+    return embed_batch(ckpt.params, ckpt.config, ids, mask)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +142,7 @@ class TestPrecomputeEmbeddings:
         embedding of that document."""
         _, tokenizer, _, student, catalog = world
         for doc in catalog[:5]:
-            seq = tokenizer.encode_single(doc.text, student.config.max_len)
-            expected = embed_text(student.params, student.config, seq).astype(np.float32)
+            expected = embed_alone(student, tokenizer, doc.text).astype(np.float32)
             np.testing.assert_array_equal(store.vector(doc.doc_id), expected)
 
     def test_store_metadata(self, world, store):
@@ -154,8 +159,7 @@ class TestPrecomputeEmbeddings:
         big = precompute_embeddings(student, catalog, tokenizer)
         assert len(big) == 300
         for i in (0, 255, 256, 299):
-            seq = tokenizer.encode_single(catalog[i].text, student.config.max_len)
-            expected = embed_text(student.params, student.config, seq).astype(np.float32)
+            expected = embed_alone(student, tokenizer, catalog[i].text).astype(np.float32)
             np.testing.assert_array_equal(big.vector(catalog[i].doc_id), expected)
 
     def test_empty_catalog_raises(self, world):
@@ -286,8 +290,7 @@ class TestRankWithStudent:
         _, tokenizer, _, student, catalog = world
         ids = [d.doc_id for d in catalog[:6]]
         result = rank_with_student(student, store, "attr7 attr8", ids, tokenizer)
-        seq = tokenizer.encode_single("attr7 attr8", student.config.max_len)
-        q_emb = embed_text(student.params, student.config, seq)
+        q_emb = embed_alone(student, tokenizer, "attr7 attr8")
         expected = {
             doc_id: float(store.vector(doc_id).astype(np.float64) @ q_emb)
             for doc_id in ids
@@ -322,8 +325,7 @@ class TestRankWithStudent:
         dup_store = precompute_embeddings(student, catalog, tokenizer)
         ids = list(dup_store.doc_ids)
         result = rank_with_student(student, dup_store, "attr2 attr3", ids, tokenizer)
-        seq = tokenizer.encode_single("attr2 attr3", student.config.max_len)
-        scores = dup_store.vectors.astype(np.float64) @ embed_text(student.params, student.config, seq)
+        scores = dup_store.vectors.astype(np.float64) @ embed_alone(student, tokenizer, "attr2 attr3")
         assert same_bytes(result.ranking, python_sorted(ids, scores))
         assert len({s for _, s in result.ranking}) <= len(texts)
 

@@ -5,6 +5,7 @@ queries of 8 documents, a 1-layer width-16 encoder) so each case stays
 well under a second while still exercising real gradient flow.
 """
 
+import json
 import math
 import os
 import struct
@@ -259,6 +260,89 @@ class TestCheckpointFiles:
             load_checkpoint(path)
 
 
+class TestCheckpointManifest:
+    """The manifest must be exactly the one the encoder config implies: a list
+    of integer-valued entries that tile the payload in order. Anything else is
+    a header error, never a raw exception or a silent load of wrong bytes."""
+
+    CONFIG = TestCheckpointFiles.CONFIG
+
+    def rewrite(self, tmp_path, edit):
+        """Save a checkpoint, then replace its manifest by ``edit(manifest)``,
+        keeping the payload and its hash."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_checkpoint(self.CONFIG, seed=4, tokenizer_hash="abc123"), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        header = json.loads(blob[16 : 16 + header_len])
+        header["manifest"] = edit(header["manifest"])
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len :])
+        return path
+
+    def assert_rejected(self, path, phrase):
+        with pytest.raises(CheckpointHeaderError) as info:
+            load_checkpoint(path)
+        assert phrase in str(info.value) and "\n" not in str(info.value)
+
+    def test_unedited_manifest_loads(self, tmp_path):
+        path = self.rewrite(tmp_path, lambda m: m)
+        assert load_checkpoint(path).epoch == 0
+
+    def test_manifest_that_is_not_a_list_rejected(self, tmp_path):
+        path = self.rewrite(tmp_path, lambda m: {e["name"]: e for e in m})
+        self.assert_rejected(path, "manifest is not a list")
+
+    def test_entry_without_offset_rejected(self, tmp_path):
+        def drop_offset(m):
+            del m[1]["offset"]
+            return m
+
+        self.assert_rejected(self.rewrite(tmp_path, drop_offset), "manifest entry")
+
+    @pytest.mark.parametrize("field, value", [("offset", 0.0), ("size", "640"), ("shape", [20.0, 8]),
+                                              ("name", 7), ("offset", False)])
+    def test_entry_field_of_wrong_type_rejected(self, tmp_path, field, value):
+        def retype(m):
+            m[0][field] = value
+            return m
+
+        self.assert_rejected(self.rewrite(tmp_path, retype), "manifest entry")
+
+    def test_size_that_disagrees_with_shape_rejected(self, tmp_path):
+        """Moving four bytes from tok_emb to pos_emb keeps the payload tiled
+        but gives both entries a size their shape does not hold."""
+        def shift(m):
+            m[0]["size"] -= 4
+            m[1]["offset"] -= 4
+            m[1]["size"] += 4
+            return m
+
+        self.assert_rejected(self.rewrite(tmp_path, shift), "manifest entry")
+
+    def test_offset_aliasing_another_entry_rejected(self, tmp_path):
+        """pos_emb pointed at tok_emb's bytes would load tok_emb's values."""
+        def alias(m):
+            assert (m[0]["name"], m[1]["name"]) == ("tok_emb", "pos_emb")
+            m[1]["offset"] = m[0]["offset"]
+            return m
+
+        self.assert_rejected(self.rewrite(tmp_path, alias), "manifest entry")
+
+    def test_extra_entry_rejected(self, tmp_path):
+        def extend(m):
+            return m + [dict(m[-1], offset=m[-1]["offset"] + m[-1]["size"])]
+
+        self.assert_rejected(self.rewrite(tmp_path, extend), "manifest entry")
+
+    def test_gap_between_entries_rejected(self, tmp_path):
+        def gap(m):
+            m[1]["offset"] += 4
+            return m
+
+        self.assert_rejected(self.rewrite(tmp_path, gap), "manifest entry")
+
+
 class TestPretrainMlm:
     def test_zero_epochs_returns_untouched_init(self, tiny_world):
         """An epochs=0 run must hand back exactly the seeded initialization
@@ -271,6 +355,20 @@ class TestPretrainMlm:
             np.testing.assert_array_equal(a, b, err_msg=name)
         assert [(r.epoch, r.split) for r in history] == [(0, "heldout")]
         assert ckpt.loss_name == "mlm"
+
+    def test_mask_rate_zero_skips_every_batch(self, tiny_world):
+        """With nothing masked every batch is skipped: no Adam step runs,
+        every train row reads 0.0 and the weights stay the seeded init."""
+        dataset, tokenizer, config = tiny_world
+        tc = TrainConfig(lr=1e-3, epochs=2, batch_size=4, seed=3, mask_rate=0.0)
+        ckpt, history = pretrain_mlm(corpus_lines(dataset), tokenizer, config, tc)
+        reference = init_params(config, 3)
+        for (name, a), (_, b) in zip(ckpt.params.named_arrays(), reference.named_arrays()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert [r.loss_value for r in history if r.split == "train"] == [0.0, 0.0]
+        assert [(r.epoch, r.split) for r in history] == [
+            (0, "heldout"), (1, "train"), (1, "heldout"), (2, "train"), (2, "heldout"),
+        ]
 
     def test_untrained_loss_is_log_vocab(self, tiny_world):
         """Near-zero initial logits make every prediction uniform, so the
@@ -493,6 +591,20 @@ class TestScorers:
         emb, _ = embed_batch(ckpt.params, config, ids, mask)
         got = make_bi_encoder_scorer(ckpt, tokenizer)(group)
         np.testing.assert_allclose(got, emb[1:] @ emb[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("make_scorer", [make_cross_encoder_scorer, make_bi_encoder_scorer])
+    def test_foreign_tokenizer_rejected(self, tiny_world, make_scorer):
+        dataset, tokenizer, config = tiny_world
+        foreign = train_bpe(corpus_lines(dataset), vocab_size=290)
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        with pytest.raises(ContractError):
+            make_scorer(ckpt, foreign)
+
+    @pytest.mark.parametrize("make_scorer", [make_cross_encoder_scorer, make_bi_encoder_scorer])
+    def test_checkpoint_without_tokenizer_hash_accepts_any(self, tiny_world, make_scorer):
+        dataset, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, "")
+        assert make_scorer(ckpt, tokenizer)(dataset.groups[0]).shape == (len(dataset.groups[0].docs),)
 
 
 class TestDistill:
