@@ -34,7 +34,6 @@ from .errors import (
     EmptyInputError,
     ListRankError,
     MissingIdError,
-    NonFiniteGradientError,
     ParseError,
     StoreError,
     ValidationError,
@@ -53,7 +52,6 @@ from .training import (
     Checkpoint,
     LOSS_NAMES,
     TrainConfig,
-    _check_tokenizer,
     checkpoint_fingerprint,
     distill,
     finetune_ltr,
@@ -160,10 +158,6 @@ def _resolve(args, opts):
     return resolved
 
 
-def _echo(cmd, resolved):
-    print(f"[{cmd}] config {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
-
-
 def _progress(cmd, message):
     print(f"[{cmd}] {message}", file=sys.stderr)
 
@@ -216,9 +210,7 @@ def _scorer_for(ckpt: Checkpoint, tokenizer: Tokenizer):
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_synth_data(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("synth-data", resolved)
+def _cmd_synth_data(resolved):
     spec = SyntheticSpec(
         n_queries=resolved["n_queries"],
         list_size=resolved["list_size"],
@@ -238,9 +230,7 @@ def _cmd_synth_data(args, opts):
     return 0
 
 
-def _cmd_tokenize_train(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("tokenize-train", resolved)
+def _cmd_tokenize_train(resolved):
     lines = _load_corpus(resolved)
     tokenizer = train_bpe(lines, resolved["vocab_size"])
     tokenizer.save(resolved["out"])
@@ -263,9 +253,7 @@ def _train_config(resolved, **overrides):
     return TrainConfig(**base)
 
 
-def _cmd_pretrain(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("pretrain", resolved)
+def _cmd_pretrain(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     lines = _load_corpus(resolved)
     config = _encoder_config(resolved, tokenizer.vocab_size)
@@ -282,9 +270,7 @@ def _cmd_pretrain(args, opts):
     return 0
 
 
-def _cmd_train(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("train", resolved)
+def _cmd_train(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     dataset = load_dataset(resolved["data"])
     eval_dataset = load_dataset(resolved["eval_data"]) if resolved["eval_data"] else None
@@ -308,9 +294,7 @@ def _cmd_train(args, opts):
     return 0
 
 
-def _cmd_eval(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("eval", resolved)
+def _cmd_eval(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     ckpt = load_checkpoint(resolved["model"])
     dataset = load_dataset(resolved["data"])
@@ -321,9 +305,7 @@ def _cmd_eval(args, opts):
     return 0
 
 
-def _cmd_distill(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("distill", resolved)
+def _cmd_distill(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     teacher = load_checkpoint(resolved["teacher"])
     dataset = load_dataset(resolved["data"])
@@ -370,9 +352,7 @@ def _candidate_docs(dataset: Dataset, wanted):
     return [by_id[d] for d in wanted]
 
 
-def _cmd_rank(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("rank", resolved)
+def _cmd_rank(resolved):
     if bool(resolved["student"]) == bool(resolved["teacher"]):
         raise ConfigurationError("provide exactly one of --student or --teacher")
     tokenizer = load_tokenizer(resolved["tokenizer"])
@@ -381,7 +361,6 @@ def _cmd_rank(args, opts):
         if not resolved["store"]:
             raise ConfigurationError("--student mode requires --store")
         student = load_checkpoint(resolved["student"])
-        _check_tokenizer(student, tokenizer)
         store = _load_student_store(resolved["store"], student)
         candidate_ids = wanted if wanted is not None else list(store.doc_ids)
         result = rank_with_student(student, store, resolved["query"], candidate_ids, tokenizer)
@@ -389,7 +368,6 @@ def _cmd_rank(args, opts):
         if not resolved["data"]:
             raise ConfigurationError("--teacher mode requires --data")
         teacher = load_checkpoint(resolved["teacher"])
-        _check_tokenizer(teacher, tokenizer)
         docs = _candidate_docs(load_dataset(resolved["data"]), wanted)
         result = rank_with_teacher(teacher, resolved["query"], docs, tokenizer)
     _progress("rank", f"ranked {len(result.ranking)} candidates in {result.latency_ms:.3f} ms")
@@ -399,14 +377,10 @@ def _cmd_rank(args, opts):
     return 0
 
 
-def _cmd_bench(args, opts):
-    resolved = _resolve(args, opts)
-    _echo("bench", resolved)
+def _cmd_bench(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     teacher = load_checkpoint(resolved["teacher"])
     student = load_checkpoint(resolved["student"])
-    _check_tokenizer(teacher, tokenizer)
-    _check_tokenizer(student, tokenizer)
     dataset = load_dataset(resolved["data"])
     if resolved["store"]:
         store = _load_student_store(resolved["store"], student)
@@ -569,30 +543,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not getattr(args, "command", None):
-        parser.print_help(sys.stderr)
-        return 1
-    try:
-        return args._func(args, args._opts)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if not getattr(args, "command", None):
+            parser.print_help(sys.stderr)
+            return 1
+        resolved = _resolve(args, args._opts)
+        _progress(args.command, f"config {json.dumps(resolved, sort_keys=True)}")
+        return args._func(resolved)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except _INVALID_INPUT_ERRORS as exc:
+    except (_UsageError, *_INVALID_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NonFiniteGradientError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except ListRankError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ListRankError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

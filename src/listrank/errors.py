@@ -76,4 +76,4 @@ class StoreFormatError(StoreError):
 
 
 class StoreIntegrityError(StoreError):
-    """The store payload hash does not match."""
+    """The store's content hash does not match its bytes."""

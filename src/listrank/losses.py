@@ -149,17 +149,18 @@ def listmle_target_order(grades: np.ndarray, tie_seed: int) -> np.ndarray:
     return np.lexsort((priority, -grades))
 
 
-def _listmle_on_order(s: np.ndarray, order: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log Plackett-Luce likelihood of visiting ``order``; grad over s."""
-    t = s[order]
+def _listmle_on_order(scores: np.ndarray, valid: np.ndarray, order: np.ndarray) -> LossOutput:
+    """Negative log Plackett-Luce likelihood of visiting the ``valid`` slots
+    of ``scores`` in ``order``; padded slots get zero gradient."""
+    visited = valid[order]
+    t = scores[visited]
     m = t.max()
     e = np.exp(t - m)
     suffix = np.cumsum(e[::-1])[::-1]
     value = float(np.sum(np.log(suffix) + m - t))
-    grad_sorted = e * np.cumsum(1.0 / suffix) - 1.0
-    grad = np.empty_like(s)
-    grad[order] = grad_sorted
-    return value, grad
+    grad = np.zeros_like(scores)
+    grad[visited] = e * np.cumsum(1.0 / suffix) - 1.0
+    return LossOutput(value, grad)
 
 
 def listmle_loss_on_order(scores, target: ListTarget, order) -> LossOutput:
@@ -179,10 +180,7 @@ def listmle_loss_on_order(scores, target: ListTarget, order) -> LossOutput:
         raise ValidationError(
             f"order must be a permutation of the {valid.size} valid slots"
         )
-    value, grad_valid = _listmle_on_order(scores[valid], order)
-    grad = np.zeros_like(scores)
-    grad[valid] = grad_valid
-    return LossOutput(value, grad)
+    return _listmle_on_order(scores, valid, order)
 
 
 def listmle_loss(scores, target: ListTarget, tie_seed: int = 0) -> LossOutput:
@@ -195,7 +193,7 @@ def listmle_loss(scores, target: ListTarget, tie_seed: int = 0) -> LossOutput:
     if valid.size == 0:
         raise EmptyInputError("listmle_loss needs at least one valid slot")
     order = listmle_target_order(target.grades[valid], tie_seed)
-    return listmle_loss_on_order(scores, target, order)
+    return _listmle_on_order(scores, valid, order)
 
 
 def approxndcg_loss(scores, target: ListTarget, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:

@@ -44,15 +44,31 @@ def ndcg_at_k(grades_in_predicted_order: Sequence[int], k: int | None = None) ->
     return dcg(grades_in_predicted_order, k) / idcg
 
 
+def str_rank(ids: Sequence[str]) -> np.ndarray:
+    """Position of each of the ``ids`` in ascending ``str`` order.
+
+    Python's ``sorted`` gives the order: numpy ``U`` arrays drop trailing NULs,
+    so sorting them could tie ids that differ.
+    """
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def score_order(scores: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties by ascending ``id_rank``; the one
+    ranking order of evaluation and serving."""
+    return np.lexsort((id_rank, -scores))
+
+
 def order_by_scores(scores: Sequence[float], doc_ids: Sequence[str] | None = None) -> list[int]:
     """Indices sorted by descending score; ties break by ascending doc_id.
 
     Without doc_ids, ties break by ascending original index.
     """
-    n = len(scores)
-    if doc_ids is None:
-        return sorted(range(n), key=lambda i: (-float(scores[i]), i))
-    return sorted(range(n), key=lambda i: (-float(scores[i]), doc_ids[i]))
+    scores = np.asarray(scores, dtype=np.float64)
+    id_rank = np.arange(scores.size) if doc_ids is None else str_rank(doc_ids)
+    return score_order(scores, id_rank).tolist()
 
 
 def mean_ndcg(

@@ -6,8 +6,9 @@ document. The student embeds documents ahead of time into an EmbeddingStore
 query plus dot products against precomputed vectors. ``benchmark_latency``
 runs both systems over the identical workload and reports the speedup.
 
-Store files are written through the shared ``fileio.atomic_write`` and carry
-a content hash plus the fingerprint of the checkpoint that produced them.
+Store files are written through the shared ``fileio.atomic_write``. They
+carry the fingerprint of the checkpoint that produced them and end with a
+hash of every byte before it, id table and fingerprint included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoder as enc
 from .dataset import Dataset
 from .errors import (
     ConfigurationError,
@@ -30,12 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .fileio import DIGEST_BYTES, atomic_write, digest
-from .metrics import nearest_rank_percentile
+from .metrics import nearest_rank_percentile, score_order, str_rank
 from .tokenizer import Tokenizer
-from .training import Checkpoint, checkpoint_fingerprint
+from .training import Checkpoint, _check_tokenizer, checkpoint_fingerprint, embed_texts, score_pairs
 
 STORE_MAGIC = b"LREMB001"
-STORE_VERSION = 1
+STORE_VERSION = 2
 _EMBED_CHUNK = 256
 
 
@@ -88,12 +88,13 @@ class EmbeddingStore:
         Built on first use, so loading a store does not pay for it.
         """
         if self._id_rank is None:
-            self._id_rank = _str_rank(self.doc_ids)
+            self._id_rank = str_rank(self.doc_ids)
         return self._id_rank
 
 
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
     """Embed every catalog document with the student encoder (float32)."""
+    _check_tokenizer(student, tokenizer)
     catalog = list(catalog)
     if not catalog:
         raise EmptyInputError("catalog is empty")
@@ -105,9 +106,8 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     vectors = np.empty((len(catalog), student.config.model_dim), dtype=np.float32)
     for start in range(0, len(catalog), _EMBED_CHUNK):
         chunk = catalog[start : start + _EMBED_CHUNK]
-        rows = [tokenizer.encode_single(d.text, student.config.max_len).ids for d in chunk]
-        ids, mask = enc.pad_token_rows(rows)
-        emb, _ = enc.embed_batch(student.params, student.config, ids, mask)
+        # _ holds the trace until the next chunk's forward; freeing it sooner costs page faults
+        emb, _ = embed_texts(student, tokenizer, [d.text for d in chunk])
         vectors[start : start + len(chunk)] = emb.astype(np.float32)
     return EmbeddingStore(
         dim=student.config.model_dim,
@@ -118,8 +118,10 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:
-    """Write magic, version, dims, fingerprint, id table, float32 payload, hash."""
-    payload = np.ascontiguousarray(store.vectors, dtype="<f4").tobytes()
+    """Write magic, version, dims, fingerprint, id table, float32 payload,
+    then the hash of everything before it."""
+    # bytes.join reads the array's buffer, so no tobytes copy is needed
+    payload = np.ascontiguousarray(store.vectors, dtype="<f4")
     fp_raw = store.fingerprint.encode("utf-8")
     parts = [
         STORE_MAGIC,
@@ -134,8 +136,8 @@ def save_store(store: EmbeddingStore, path: str) -> None:
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
     parts.append(payload)
-    parts.append(digest(payload))
-    atomic_write(path, b"".join(parts))
+    body = b"".join(parts)
+    atomic_write(path, body + digest(body))
 
 
 def load_store(path: str) -> EmbeddingStore:
@@ -163,14 +165,12 @@ def load_store(path: str) -> EmbeddingStore:
             pos += id_len
     except (struct.error, UnicodeDecodeError) as exc:
         raise StoreFormatError(f"{path}: id table unreadable ({exc})") from exc
-    payload_len = count * dim * 4
-    if len(blob) < pos + payload_len + DIGEST_BYTES:
-        raise StoreFormatError(f"{path}: vector payload truncated")
-    payload = blob[pos : pos + payload_len]
-    stored_digest = blob[pos + payload_len : pos + payload_len + DIGEST_BYTES]
-    if digest(payload) != stored_digest:
+    end = pos + count * dim * 4
+    if len(blob) != end + DIGEST_BYTES:
+        raise StoreFormatError(f"{path}: {len(blob)} bytes, the header implies {end + DIGEST_BYTES}")
+    if digest(memoryview(blob)[:end]) != blob[end:]:
         raise StoreIntegrityError(f"{path}: content hash mismatch")
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
+    vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=pos).reshape(count, dim).copy()
     return EmbeddingStore(dim=dim, fingerprint=fingerprint, doc_ids=doc_ids, vectors=vectors)
 
 
@@ -185,23 +185,12 @@ class RankResult:
     latency_ms: float
 
 
-def _str_rank(ids) -> np.ndarray:
-    """Position of each of the unique ``ids`` in ascending ``str`` order.
-
-    Python's ``sorted`` gives the order: numpy ``U`` arrays drop trailing NULs,
-    so sorting them could tie ids that differ.
-    """
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
 def _sorted_ranking(doc_ids, id_rank, scores):
     """(doc_id, score) pairs by descending score, ties by ascending doc_id.
 
     ``id_rank[i]`` orders ``doc_ids[i]`` among the candidates by ``str`` order.
     """
-    order = np.lexsort((id_rank, -scores))
+    order = score_order(scores, id_rank)
     return list(zip(map(doc_ids.__getitem__, order.tolist()), scores[order].tolist()))
 
 
@@ -222,6 +211,7 @@ def rank_with_student(
     document vectors. The timed window covers the gather and float64 upcast
     of the candidates' vectors, query encoding, scoring, and the sort; it
     excludes store loading."""
+    _check_tokenizer(student, tokenizer)
     if store.dim != student.config.model_dim:
         raise ValidationError(
             f"store vectors have width {store.dim}, but the student embeds "
@@ -234,8 +224,7 @@ def rank_with_student(
     start = time.perf_counter()
     rows, vectors = store.gather(candidate_ids)
     doc_vecs = vectors.astype(np.float64)
-    ids = np.asarray([tokenizer.encode_single(query, student.config.max_len).ids])
-    q_emb, _ = enc.embed_batch(student.params, student.config, ids, np.ones_like(ids))
+    q_emb, _ = embed_texts(student, tokenizer, [query])
     scores = doc_vecs @ q_emb[0]
     ranking = _sorted_ranking(candidate_ids, store.id_rank()[rows], scores)
     latency_ms = (time.perf_counter() - start) * 1000.0
@@ -252,18 +241,15 @@ def rank_with_teacher(
 
     The timed window covers pair encoding, all forwards, and the sort.
     """
+    _check_tokenizer(teacher, tokenizer)
     candidates = list(candidates)
     doc_ids = [d.doc_id for d in candidates]
     _check_candidates(doc_ids)
     if not candidates:
         return RankResult([], 0.0)
     start = time.perf_counter()
-    rows = [
-        tokenizer.encode_pair(query, d.text, teacher.config.max_len).ids for d in candidates
-    ]
-    ids, mask = enc.pad_token_rows(rows)
-    scores, _ = enc.score_cls_batch(teacher.params, teacher.config, ids, mask)
-    ranking = _sorted_ranking(doc_ids, _str_rank(doc_ids), scores)
+    scores, _ = score_pairs(teacher, tokenizer, query, [d.text for d in candidates])
+    ranking = _sorted_ranking(doc_ids, str_rank(doc_ids), scores)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 

@@ -64,16 +64,10 @@ def _text_to_symbols(piece: str) -> tuple[str, ...]:
 
 @dataclass
 class TokenSequence:
-    """Token ids plus an aligned {0,1} attention mask."""
+    """Token ids of one encoded text; ``encoder.pad_token_rows`` builds the
+    attention mask of a batch."""
 
     ids: list[int]
-    attention_mask: list[int]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.attention_mask):
-            raise ValidationError(
-                f"ids ({len(self.ids)}) and attention_mask ({len(self.attention_mask)}) differ in length"
-            )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -93,11 +87,13 @@ class Tokenizer:
     _merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
     _id_to_token: dict[int, str] = field(init=False, repr=False)
     _piece_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    _content_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         self._id_to_token = {i: tok for tok, i in self.token_to_id.items()}
         self._piece_cache = {}
+        self._content_hash = digest(self.to_json_bytes()).hex()
 
     @property
     def vocab_size(self) -> int:
@@ -131,7 +127,7 @@ class Tokenizer:
         ids: list[int] = []
         for piece in _PIECE_RE.findall(text):
             ids.extend(self._bpe_piece(piece))
-        return TokenSequence(ids=ids, attention_mask=[1] * len(ids))
+        return TokenSequence(ids=ids)
 
     def decode(self, seq: TokenSequence | list[int]) -> str:
         """Inverse of encode; special-token ids are skipped."""
@@ -158,14 +154,14 @@ class Tokenizer:
         if len(q_ids) + len(d_ids) > budget:
             q_ids = q_ids[:budget]
         ids = [CLS_ID] + q_ids + [SEP_ID] + d_ids
-        return TokenSequence(ids=ids, attention_mask=[1] * len(ids))
+        return TokenSequence(ids=ids)
 
     def encode_single(self, text: str, max_len: int) -> TokenSequence:
         """[CLS] text-ids, truncated to max_len; the bi-encoder input layout."""
         if max_len < 1:
             raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
         ids = [CLS_ID] + self.encode(text).ids[: max_len - 1]
-        return TokenSequence(ids=ids, attention_mask=[1] * len(ids))
+        return TokenSequence(ids=ids)
 
     # -- persistence --------------------------------------------------------
 
@@ -179,7 +175,8 @@ class Tokenizer:
         return (json.dumps(payload, ensure_ascii=True, separators=(",", ":")) + "\n").encode("ascii")
 
     def content_hash(self) -> str:
-        return digest(self.to_json_bytes()).hex()
+        """Hash of the saved form, computed at construction: the tables never change."""
+        return self._content_hash
 
     def save(self, path) -> None:
         atomic_write(path, self.to_json_bytes())
@@ -274,4 +271,4 @@ def mask_for_mlm(
         if draws[pos] < rate:
             labels[pos] = token_id
             masked_ids[pos] = MASK_ID
-    return TokenSequence(ids=masked_ids, attention_mask=list(seq.attention_mask)), labels
+    return TokenSequence(ids=masked_ids), labels

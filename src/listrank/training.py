@@ -310,17 +310,28 @@ def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
         )
 
 
+def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> tuple:
+    """Cross-encoder scores of ``query`` paired with each of ``texts``, run as
+    one padded batch. Returns ``(scores, trace)`` as ``score_cls_batch`` does."""
+    rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
+    ids, mask = enc.pad_token_rows(rows)
+    return enc.score_cls_batch(ckpt.params, ckpt.config, ids, mask)
+
+
+def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> tuple:
+    """Bi-encoder embeddings of ``texts``, run as one padded batch. Returns
+    ``(embeddings, trace)`` as ``embed_batch`` does."""
+    rows = [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts]
+    ids, mask = enc.pad_token_rows(rows)
+    return enc.embed_batch(ckpt.params, ckpt.config, ids, mask)
+
+
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
     """Group scorer that runs the cross-encoder over every (query, doc) pair."""
     _check_tokenizer(ckpt, tokenizer)
 
     def scorer(group: QueryGroup) -> np.ndarray:
-        rows = [
-            tokenizer.encode_pair(group.query_text, d.text, ckpt.config.max_len).ids
-            for d in group.docs
-        ]
-        ids, mask = enc.pad_token_rows(rows)
-        scores, _ = enc.score_cls_batch(ckpt.params, ckpt.config, ids, mask)
+        scores, _ = score_pairs(ckpt, tokenizer, group.query_text, [d.text for d in group.docs])
         return scores
 
     return scorer
@@ -332,10 +343,7 @@ def make_bi_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
     _check_tokenizer(ckpt, tokenizer)
 
     def scorer(group: QueryGroup) -> np.ndarray:
-        rows = [tokenizer.encode_single(group.query_text, ckpt.config.max_len).ids]
-        rows += [tokenizer.encode_single(d.text, ckpt.config.max_len).ids for d in group.docs]
-        ids, mask = enc.pad_token_rows(rows)
-        emb, _ = enc.embed_batch(ckpt.params, ckpt.config, ids, mask)
+        emb, _ = embed_texts(ckpt, tokenizer, [group.query_text] + [d.text for d in group.docs])
         return emb[1:] @ emb[0]
 
     return scorer
@@ -396,6 +404,18 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 # -- masked-token pre-training ----------------------------------------------
 
 
+def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, positions, labels):
+    """Masked-token loss of the id ``rows`` at their ``positions`` (one list
+    per row, possibly empty) against the int64 ``labels`` of those positions
+    in order. Returns ``(loss, hidden, states, trace)``, ``states`` being the
+    gathered hidden states the head scored."""
+    ids, mask = enc.pad_token_rows(rows)
+    hidden, trace = enc.forward_batch(params, config, ids, mask)
+    states = np.concatenate([hidden[i, pos, :] for i, pos in enumerate(positions) if pos])
+    loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels)
+    return loss, hidden, states, trace
+
+
 def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mask_rate: float, mask_seed_base: list) -> float:
     """Mean masked-token loss over ``seqs`` with deterministic per-line masks.
 
@@ -422,13 +442,8 @@ def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mas
                 break
     if not batch_rows:
         raise EmptyInputError("evaluation lines contain no maskable tokens")
-    ids, mask = enc.pad_token_rows([r for r, _ in batch_rows])
-    hidden, _ = enc.forward_batch(params, config, ids, mask)
-    states = np.concatenate(
-        [hidden[i, positions, :] for i, (_, positions) in enumerate(batch_rows)]
-    )
-    logits = enc.mlm_logits_batch(params, states)
-    out = mlm_cross_entropy(logits, np.asarray(batch_labels, dtype=np.int64))
+    rows, positions = zip(*batch_rows)
+    out, _, _, _ = _mlm_loss(params, config, rows, positions, np.asarray(batch_labels, dtype=np.int64))
     return out.value
 
 
@@ -479,14 +494,8 @@ def pretrain_mlm(
             gathered_labels.extend(labels[p] for p in positions)
         if not gathered_labels:
             return None
-        ids, mask = enc.pad_token_rows(rows)
-        hidden, trace = enc.forward_batch(params, encoder_config, ids, mask)
-        states = np.concatenate(
-            [hidden[i, pos, :] for i, pos in enumerate(gathered_positions) if pos]
-        )
         labels_arr = np.asarray(gathered_labels, dtype=np.int64)
-        logits = enc.mlm_logits_batch(params, states)
-        out = mlm_cross_entropy(logits, labels_arr)
+        out, hidden, states, trace = _mlm_loss(params, encoder_config, rows, gathered_positions, labels_arr)
 
         d_states = out.grad @ params.tok_emb
         d_hidden = np.zeros_like(hidden)

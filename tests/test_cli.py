@@ -303,6 +303,20 @@ class TestPipelineCommands:
         [line] = error_lines(err)
         assert line.startswith("error: ") and "width" in line
 
+    def test_rank_rejects_store_with_an_edited_id(self, pipeline, tmp_path):
+        first = load_store(pipeline["store"]).doc_ids[0].encode("utf-8")
+        with open(pipeline["store"], "rb") as fh:
+            blob = fh.read()
+        path = tmp_path / "edited.store"
+        path.write_bytes(blob.replace(first, first[:-1] + b"~", 1))
+        code, stdout, err = run_cli([
+            "rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],
+            "--student", pipeline["student"], "--store", str(path),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(err) == [f"error: {path}: content hash mismatch"]
+
     def test_bench_rejects_store_of_another_student(self, pipeline):
         code, stdout, err = run_cli([
             "bench", "--teacher", pipeline["model"], "--student", pipeline["model"],

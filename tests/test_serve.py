@@ -22,6 +22,7 @@ from listrank.encoder import (
 )
 from listrank.errors import (
     ConfigurationError,
+    ContractError,
     EmptyInputError,
     MissingIdError,
     StoreFormatError,
@@ -34,7 +35,6 @@ from listrank.serve import (
     LatencyStats,
     RankResult,
     _sorted_ranking,
-    _str_rank,
     benchmark_latency,
     benchmark_workload,
     load_store,
@@ -43,8 +43,9 @@ from listrank.serve import (
     rank_with_teacher,
     save_store,
 )
+from listrank.metrics import order_by_scores, str_rank
 from listrank.tokenizer import train_bpe
-from listrank.training import checkpoint_fingerprint, init_checkpoint
+from listrank.training import checkpoint_fingerprint, init_checkpoint, make_cross_encoder_scorer
 
 TINY_ENC = dict(n_layers=1, n_heads=2, model_dim=16, ffn_dim=32, max_len=16)
 
@@ -202,14 +203,16 @@ class TestStoreFiles:
             load_store(path)
 
     def test_unsupported_version_raises_format_error(self, tmp_path):
+        """Version 1 files, whose hash covered the vectors only, are refused too."""
         path = tmp_path / "x.store"
-        save_store(tiny_store(), path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, 8, 42)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(StoreFormatError) as excinfo:
-            load_store(path)
-        assert "version" in str(excinfo.value)
+        for version in (1, 42):
+            save_store(tiny_store(), path)
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<I", blob, 8, version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(StoreFormatError) as excinfo:
+                load_store(path)
+            assert f"unsupported store version {version}" in str(excinfo.value)
 
     def test_truncated_payload_raises_format_error(self, tmp_path):
         path = tmp_path / "x.store"
@@ -219,12 +222,29 @@ class TestStoreFiles:
         with pytest.raises(StoreFormatError):
             load_store(path)
 
+    def test_trailing_bytes_raise_format_error(self, tmp_path):
+        path = tmp_path / "x.store"
+        save_store(tiny_store(), path)
+        path.write_bytes(path.read_bytes() + b"trailing")
+        with pytest.raises(StoreFormatError, match="the header implies"):
+            load_store(path)
+
     def test_flipped_payload_byte_raises_integrity_error(self, tmp_path):
         path = tmp_path / "x.store"
         save_store(tiny_store(), path)
         blob = bytearray(path.read_bytes())
         blob[-12] ^= 0xFF  # inside the vector payload, before the digest
         path.write_bytes(bytes(blob))
+        with pytest.raises(StoreIntegrityError):
+            load_store(path)
+
+    @pytest.mark.parametrize("old, new", [(b"doc1", b"doc9"), (b"feedbeef", b"feedbeee")])
+    def test_edited_id_or_fingerprint_raises_integrity_error(self, tmp_path, old, new):
+        """The hash covers the id table and the fingerprint, not only the vectors."""
+        path = tmp_path / "x.store"
+        save_store(tiny_store(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(StoreIntegrityError):
             load_store(path)
 
@@ -241,13 +261,16 @@ def same_bytes(got, expected):
 
 
 class TestSortedRanking:
-    """``_sorted_ranking`` against Python's sort on (-score, doc_id)."""
+    """``_sorted_ranking`` and ``metrics.order_by_scores`` against Python's
+    sort on (-score, doc_id)."""
 
     @staticmethod
     def check(doc_ids, scores):
         scores = np.asarray(scores, dtype=np.float64)
-        got = _sorted_ranking(doc_ids, _str_rank(doc_ids), scores)
-        assert same_bytes(got, python_sorted(doc_ids, scores))
+        expected = python_sorted(doc_ids, scores)
+        got = _sorted_ranking(doc_ids, str_rank(doc_ids), scores)
+        assert same_bytes(got, expected)
+        assert [doc_ids[i] for i in order_by_scores(scores, doc_ids)] == [d for d, _ in expected]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_lists_with_many_ties(self, seed):
@@ -264,7 +287,7 @@ class TestSortedRanking:
         doc_ids = ["c", "a", "d", "b", "e"]
         scores = [0.0, -0.0, 0.0, -0.0, 1.0]
         self.check(doc_ids, scores)
-        got = _sorted_ranking(doc_ids, _str_rank(doc_ids), np.asarray(scores))
+        got = _sorted_ranking(doc_ids, str_rank(doc_ids), np.asarray(scores))
         assert [d for d, _ in got] == ["e", "a", "b", "c", "d"]
 
     def test_non_ascii_and_nul_ids(self):
@@ -378,6 +401,15 @@ class TestRankWithTeacher:
         ranked_scores = [s for _, s in result.ranking]
         assert ranked_scores == sorted(ranked_scores, reverse=True)
 
+    def test_scores_equal_the_eval_scorer_bit_for_bit(self, world):
+        """Serving and offline evaluation score a group through one path."""
+        dataset, tokenizer, teacher, _, _ = world
+        group = dataset.groups[0]
+        result = rank_with_teacher(teacher, group.query_text, group.docs, tokenizer)
+        scores = make_cross_encoder_scorer(teacher, tokenizer)(group)
+        expected = {d.doc_id: float(s).hex() for d, s in zip(group.docs, scores)}
+        assert {d: s.hex() for d, s in result.ranking} == expected
+
     def test_empty_candidates_return_empty_result(self, world):
         _, tokenizer, teacher, _, _ = world
         assert rank_with_teacher(teacher, "q", [], tokenizer) == RankResult([], 0.0)
@@ -387,6 +419,30 @@ class TestRankWithTeacher:
         docs = [Document("d", "a"), Document("d", "b")]
         with pytest.raises(ValidationError):
             rank_with_teacher(teacher, "q", docs, tokenizer)
+
+
+class TestForeignTokenizer:
+    """Serving refuses a tokenizer other than the one the checkpoint records."""
+
+    @pytest.fixture(scope="class")
+    def foreign(self, world):
+        dataset = world[0]
+        return train_bpe(corpus_lines(dataset), vocab_size=290)
+
+    def test_rank_with_student_refuses(self, world, store, foreign):
+        _, _, _, student, catalog = world
+        with pytest.raises(ContractError, match="does not match"):
+            rank_with_student(student, store, "q", [catalog[0].doc_id], foreign)
+
+    def test_rank_with_teacher_refuses(self, world, foreign):
+        _, _, teacher, _, catalog = world
+        with pytest.raises(ContractError, match="does not match"):
+            rank_with_teacher(teacher, "q", catalog[:2], foreign)
+
+    def test_precompute_embeddings_refuses(self, world, foreign):
+        _, _, _, student, catalog = world
+        with pytest.raises(ContractError, match="does not match"):
+            precompute_embeddings(student, catalog, foreign)
 
 
 class TestBenchmarkWorkload:

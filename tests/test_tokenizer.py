@@ -49,12 +49,8 @@ class TestSpecialTokens:
 
 
 class TestTokenSequence:
-    def test_mask_length_mismatch_raises(self):
-        with pytest.raises(ValidationError):
-            TokenSequence(ids=[1, 2], attention_mask=[1])
-
     def test_len(self):
-        assert len(TokenSequence(ids=[1, 2, 3], attention_mask=[1, 1, 1])) == 3
+        assert len(TokenSequence(ids=[1, 2, 3])) == 3
 
 
 class TestRoundTrip:
@@ -89,7 +85,6 @@ class TestEncodePair:
         d_ids = tok.encode("red running shoes").ids
         seq = tok.encode_pair("red shoes", "red running shoes", max_len=64)
         assert seq.ids == [CLS_ID] + q_ids + [SEP_ID] + d_ids
-        assert seq.attention_mask == [1] * len(seq.ids)
 
     def test_doc_is_truncated_first(self, tok):
         q_ids = tok.encode("red shoes").ids
@@ -221,7 +216,7 @@ class TestMaskForMlm:
     def seq_with_specials(self, tok):
         inner = tok.encode("red running shoes for the road").ids
         ids = [CLS_ID] + inner + [SEP_ID]
-        return TokenSequence(ids=ids, attention_mask=[1] * len(ids))
+        return TokenSequence(ids=ids)
 
     def test_rate_zero_masks_nothing(self, tok):
         seq = self.seq_with_specials(tok)
@@ -258,15 +253,10 @@ class TestMaskForMlm:
 
     def test_different_seeds_differ(self, tok):
         ids = tok.encode("running socks and running shorts for the winter road " * 4).ids
-        seq = TokenSequence(ids=ids, attention_mask=[1] * len(ids))
+        seq = TokenSequence(ids=ids)
         a = mask_for_mlm(seq, rate=0.5, seed=0)
         b = mask_for_mlm(seq, rate=0.5, seed=1)
         assert a[0].ids != b[0].ids
-
-    def test_attention_mask_is_preserved(self, tok):
-        seq = self.seq_with_specials(tok)
-        masked, _ = mask_for_mlm(seq, rate=1.0, seed=0)
-        assert masked.attention_mask == seq.attention_mask
 
     def test_rate_out_of_range_raises(self, tok):
         seq = self.seq_with_specials(tok)

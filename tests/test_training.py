@@ -425,7 +425,7 @@ class TestEvaluateMlm:
     def test_no_maskable_tokens_raises(self, tiny_world):
         _, tokenizer, config = tiny_world
         params = init_params(config, seed=0)
-        seqs = [TokenSequence(ids=[CLS_ID], attention_mask=[1])]
+        seqs = [TokenSequence(ids=[CLS_ID])]
         with pytest.raises(EmptyInputError):
             evaluate_mlm(params, config, seqs, mask_rate=0.5, mask_seed_base=[0, 1])
 
