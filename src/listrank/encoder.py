@@ -127,24 +127,27 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     norm scales one. Draw order follows ``named_arrays`` so a seed fully
     determines every array."""
     rng = np.random.default_rng(seed)
+    return build_params(config, lambda shape: rng.normal(0.0, INIT_STD, size=shape))
+
+
+def build_params(config: EncoderConfig, weights) -> EncoderParams:
+    """Parameters of ``config``'s shapes: weights are ``weights(shape)``, called
+    in ``named_arrays`` order (``np.zeros`` draws nothing, for a loader to
+    fill); biases and norm offsets are zero and norm scales one."""
     d, f = config.model_dim, config.ffn_dim
-
-    def w(*shape):
-        return rng.normal(0.0, INIT_STD, size=shape)
-
-    tok_emb = w(config.vocab_size, d)
-    pos_emb = w(config.max_len, d)
+    tok_emb = weights((config.vocab_size, d))
+    pos_emb = weights((config.max_len, d))
     layers = []
     for _ in range(config.n_layers):
         layers.append(
             LayerParams(
-                w_q=w(d, d), b_q=np.zeros(d),
-                w_k=w(d, d), b_k=np.zeros(d),
-                w_v=w(d, d), b_v=np.zeros(d),
-                w_o=w(d, d), b_o=np.zeros(d),
+                w_q=weights((d, d)), b_q=np.zeros(d),
+                w_k=weights((d, d)), b_k=np.zeros(d),
+                w_v=weights((d, d)), b_v=np.zeros(d),
+                w_o=weights((d, d)), b_o=np.zeros(d),
                 ln1_scale=np.ones(d), ln1_offset=np.zeros(d),
-                w_ffn1=w(d, f), b_ffn1=np.zeros(f),
-                w_ffn2=w(f, d), b_ffn2=np.zeros(d),
+                w_ffn1=weights((d, f)), b_ffn1=np.zeros(f),
+                w_ffn2=weights((f, d)), b_ffn2=np.zeros(d),
                 ln2_scale=np.ones(d), ln2_offset=np.zeros(d),
             )
         )
@@ -152,7 +155,7 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
         tok_emb=tok_emb,
         pos_emb=pos_emb,
         layers=layers,
-        score_w=w(d),
+        score_w=weights(d),
         score_b=np.zeros(()),
         mlm_bias=np.zeros(config.vocab_size),
     )

@@ -60,7 +60,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointTruncatedError(CheckpointError):
-    """The payload is shorter than the manifest promises."""
+    """The file is shorter or longer than its header implies."""
 
 
 class CheckpointIntegrityError(CheckpointError):

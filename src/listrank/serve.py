@@ -6,14 +6,13 @@ document. The student embeds documents ahead of time into an EmbeddingStore
 query plus dot products against precomputed vectors. ``benchmark_latency``
 runs both systems over the identical workload and reports the speedup.
 
-Store files are written through the shared ``fileio.atomic_write``. They
-carry the fingerprint of the checkpoint that produced them and end with a
-hash of every byte before it, id table and fingerprint included.
+Store files use the shared ``fileio`` frame: a JSON header with the width,
+the fingerprint of the checkpoint that built the vectors and the doc id
+table, then the float32 vectors, then a hash of every byte before it.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -29,13 +28,13 @@ from .errors import (
     StoreIntegrityError,
     ValidationError,
 )
-from .fileio import DIGEST_BYTES, atomic_write, digest
+from .fileio import FrameFormat, read_framed, write_framed
 from .metrics import nearest_rank_percentile, score_order, str_rank
 from .tokenizer import Tokenizer
 from .training import Checkpoint, _check_tokenizer, checkpoint_fingerprint, embed_texts, score_pairs
 
-STORE_MAGIC = b"LREMB001"
-STORE_VERSION = 2
+STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreFormatError, StoreFormatError, StoreFormatError,
+                           StoreIntegrityError)
 _EMBED_CHUNK = 256
 
 
@@ -118,60 +117,24 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:
-    """Write magic, version, dims, fingerprint, id table, float32 payload,
-    then the hash of everything before it."""
+    """Write width, fingerprint and doc ids, then the float32 vectors."""
+    header = {"dim": store.dim, "fingerprint": store.fingerprint, "doc_ids": store.doc_ids}
     # bytes.join reads the array's buffer, so no tobytes copy is needed
-    payload = np.ascontiguousarray(store.vectors, dtype="<f4")
-    fp_raw = store.fingerprint.encode("utf-8")
-    parts = [
-        STORE_MAGIC,
-        struct.pack("<I", STORE_VERSION),
-        struct.pack("<I", store.dim),
-        struct.pack("<I", len(store.doc_ids)),
-        struct.pack("<B", len(fp_raw)),
-        fp_raw,
-    ]
-    for doc_id in store.doc_ids:
-        raw = doc_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    parts.append(payload)
-    body = b"".join(parts)
-    atomic_write(path, body + digest(body))
+    write_framed(path, STORE_FORMAT, header, np.ascontiguousarray(store.vectors, dtype="<f4"))
 
 
 def load_store(path: str) -> EmbeddingStore:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(STORE_MAGIC) + 13 or blob[: len(STORE_MAGIC)] != STORE_MAGIC:
-        raise StoreFormatError(f"{path}: not an embedding store (bad magic)")
-    pos = len(STORE_MAGIC)
-    version, dim, count = struct.unpack_from("<III", blob, pos)
-    pos += 12
-    if version != STORE_VERSION:
-        raise StoreFormatError(
-            f"{path}: unsupported store version {version} (reader supports {STORE_VERSION})"
-        )
-    try:
-        (fp_len,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        fingerprint = blob[pos : pos + fp_len].decode("utf-8")
-        pos += fp_len
-        doc_ids = []
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            doc_ids.append(blob[pos : pos + id_len].decode("utf-8"))
-            pos += id_len
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise StoreFormatError(f"{path}: id table unreadable ({exc})") from exc
-    end = pos + count * dim * 4
-    if len(blob) != end + DIGEST_BYTES:
-        raise StoreFormatError(f"{path}: {len(blob)} bytes, the header implies {end + DIGEST_BYTES}")
-    if digest(memoryview(blob)[:end]) != blob[end:]:
-        raise StoreIntegrityError(f"{path}: content hash mismatch")
-    vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=pos).reshape(count, dim).copy()
-    return EmbeddingStore(dim=dim, fingerprint=fingerprint, doc_ids=doc_ids, vectors=vectors)
+    def payload_bytes(header):
+        dim, fingerprint, doc_ids = (header.get(k) for k in ("dim", "fingerprint", "doc_ids"))
+        if not (type(dim) is int and dim >= 0 and isinstance(fingerprint, str)
+                and isinstance(doc_ids, list) and all(type(d) is str for d in doc_ids)):
+            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and string doc ids")
+        return 4 * dim * len(doc_ids)
+
+    header, payload = read_framed(path, STORE_FORMAT, payload_bytes)
+    doc_ids, dim = header["doc_ids"], header["dim"]
+    vectors = np.frombuffer(payload, dtype="<f4").reshape(len(doc_ids), dim).copy()
+    return EmbeddingStore(dim=dim, fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
 
 
 # -- ranking ----------------------------------------------------------------

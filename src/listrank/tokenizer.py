@@ -84,9 +84,9 @@ class Tokenizer:
 
     token_to_id: dict[str, int]
     merges: list[tuple[str, str]]
-    _merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
-    _id_to_token: dict[int, str] = field(init=False, repr=False)
-    _piece_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    _merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _id_to_token: dict[int, str] = field(init=False, repr=False, compare=False)
+    _piece_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _content_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -5,16 +5,15 @@ Everything is deterministic given (seed, config, data): shuffles, masking,
 and tie-breaking all derive from ``numpy.random.default_rng`` seeded with
 fixed lists, and reduction orders never depend on dict iteration or timing.
 The three objectives share one epoch loop (``_train``) and differ only in
-their step function. Checkpoints are a self-describing binary format with a
-content hash, written through the shared ``fileio.atomic_write``, so an
-interrupted write never leaves a half-written file behind and corruption is
+their step function. Checkpoints use the shared ``fileio`` frame, so a save
+is atomic and the hash covers every byte: an interrupted write never leaves a
+half-written file behind, and an edit of the header or the parameters is
 detected on load.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -33,7 +32,7 @@ from .errors import (
     NonFiniteGradientError,
     ValidationError,
 )
-from .fileio import DIGEST_BYTES, atomic_write, digest
+from .fileio import FrameFormat, digest, read_framed, write_framed
 from .losses import (
     ApproxConfig,
     ListTarget,
@@ -49,8 +48,8 @@ from .tokenizer import MASK_ID, N_SPECIAL, Tokenizer, mask_for_mlm
 
 LOSS_NAMES = ("ranknet", "listnet", "listmle", "approxndcg")
 
-CKPT_MAGIC = b"LRCKPT01"
-CKPT_VERSION = 1
+CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 2, CheckpointHeaderError, CheckpointVersionError,
+                          CheckpointTruncatedError, CheckpointIntegrityError)
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,8 @@ def _manifest(params: enc.EncoderParams) -> list:
 
 def _payload(params: enc.EncoderParams) -> bytes:
     """Every array as little-endian float32, in ``named_arrays`` order."""
-    return b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in params.named_arrays())
+    # bytes.join reads each array's buffer, so no tobytes copy is needed
+    return b"".join(np.ascontiguousarray(a, dtype="<f4") for _, a in params.named_arrays())
 
 
 def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
@@ -183,10 +183,8 @@ def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write magic, version, JSON header, float32 payload, payload hash."""
-    payload = _payload(ckpt.params)
+    """Write config, training metadata and manifest, then the float32 payload."""
     header = {
-        "format_version": CKPT_VERSION,
         "encoder_config": ckpt.config.to_dict(),
         "loss_name": ckpt.loss_name,
         "seed": ckpt.seed,
@@ -194,15 +192,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "tokenizer_hash": ckpt.tokenizer_hash,
         "manifest": _manifest(ckpt.params),
     }
-    header_raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    atomic_write(path, b"".join([
-        CKPT_MAGIC,
-        struct.pack("<I", CKPT_VERSION),
-        struct.pack("<I", len(header_raw)),
-        header_raw,
-        payload,
-        digest(payload),
-    ]))
+    write_framed(path, CKPT_FORMAT, header, _payload(ckpt.params))
 
 
 def _check_manifest(path: str, manifest, expected: list) -> None:
@@ -223,55 +213,27 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Parameters come back as float64 copies of the stored float32 values.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CKPT_MAGIC) + 8 or blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise CheckpointHeaderError(f"{path}: not a checkpoint file (bad magic)")
-    pos = len(CKPT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    if version != CKPT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: unsupported checkpoint version {version} (reader supports {CKPT_VERSION})"
-        )
-    (header_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    if len(blob) < pos + header_len:
-        raise CheckpointTruncatedError(f"{path}: header truncated")
-    try:
-        header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointHeaderError(f"{path}: header is not valid JSON ({exc})") from exc
-    pos += header_len
-    for key in ("encoder_config", "loss_name", "seed", "epoch", "tokenizer_hash", "manifest"):
-        if key not in header:
-            raise CheckpointHeaderError(f"{path}: header missing field {key!r}")
-    try:
-        config = enc.EncoderConfig(**header["encoder_config"])
-    except (TypeError, ConfigurationError) as exc:
-        raise CheckpointHeaderError(f"{path}: bad encoder config ({exc})") from exc
+    config = params = None
 
-    params = enc.init_params(config, seed=0)
-    expected = _manifest(params)
-    _check_manifest(path, header["manifest"], expected)
-    payload_len = sum(entry["size"] for entry in expected)
-    if len(blob) < pos + payload_len + DIGEST_BYTES:
-        raise CheckpointTruncatedError(f"{path}: parameter payload truncated")
-    payload = blob[pos : pos + payload_len]
-    stored_digest = blob[pos + payload_len : pos + payload_len + DIGEST_BYTES]
-    if digest(payload) != stored_digest:
-        raise CheckpointIntegrityError(f"{path}: content hash mismatch")
-    for entry, (_, a) in zip(expected, params.named_arrays()):
-        stored = np.frombuffer(payload, dtype="<f4", count=a.size, offset=entry["offset"])
-        a[...] = stored.reshape(a.shape)
-    return Checkpoint(
-        config=config,
-        params=params,
-        loss_name=header["loss_name"],
-        seed=header["seed"],
-        epoch=header["epoch"],
-        tokenizer_hash=header["tokenizer_hash"],
-    )
+    def payload_bytes(header):
+        nonlocal config, params
+        for key in ("encoder_config", "loss_name", "seed", "epoch", "tokenizer_hash", "manifest"):
+            if key not in header:
+                raise CheckpointHeaderError(f"{path}: header missing field {key!r}")
+        try:
+            config = enc.EncoderConfig(**header["encoder_config"])
+            params = enc.build_params(config, np.zeros)
+        except (TypeError, ValueError, ConfigurationError) as exc:
+            raise CheckpointHeaderError(f"{path}: bad encoder config ({exc})") from exc
+        expected = _manifest(params)
+        _check_manifest(path, header["manifest"], expected)
+        return sum(entry["size"] for entry in expected)
+
+    header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
+    for entry, (_, a) in zip(_manifest(params), params.named_arrays()):
+        a[...] = np.frombuffer(payload, dtype="<f4", count=a.size, offset=entry["offset"]).reshape(a.shape)
+    return Checkpoint(config, params, header["loss_name"], header["seed"], header["epoch"],
+                      header["tokenizer_hash"])
 
 
 # -- shared helpers ---------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Shared pytest wiring for the acceptance gate.
+"""Shared pytest wiring for the acceptance gate, and a file-editing helper.
 
 Acceptance tests report through the ``criterion_report`` fixture, which
 prints one ``[criterion NN] name: PASS/FAIL (detail)`` line per criterion
 and repeats all collected lines in a terminal summary block so the whole
 gate can be read off one screen.
+
+``rewrite_header`` edits the JSON header of a checkpoint or store file.
 """
+
+import hashlib
+import json
+import struct
 
 import pytest
 
@@ -28,3 +34,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_criterion_lines):
             terminalreporter.write_line(line)
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of the framed checkpoint or store at ``path``
+    by ``edit(header)`` and re-seal the trailing 8-byte hash, as a crafted
+    file would be: magic (8 bytes), version and header length (``<II``),
+    header, payload, hash of every byte before it."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = edit(json.loads(blob[16 : 16 + header_len]))
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len : -8]
+    with open(path, "wb") as fh:
+        fh.write(body + hashlib.blake2b(body, digest_size=8).digest())

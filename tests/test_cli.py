@@ -8,10 +8,12 @@ checked without spawning subprocesses.
 import contextlib
 import io
 import json
-import struct
+import random
+import shutil
 
 import numpy as np
 import pytest
+from conftest import rewrite_header
 
 from listrank.cli import main
 from listrank.dataset import load_dataset
@@ -389,18 +391,55 @@ class TestTokenizerContract:
 
 
 def test_checkpoint_with_aliased_manifest_fails_with_one_line(pipeline, tmp_path):
-    """A manifest whose pos_emb entry points at tok_emb's bytes is refused."""
-    with open(pipeline["model"], "rb") as fh:
-        blob = fh.read()
+    """A manifest whose pos_emb entry points at tok_emb's bytes is refused,
+    even with a valid hash."""
     path = tmp_path / "aliased.ckpt"
-    (header_len,) = struct.unpack_from("<I", blob, 12)
-    header = json.loads(blob[16 : 16 + header_len])
-    header["manifest"][1]["offset"] = 0
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len :])
+    shutil.copyfile(pipeline["model"], path)
+
+    def alias(header):
+        header["manifest"][1]["offset"] = 0
+        return header
+
+    rewrite_header(path, alias)
     code, stdout, err = run_cli(["eval", "--model", str(path), "--tokenizer", pipeline["tokenizer"],
                                  "--data", pipeline["data"]])
     assert code == 1
     assert stdout == ""
     [line] = error_lines(err)
     assert line.startswith(f"error: {path}: manifest entry 1 is ") and "'offset': 0" in line
+
+
+def test_checkpoint_with_an_edited_loss_name_fails_with_one_line(pipeline, tmp_path):
+    """``eval`` picks its scorer by ``loss_name``, so an edited one must not load."""
+    with open(pipeline["model"], "rb") as fh:
+        blob = fh.read()
+    assert b'"loss_name":"listnet"' in blob
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(blob.replace(b'"loss_name":"listnet"', b'"loss_name":"listmle"', 1))
+    code, stdout, err = run_cli(["eval", "--model", str(path), "--tokenizer", pipeline["tokenizer"],
+                                 "--data", pipeline["data"]])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: {path}: content hash mismatch"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_with_a_truncated_or_bit_flipped_store_fails_with_one_line(pipeline, tmp_path, seed):
+    """Seeded damage to the store: one truncation and one bit flip per seed."""
+    with open(pipeline["store"], "rb") as fh:
+        blob = fh.read()
+    rng = random.Random(seed)
+    flipped = bytearray(blob)
+    bit = rng.randrange(8 * len(blob))
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    for damaged in (blob[: rng.randrange(len(blob))], bytes(flipped)):
+        path = tmp_path / "damaged.store"
+        path.write_bytes(damaged)
+        code, stdout, err = run_cli([
+            "rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],
+            "--student", pipeline["student"], "--store", str(path),
+        ])
+        assert code == 1
+        assert stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith(f"error: {path}: ")

@@ -1,8 +1,9 @@
-"""Unit tests for the shared atomic writer and content hash, through every
-file format that uses them."""
+"""Unit tests for the shared atomic writer, content hash and binary frame,
+through every file format that uses them."""
 
 import hashlib
 import os
+import random
 import stat
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from listrank import fileio
 from listrank.dataset import Dataset, Document, QueryGroup, save_dataset
 from listrank.encoder import EncoderConfig
-from listrank.serve import EmbeddingStore, save_store
+from listrank.errors import CheckpointError, StoreError
+from listrank.serve import EmbeddingStore, load_store, save_store
 from listrank.tokenizer import train_bpe
-from listrank.training import init_checkpoint, save_checkpoint
+from listrank.training import init_checkpoint, load_checkpoint, save_checkpoint
 
 CONFIG = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
 
@@ -78,3 +80,26 @@ def test_every_format_is_written_with_one_mode(tmp_path):
 def test_digest_is_eight_byte_blake2b():
     assert fileio.digest(b"listrank") == hashlib.blake2b(b"listrank", digest_size=8).digest()
     assert len(fileio.digest(b"")) == fileio.DIGEST_BYTES == 8
+
+
+@pytest.mark.parametrize("write, load, error", [(write_checkpoint, load_checkpoint, CheckpointError),
+                                                (write_store, load_store, StoreError)],
+                         ids=["checkpoint", "store"])
+def test_truncated_or_bit_flipped_frames_raise_only_format_errors(write, load, error, tmp_path):
+    """Seeded truncations and single-bit flips anywhere in a framed file,
+    magic to hash, are refused with the format's own error: never loaded,
+    never a raw exception."""
+    path = tmp_path / "framed"
+    write(path, 1)
+    good = path.read_bytes()
+    load(path)
+    rng = random.Random(5)
+    damaged = [good[:n] for n in rng.sample(range(len(good)), 48)]
+    for bit in rng.sample(range(8 * len(good)), 256):
+        flipped = bytearray(good)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged.append(bytes(flipped))
+    for blob in damaged:
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            load(path)

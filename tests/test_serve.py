@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import rewrite_header
 
 from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.encoder import (
@@ -246,6 +247,16 @@ class TestStoreFiles:
         blob = path.read_bytes()
         path.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(StoreIntegrityError):
+            load_store(path)
+
+    @pytest.mark.parametrize("field, value", [("dim", "4"), ("dim", True), ("fingerprint", 7),
+                                              ("doc_ids", ["doc0", 1, "doc2"])])
+    def test_header_field_of_wrong_type_raises_format_error(self, tmp_path, field, value):
+        """A crafted header with a valid hash is refused by its fields' types."""
+        path = tmp_path / "x.store"
+        save_store(tiny_store(), path)
+        rewrite_header(path, lambda header: dict(header, **{field: value}))
+        with pytest.raises(StoreFormatError, match="header needs"):
             load_store(path)
 
 

@@ -129,6 +129,16 @@ class TestTrainBpe:
         assert a.merges == b.merges
         assert a.content_hash() == b.content_hash()
 
+    def test_equality_ignores_the_encoding_cache(self):
+        """Two identically trained tokenizers stay equal after one of them
+        has encoded text, as their content hashes do."""
+        a = train_bpe(CORPUS, vocab_size=300)
+        b = train_bpe(CORPUS, vocab_size=300)
+        assert a == b
+        a.encode("red running shoes")
+        assert a == b and a.content_hash() == b.content_hash()
+        assert a != train_bpe(CORPUS[:2], vocab_size=300)
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyInputError):
             train_bpe([], vocab_size=300)

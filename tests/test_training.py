@@ -5,13 +5,13 @@ queries of 8 documents, a 1-layer width-16 encoder) so each case stays
 well under a second while still exercising real gradient flow.
 """
 
-import json
 import math
 import os
 import struct
 
 import numpy as np
 import pytest
+from conftest import rewrite_header
 
 from listrank.dataset import (
     Dataset,
@@ -249,15 +249,52 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointHeaderError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [("n_layers", 1.5), ("n_heads", 3), ("pooling", "max")])
+    def test_bad_encoder_config_raises_header_error(self, tmp_path, field, value):
+        """A crafted config with a valid hash is a header error, never a raw exception."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        rewrite_header(path, lambda h: dict(h, encoder_config=dict(h["encoder_config"], **{field: value})))
+        with pytest.raises(CheckpointHeaderError, match="bad encoder config"):
+            load_checkpoint(path)
+
     def test_payload_corruption_raises_integrity_error(self, tmp_path):
         def flip(b):
-            (header_len,) = struct.unpack_from("<I", b, 12)
-            payload_start = 16 + header_len
-            b[payload_start + 5] ^= 0xFF
+            b[-12] ^= 0xFF  # inside the parameter payload, before the 8-byte hash
 
         path = self.corrupt(tmp_path, flip)
         with pytest.raises(CheckpointIntegrityError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [(b'"loss_name":"listnet"', b'"loss_name":"listmle"'),
+                                          (b'"epoch":7', b'"epoch":8')])
+    def test_edited_header_field_raises_integrity_error(self, tmp_path, old, new):
+        """The hash covers the header too: ``loss_name`` picks the scorer
+        ``eval`` uses, so an edit of it must not load."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(CheckpointIntegrityError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_raise_truncated_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(CheckpointTruncatedError, match="the header implies"):
+            load_checkpoint(path)
+
+    def test_version_1_file_is_refused_by_name(self, tmp_path):
+        """Version 1 files, whose hash covered the payload only, are refused."""
+        def downgrade(b):
+            b[8:12] = struct.pack("<I", 1)
+
+        path = self.corrupt(tmp_path, downgrade)
+        with pytest.raises(CheckpointVersionError) as info:
+            load_checkpoint(path)
+        assert "unsupported checkpoint version 1 (reader supports 2)" in str(info.value)
 
 
 class TestCheckpointManifest:
@@ -269,15 +306,11 @@ class TestCheckpointManifest:
 
     def rewrite(self, tmp_path, edit):
         """Save a checkpoint, then replace its manifest by ``edit(manifest)``,
-        keeping the payload and its hash."""
+        keeping the payload and re-sealing the hash, so that only the manifest
+        check stands between the crafted file and a load."""
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_checkpoint(self.CONFIG, seed=4, tokenizer_hash="abc123"), path)
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack_from("<I", blob, 12)
-        header = json.loads(blob[16 : 16 + header_len])
-        header["manifest"] = edit(header["manifest"])
-        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len :])
+        rewrite_header(path, lambda header: dict(header, manifest=edit(header["manifest"])))
         return path
 
     def assert_rejected(self, path, phrase):
