@@ -8,6 +8,14 @@ residual blocks (multi-head attention then a GELU feed-forward), a linear
 scoring head over the first-token state, and a masked-token head that
 shares the token embedding matrix.
 
+The feed-forward uses the exact (erf) GELU. Its trace caches
+``1 + erf(x/√2)`` next to the pre-activation, so the backward pass evaluates
+only the Gaussian density term and never calls ``erf`` again. Elementwise
+chains (bias adds, residual adds, the attention scaling and mask, the
+softmax and layer-norm backward) run in place, in the same order of
+operations as their written-out forms, so every result is bit for bit the
+same as those forms.
+
 Padded positions are excluded from attention with additive -inf on the key
 axis, which makes the states of real tokens exactly independent of how much
 padding follows them.
@@ -26,6 +34,8 @@ from .tokenizer import CLS_ID, PAD_ID
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -186,30 +196,58 @@ def pad_token_rows(rows):
 # -- forward ----------------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, adding the bias in place."""
+    out = x @ w
+    out += b
+    return out
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _gelu(x: np.ndarray):
+    """Exact (erf) GELU. Returns ``(act, cdf2)``: ``act = 0.5·x·cdf2`` with
+    ``cdf2 = 1 + erf(x/√2)``, which the backward pass reuses."""
+    cdf2 = x / _SQRT2
+    erf(cdf2, out=cdf2)
+    cdf2 += 1.0
+    act = 0.5 * x
+    act *= cdf2
+    return act, cdf2
+
+
+def _gelu_grad(x: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
+    """``0.5·cdf2 + x·exp(−x²/2)/√(2π)``, the derivative of ``_gelu`` at ``x``."""
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= x
+    grad /= _SQRT_2PI
+    grad += 0.5 * cdf2
+    return grad
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = centered * inv_std
-    return x_hat * scale + offset, x_hat, inv_std
+    n = x.shape[-1]
+    x_hat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(x_hat * x_hat, axis=-1, keepdims=True) / n
+    var += LN_EPS
+    inv_std = 1.0 / np.sqrt(var, out=var)
+    x_hat *= inv_std
+    out = x_hat * scale
+    out += offset
+    return out, x_hat, inv_std
 
 
 def _layer_norm_backward(d_out, x_hat, inv_std, scale):
-    d_hat = d_out * scale
-    mean1 = d_hat.mean(axis=-1, keepdims=True)
-    mean2 = (d_hat * x_hat).mean(axis=-1, keepdims=True)
-    d_x = inv_std * (d_hat - mean1 - x_hat * mean2)
+    n = d_out.shape[-1]
+    d_x = d_out * scale
+    mean1 = np.add.reduce(d_x, axis=-1, keepdims=True) / n
+    prod = d_x * x_hat
+    mean2 = np.add.reduce(prod, axis=-1, keepdims=True) / n
+    d_x -= mean1
+    d_x -= np.multiply(x_hat, mean2, out=prod)
+    d_x *= inv_std
     axes = tuple(range(d_out.ndim - 1))
-    return d_x, (d_out * x_hat).sum(axis=axes), d_out.sum(axis=axes)
+    return d_x, np.add.reduce(d_out * x_hat, axis=axes), np.add.reduce(d_out, axis=axes)
 
 
 @dataclass
@@ -225,6 +263,7 @@ class _LayerTrace:
     h1: np.ndarray
     ffn_pre: np.ndarray
     ffn_act: np.ndarray
+    ffn_cdf2: np.ndarray
     x_hat2: np.ndarray
     inv_std2: np.ndarray
 
@@ -277,32 +316,37 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     _check_batch_inputs(config, ids, attention_mask)
     b, l = ids.shape
 
-    x = params.tok_emb[ids] + params.pos_emb[:l][None, :, :]
+    x = params.tok_emb[ids]
+    x += params.pos_emb[:l]
     key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf)
     scale = 1.0 / math.sqrt(config.head_dim)
 
     trace = ForwardTrace(ids=ids, attention_mask=attention_mask, hidden=None, params_id=id(params))
     for layer in params.layers:
-        q = _split_heads(x @ layer.w_q + layer.b_q, config.n_heads)
-        k = _split_heads(x @ layer.w_k + layer.b_k, config.n_heads)
-        v = _split_heads(x @ layer.w_v + layer.b_v, config.n_heads)
-        logits = np.matmul(q, k.swapaxes(-1, -2)) * scale + key_bias
-        logits -= logits.max(axis=-1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        q = _split_heads(_affine(x, layer.w_q, layer.b_q), config.n_heads)
+        k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
+        v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
+        logits = np.matmul(q, k.swapaxes(-1, -2))
+        logits *= scale
+        logits += key_bias
+        logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+        probs = np.exp(logits, out=logits)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(probs, v))
-        attn_out = ctx @ layer.w_o + layer.b_o
-        h1, x_hat1, inv_std1 = _layer_norm(x + attn_out, layer.ln1_scale, layer.ln1_offset)
-        ffn_pre = h1 @ layer.w_ffn1 + layer.b_ffn1
-        ffn_act = _gelu(ffn_pre)
-        x_next, x_hat2, inv_std2 = _layer_norm(
-            h1 + ffn_act @ layer.w_ffn2 + layer.b_ffn2, layer.ln2_scale, layer.ln2_offset
-        )
+        r1 = _affine(ctx, layer.w_o, layer.b_o)
+        r1 += x
+        h1, x_hat1, inv_std1 = _layer_norm(r1, layer.ln1_scale, layer.ln1_offset)
+        ffn_pre = _affine(h1, layer.w_ffn1, layer.b_ffn1)
+        ffn_act, ffn_cdf2 = _gelu(ffn_pre)
+        r2 = ffn_act @ layer.w_ffn2
+        r2 += h1
+        r2 += layer.b_ffn2
+        x_next, x_hat2, inv_std2 = _layer_norm(r2, layer.ln2_scale, layer.ln2_offset)
         trace.layers.append(
             _LayerTrace(
                 x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
                 x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
-                ffn_pre=ffn_pre, ffn_act=ffn_act,
+                ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
                 x_hat2=x_hat2, inv_std2=inv_std2,
             )
         )
@@ -335,13 +379,14 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_r2_flat = d_r2.reshape(-1, d)
         g.w_ffn2[:] = act_flat.T @ d_r2_flat
         g.b_ffn2[:] = d_r2_flat.sum(axis=0)
-        d_act = d_r2 @ layer.w_ffn2.T
-        d_pre = d_act * _gelu_grad(lt.ffn_pre)
+        d_pre = _gelu_grad(lt.ffn_pre, lt.ffn_cdf2)
+        d_pre *= d_r2 @ layer.w_ffn2.T
         d_pre_flat = d_pre.reshape(-1, config.ffn_dim)
         h1_flat = lt.h1.reshape(-1, d)
         g.w_ffn1[:] = h1_flat.T @ d_pre_flat
         g.b_ffn1[:] = d_pre_flat.sum(axis=0)
-        d_h1 = d_r2 + d_pre @ layer.w_ffn1.T
+        d_h1 = d_pre @ layer.w_ffn1.T
+        d_h1 += d_r2
 
         d_r1, g.ln1_scale[:], g.ln1_offset[:] = _layer_norm_backward(
             d_h1, lt.x_hat1, lt.inv_std1, layer.ln1_scale
@@ -352,13 +397,17 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         g.b_o[:] = d_r1_flat.sum(axis=0)
         d_ctx = _split_heads(d_r1 @ layer.w_o.T, config.n_heads)
 
-        d_probs = np.matmul(d_ctx, lt.v.swapaxes(-1, -2))
         d_v = np.matmul(lt.probs.swapaxes(-1, -2), d_ctx)
-        d_logits = lt.probs * (d_probs - (d_probs * lt.probs).sum(axis=-1, keepdims=True))
-        d_q = np.matmul(d_logits, lt.k) * scale
-        d_k = np.matmul(d_logits.swapaxes(-1, -2), lt.q) * scale
+        # softmax backward in place: d_logits = probs * (d_probs - sum(d_probs * probs))
+        d_logits = np.matmul(d_ctx, lt.v.swapaxes(-1, -2))
+        d_logits -= np.add.reduce(d_logits * lt.probs, axis=-1, keepdims=True)
+        d_logits *= lt.probs
+        d_q = np.matmul(d_logits, lt.k)
+        d_q *= scale
+        d_k = np.matmul(d_logits.swapaxes(-1, -2), lt.q)
+        d_k *= scale
 
-        d_x = d_r1.copy()
+        d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
         x_flat = lt.x_in.reshape(-1, d)
         for d_head, w_name, b_name, w in (
             (d_q, "w_q", "b_q", layer.w_q),
