@@ -5,11 +5,20 @@ suite; here the focus is structural: masking exactness, determinism,
 pooling arithmetic, head wiring, and cheap gradient spot checks.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from listrank.encoder import (
+    LN_EPS,
     EncoderConfig,
+    _affine,
+    _gelu,
+    _gelu_grad,
+    _layer_norm,
+    _layer_norm_backward,
     add_params,
     backward_batch,
     embed_batch,
@@ -53,6 +62,17 @@ class TestEncoderConfig:
     def test_unknown_pooling_rejected(self):
         with pytest.raises(ConfigurationError):
             EncoderConfig(pooling="max")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 2.5), ("n_layers", True), ("vocab_size", True), ("vocab_size", 2000.0),
+        ("n_heads", "4"), ("model_dim", np.int64(64)), ("ffn_dim", None), ("pooling", None),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        """A size that is not an ``int`` (``bool`` included) or a pooling that
+        is not a ``str`` is a configuration error, not a ``TypeError`` later
+        in ``init_params``."""
+        with pytest.raises(ConfigurationError, match=field):
+            EncoderConfig(**{field: value})
 
     def test_head_dim(self):
         assert EncoderConfig(n_heads=4, model_dim=64).head_dim == 16
@@ -355,3 +375,59 @@ class TestParamContainers:
         clone.layers[0].w_q[0, 0] += 1.0
         assert params.tok_emb[0, 0] != clone.tok_emb[0, 0]
         assert params.layers[0].w_q[0, 0] != clone.layers[0].w_q[0, 0]
+
+
+def _bits_equal(a, b):
+    """Same shape and the same float64 bits everywhere (``-0.0`` != ``0.0``)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _edge_sample(shape, seed):
+    """Seeded normal draws (scaled to reach GELU's tails) with ``0.0``,
+    ``-0.0``, subnormals, ±8 and ±40 written over the first entries."""
+    x = 3.0 * np.random.default_rng(seed).standard_normal(shape)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 8.0, -8.0, 40.0, -40.0]
+    x.reshape(-1)[: len(edges)] = edges
+    return x
+
+
+class TestFusedKernelsAreBitIdentical:
+    """The in-place kernels equal their written-out closed forms bit for bit:
+    same operands, same order of operations, only exactly commutative swaps."""
+
+    def test_gelu_and_its_cached_derivative(self):
+        x = _edge_sample((4, 5, 32), seed=11)
+        act, cdf2 = _gelu(x)
+        assert _bits_equal(act, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        assert _bits_equal(cdf2, 1.0 + erf(x / math.sqrt(2.0)))
+        expected = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        assert _bits_equal(_gelu_grad(x, cdf2), expected)
+
+    def test_layer_norm_matches_mean_based_form(self):
+        rng = np.random.default_rng(12)
+        x = _edge_sample((4, 5, 16), seed=13)
+        x[1, 2] = 0.0  # a constant row: variance 0, only LN_EPS in the root
+        scale, offset = rng.standard_normal(16), rng.standard_normal(16)
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + LN_EPS)
+        x_hat = centered * inv_std
+        got = _layer_norm(x, scale, offset)
+        for g, want in zip(got, (x_hat * scale + offset, x_hat, inv_std)):
+            assert _bits_equal(g, want)
+
+        d_out = _edge_sample((4, 5, 16), seed=14)
+        d_hat = d_out * scale
+        mean1 = d_hat.mean(axis=-1, keepdims=True)
+        mean2 = (d_hat * x_hat).mean(axis=-1, keepdims=True)
+        expected = (inv_std * (d_hat - mean1 - x_hat * mean2),
+                    (d_out * x_hat).sum(axis=(0, 1)), d_out.sum(axis=(0, 1)))
+        for g, want in zip(_layer_norm_backward(d_out, x_hat, inv_std, scale), expected):
+            assert _bits_equal(g, want)
+
+    def test_affine_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(15)
+        x, w, b = rng.standard_normal((3, 4, 8)), rng.standard_normal((8, 6)), rng.standard_normal(6)
+        assert _bits_equal(_affine(x, w, b), x @ w + b)
