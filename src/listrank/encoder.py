@@ -51,6 +51,10 @@ class EncoderConfig:
     pooling: str = "cls"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not (str if f.name == "pooling" else int):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n_layers < 0:
             raise ConfigurationError("n_layers must be >= 0")
         for name in ("n_heads", "model_dim", "ffn_dim", "vocab_size", "max_len"):

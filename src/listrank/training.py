@@ -220,6 +220,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         for key in ("encoder_config", "loss_name", "seed", "epoch", "tokenizer_hash", "manifest"):
             if key not in header:
                 raise CheckpointHeaderError(f"{path}: header missing field {key!r}")
+        for key, kind in (("loss_name", str), ("seed", int), ("epoch", int), ("tokenizer_hash", str)):
+            if type(header[key]) is not kind:
+                raise CheckpointHeaderError(f"{path}: header field {key!r} must be {kind.__name__}, "
+                                            f"got {header[key]!r}")
         try:
             config = enc.EncoderConfig(**header["encoder_config"])
             params = enc.build_params(config, np.zeros)

@@ -409,6 +409,18 @@ def test_checkpoint_with_aliased_manifest_fails_with_one_line(pipeline, tmp_path
     assert line.startswith(f"error: {path}: manifest entry 1 is ") and "'offset': 0" in line
 
 
+def test_checkpoint_with_a_mistyped_epoch_fails_with_one_line(pipeline, tmp_path):
+    """``eval`` would print the epoch of a re-sealed header as it stands."""
+    path = tmp_path / "mistyped.ckpt"
+    shutil.copyfile(pipeline["model"], path)
+    rewrite_header(path, lambda header: dict(header, epoch="x"))
+    code, stdout, err = run_cli(["eval", "--model", str(path), "--tokenizer", pipeline["tokenizer"],
+                                 "--data", pipeline["data"]])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: {path}: header field 'epoch' must be int, got 'x'"]
+
+
 def test_checkpoint_with_an_edited_loss_name_fails_with_one_line(pipeline, tmp_path):
     """``eval`` picks its scorer by ``loss_name``, so an edited one must not load."""
     with open(pipeline["model"], "rb") as fh:

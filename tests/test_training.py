@@ -258,6 +258,16 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointHeaderError, match="bad encoder config"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [("loss_name", 1), ("seed", "0"), ("seed", True), ("epoch", "x"),
+                                              ("epoch", 7.0), ("tokenizer_hash", None)])
+    def test_mistyped_header_field_raises_header_error(self, tmp_path, field, value):
+        """A re-sealed header with a mistyped training field does not load."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        rewrite_header(path, lambda h: dict(h, **{field: value}))
+        with pytest.raises(CheckpointHeaderError, match=f"header field '{field}' must be"):
+            load_checkpoint(path)
+
     def test_payload_corruption_raises_integrity_error(self, tmp_path):
         def flip(b):
             b[-12] ^= 0xFF  # inside the parameter payload, before the 8-byte hash
