@@ -171,9 +171,9 @@ def rank_with_student(
     tokenizer: Tokenizer,
 ) -> RankResult:
     """Rank candidates by dot product of the query embedding with stored
-    document vectors. The timed window covers the gather and float64 upcast
-    of the candidates' vectors, query encoding, scoring, and the sort; it
-    excludes store loading."""
+    document vectors. The timed window covers the gather of the candidates'
+    vectors (whose rows also reveal duplicate ids) and their float64 upcast,
+    query encoding, scoring, and the sort; it excludes store loading."""
     _check_tokenizer(student, tokenizer)
     if store.dim != student.config.model_dim:
         raise ValidationError(
@@ -181,11 +181,16 @@ def rank_with_student(
             f"to width {student.config.model_dim}"
         )
     candidate_ids = list(candidate_ids)
-    _check_candidates(candidate_ids)
     if not candidate_ids:
         return RankResult([], 0.0)
     start = time.perf_counter()
-    rows, vectors = store.gather(candidate_ids)
+    try:
+        rows, vectors = store.gather(candidate_ids)
+    except MissingIdError:
+        _check_candidates(candidate_ids)  # a duplicate is reported before a missing id
+        raise
+    if np.bincount(rows).max() > 1:
+        _check_candidates(candidate_ids)  # raises: store ids are unique, so a repeated row is a repeated id
     doc_vecs = vectors.astype(np.float64)
     q_emb, _ = embed_texts(student, tokenizer, [query])
     scores = doc_vecs @ q_emb[0]

@@ -374,6 +374,15 @@ class TestRankWithStudent:
         with pytest.raises(ValidationError):
             rank_with_student(student, store, "q", [doc_id, doc_id], tokenizer)
 
+    def test_duplicate_is_reported_before_a_missing_id(self, world, store):
+        """The gather stops at the missing id, which comes first; the duplicate
+        after it is still the error raised."""
+        _, tokenizer, _, student, catalog = world
+        a, b = catalog[0].doc_id, catalog[1].doc_id
+        with pytest.raises(ValidationError) as excinfo:
+            rank_with_student(student, store, "q", [a, "nonexistent", b, a], tokenizer)
+        assert str(excinfo.value) == f"duplicate candidate ids: [{a!r}]"
+
     def test_many_duplicates_in_a_large_list_reported_sorted(self, world, store):
         _, tokenizer, _, student, _ = world
         ids = [f"c{k:05d}" for k in range(20000)] + ["c00007", "c19999", "c00007", "c00500"]
