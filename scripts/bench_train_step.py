@@ -35,6 +35,8 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ((240, 10, 40), (240, 40, 15))  # sequences, tokens, clean repetitions
 KERNELS = ("_gelu", "_gelu_grad", "_layer_norm", "_layer_norm_backward")
@@ -47,13 +49,10 @@ def _quartiles(values_s) -> dict:
 
 
 def bench_shape(enc, training, n_seqs: int, length: int, reps: int) -> dict:
-    import numpy as np
-    from listrank.tokenizer import CLS_ID
-
     config = enc.EncoderConfig()
     rng = np.random.default_rng([n_seqs, length])
     ids = rng.integers(5, config.vocab_size, size=(n_seqs, length))
-    ids[:, 0] = CLS_ID
+    ids[:, 0] = enc.CLS_ID
     mask = np.ones_like(ids)
     d_scores = rng.normal(size=n_seqs) / n_seqs
     params = enc.init_params(config, seed=0)

@@ -4,7 +4,7 @@
     python3 scripts/parity.py            # print this environment's record
     python3 scripts/parity.py --write    # fold it into tests/parity.json
 
-The run takes a few seconds: a synthetic dataset (24 queries x 8 docs) and
+The run takes about a second: a synthetic dataset (24 queries x 8 docs) and
 its BPE tokenizer (vocab 300), masked-token pretraining at mask rates 0.15, 0
 and 1, fine-tuning with each of the four list losses with per-epoch eval,
 distillation from the teacher and from scratch, a store build, and a student
@@ -27,6 +27,7 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -82,7 +83,7 @@ def run(workdir: Path) -> dict:
     digests["dataset"] = _file_digest(dataset.save_dataset, train, workdir / "train.jsonl")
     tokenizer = train_bpe(dataset.corpus_lines(train), CONFIG.vocab_size)
     digests["tokenizer"] = _file_digest(lambda t, p: t.save(p), tokenizer, workdir / "tokenizer.json")
-    config = enc.EncoderConfig(**{**CONFIG.to_dict(), "vocab_size": tokenizer.vocab_size})
+    config = dataclasses.replace(CONFIG, vocab_size=tokenizer.vocab_size)
 
     corpus = dataset.corpus_lines(train)
     pretrained = None

@@ -12,9 +12,9 @@ The feed-forward uses the exact (erf) GELU. Its trace caches
 ``1 + erf(x/√2)`` next to the pre-activation, so the backward pass evaluates
 only the Gaussian density term and never calls ``erf`` again. Elementwise
 chains (bias adds, residual adds, the attention scaling and mask, the
-softmax and layer-norm backward) run in place, in the same order of
-operations as their written-out forms, so every result is bit for bit the
-same as those forms.
+softmax, the layer norm and their backward passes) run in place, in the same
+order of operations as their written-out forms, so every result is bit for
+bit the same as those forms.
 
 Padded positions are excluded from attention with additive -inf on the key
 axis, which makes the states of real tokens exactly independent of how much
