@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, fields
 
 from .dataset import (
     Dataset,
@@ -26,7 +27,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .encoder import EncoderConfig
+from .encoder import POOLINGS, EncoderConfig
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -82,17 +83,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@dataclass(frozen=True)
 class _Opt:
     """One resolvable option: flag, config-file key, type, default."""
 
-    def __init__(self, name, kind, default=None, required=False, help="", choices=None, is_flag=False):
-        self.name = name
-        self.kind = kind
-        self.default = default
-        self.required = required
-        self.help = help
-        self.choices = choices
-        self.is_flag = is_flag
+    name: str
+    kind: type
+    default: object = None
+    required: bool = False
+    help: str = ""
+    choices: tuple = None
+    is_flag: bool = False
 
     @property
     def flag(self):
@@ -177,26 +178,25 @@ def _load_corpus(resolved):
     return lines
 
 
-def _encoder_config(resolved, vocab_size):
-    return EncoderConfig(
-        n_layers=resolved["layers"],
-        n_heads=resolved["heads"],
-        model_dim=resolved["dim"],
-        ffn_dim=resolved["ffn_dim"],
-        vocab_size=vocab_size,
-        max_len=resolved["max_len"],
-        pooling=resolved["pooling"],
-    )
-
-
+#: Each encoder flag, the ``EncoderConfig`` field it sets, and its help.
+_ENCODER_FLAGS = (
+    ("layers", "n_layers", "number of residual blocks"),
+    ("heads", "n_heads", "attention heads"),
+    ("dim", "model_dim", "model width"),
+    ("ffn_dim", "ffn_dim", "feed-forward width"),
+    ("max_len", "max_len", "maximum sequence length"),
+    ("pooling", "pooling", "embedding pooling"),
+)
+_ENCODER_DEFAULTS = {f.name: f.default for f in fields(EncoderConfig)}
 _ENCODER_OPTS = [
-    _Opt("layers", int, 2, help="number of residual blocks"),
-    _Opt("heads", int, 4, help="attention heads"),
-    _Opt("dim", int, 64, help="model width"),
-    _Opt("ffn_dim", int, 256, help="feed-forward width"),
-    _Opt("max_len", int, 64, help="maximum sequence length"),
-    _Opt("pooling", str, "cls", choices=("cls", "mean"), help="embedding pooling"),
+    _Opt(flag, type(_ENCODER_DEFAULTS[name]), _ENCODER_DEFAULTS[name], help=text,
+         choices=POOLINGS if name == "pooling" else None)
+    for flag, name, text in _ENCODER_FLAGS
 ]
+
+
+def _encoder_config(resolved, vocab_size):
+    return EncoderConfig(vocab_size=vocab_size, **{name: resolved[flag] for flag, name, _ in _ENCODER_FLAGS})
 
 
 def _scorer_for(ckpt: Checkpoint, tokenizer: Tokenizer):
@@ -298,8 +298,7 @@ def _cmd_eval(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     ckpt = load_checkpoint(resolved["model"])
     dataset = load_dataset(resolved["data"])
-    k = resolved["k"] if resolved["k"] else None
-    ndcg = mean_ndcg(dataset, _scorer_for(ckpt, tokenizer), k=k)
+    ndcg = mean_ndcg(dataset, _scorer_for(ckpt, tokenizer), k=resolved["k"])
     row = MetricRow(ckpt.epoch, "eval", ckpt.loss_name, None, ndcg)
     sys.stdout.write(metrics_to_csv([row]))
     return 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf
@@ -36,6 +37,7 @@ LN_EPS = 1e-5
 INIT_STD = 0.02
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+POOLINGS = ("cls", "mean")
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class EncoderConfig:
             raise ConfigurationError(
                 f"model_dim {self.model_dim} is not divisible by n_heads {self.n_heads}"
             )
-        if self.pooling not in ("cls", "mean"):
+        if self.pooling not in POOLINGS:
             raise ConfigurationError(f"pooling must be 'cls' or 'mean', got {self.pooling!r}")
 
     @property
@@ -75,114 +77,74 @@ class EncoderConfig:
         return asdict(self)
 
 
-@dataclass
-class LayerParams:
-    """Weights of one residual block (attention then feed-forward)."""
-
-    w_q: np.ndarray
-    b_q: np.ndarray
-    w_k: np.ndarray
-    b_k: np.ndarray
-    w_v: np.ndarray
-    b_v: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    ln1_scale: np.ndarray
-    ln1_offset: np.ndarray
-    w_ffn1: np.ndarray
-    b_ffn1: np.ndarray
-    w_ffn2: np.ndarray
-    b_ffn2: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_offset: np.ndarray
+def param_layout(config: EncoderConfig) -> list:
+    """``(name, shape)`` of every parameter array, in the order they tile
+    ``EncoderParams.flat``; the optimizer, checkpoints and gradient checks
+    all use this order."""
+    d, f = config.model_dim, config.ffn_dim
+    layer = (
+        ("w_q", (d, d)), ("b_q", (d,)), ("w_k", (d, d)), ("b_k", (d,)),
+        ("w_v", (d, d)), ("b_v", (d,)), ("w_o", (d, d)), ("b_o", (d,)),
+        ("ln1_scale", (d,)), ("ln1_offset", (d,)), ("w_ffn1", (d, f)), ("b_ffn1", (f,)),
+        ("w_ffn2", (f, d)), ("b_ffn2", (d,)), ("ln2_scale", (d,)), ("ln2_offset", (d,)),
+    )
+    return (
+        [("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d))]
+        + [(f"layer{i}.{name}", shape) for i in range(config.n_layers) for name, shape in layer]
+        + [("score_w", (d,)), ("score_b", ()), ("mlm_bias", (config.vocab_size,))]
+    )
 
 
-_LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
-
-
-@dataclass
 class EncoderParams:
-    """All trainable arrays; ``named_arrays`` fixes the canonical order used
-    by the optimizer, checkpoints, and gradient checks."""
+    """All trainable weights as one contiguous float64 vector, ``flat``.
 
-    tok_emb: np.ndarray
-    pos_emb: np.ndarray
-    layers: list
-    score_w: np.ndarray
-    score_b: np.ndarray
-    mlm_bias: np.ndarray
+    Every array the encoder reads (``tok_emb``, ``pos_emb``, ``layers[i].w_q``
+    and the rest of each block, ``score_w``, the 0-d ``score_b``, ``mlm_bias``)
+    is a view into ``flat`` placed by ``param_layout``, so a write through a
+    view is a write to ``flat``, and Adam and checkpoints work on ``flat`` alone.
+    """
+
+    def __init__(self, config: EncoderConfig, flat: np.ndarray = None):
+        layout = param_layout(config)
+        sizes = [math.prod(shape) for _, shape in layout]
+        self.config = config
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        if self.flat.shape != (sum(sizes),) or self.flat.dtype != np.float64:
+            raise ContractError(f"flat parameters must be {sum(sizes)} float64 values")
+        self.layers = [SimpleNamespace() for _ in range(config.n_layers)]
+        self._views = {}
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            self._views[name] = view = self.flat[offset : offset + size].reshape(shape)
+            offset += size
+            owner, _, leaf = name.rpartition(".")
+            setattr(self.layers[int(owner.removeprefix("layer"))] if owner else self, leaf, view)
 
     def named_arrays(self):
-        yield "tok_emb", self.tok_emb
-        yield "pos_emb", self.pos_emb
-        for i, layer in enumerate(self.layers):
-            for name in _LAYER_FIELDS:
-                yield f"layer{i}.{name}", getattr(layer, name)
-        yield "score_w", self.score_w
-        yield "score_b", self.score_b
-        yield "mlm_bias", self.mlm_bias
+        """``(name, view)`` of every array, in ``param_layout`` order."""
+        yield from self._views.items()
 
     def copy(self) -> "EncoderParams":
-        return _map_arrays(self, np.ndarray.copy)
+        return EncoderParams(self.config, self.flat.copy())
 
 
-def _map_arrays(params: EncoderParams, fn) -> EncoderParams:
-    """New parameters holding ``fn(array)`` for every array of ``params``."""
-    return EncoderParams(
-        **{f.name: fn(getattr(params, f.name)) for f in fields(EncoderParams) if f.name != "layers"},
-        layers=[
-            LayerParams(**{f: fn(getattr(layer, f)) for f in _LAYER_FIELDS}) for layer in params.layers
-        ],
-    )
+def zeros_like_params(params: EncoderParams) -> EncoderParams:
+    return EncoderParams(params.config, np.zeros_like(params.flat))
 
 
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     """Fresh parameters: weights ~ N(0, 0.02), biases and norm offsets zero,
-    norm scales one. Draw order follows ``named_arrays`` so a seed fully
-    determines every array."""
+    norm scales one. Weights are drawn in ``param_layout`` order, so a seed
+    fully determines every array."""
     rng = np.random.default_rng(seed)
-    return build_params(config, lambda shape: rng.normal(0.0, INIT_STD, size=shape))
-
-
-def build_params(config: EncoderConfig, weights) -> EncoderParams:
-    """Parameters of ``config``'s shapes: weights are ``weights(shape)``, called
-    in ``named_arrays`` order (``np.zeros`` draws nothing, for a loader to
-    fill); biases and norm offsets are zero and norm scales one."""
-    d, f = config.model_dim, config.ffn_dim
-    tok_emb = weights((config.vocab_size, d))
-    pos_emb = weights((config.max_len, d))
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerParams(
-                w_q=weights((d, d)), b_q=np.zeros(d),
-                w_k=weights((d, d)), b_k=np.zeros(d),
-                w_v=weights((d, d)), b_v=np.zeros(d),
-                w_o=weights((d, d)), b_o=np.zeros(d),
-                ln1_scale=np.ones(d), ln1_offset=np.zeros(d),
-                w_ffn1=weights((d, f)), b_ffn1=np.zeros(f),
-                w_ffn2=weights((f, d)), b_ffn2=np.zeros(d),
-                ln2_scale=np.ones(d), ln2_offset=np.zeros(d),
-            )
-        )
-    return EncoderParams(
-        tok_emb=tok_emb,
-        pos_emb=pos_emb,
-        layers=layers,
-        score_w=weights(d),
-        score_b=np.zeros(()),
-        mlm_bias=np.zeros(config.vocab_size),
-    )
-
-
-def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return _map_arrays(params, np.zeros_like)
-
-
-def add_params(into: EncoderParams, other: EncoderParams) -> None:
-    """In-place accumulation, used to merge per-group gradients."""
-    for (_, a), (_, b) in zip(into.named_arrays(), other.named_arrays()):
-        a += b
+    params = EncoderParams(config)
+    for name, a in params.named_arrays():
+        leaf = name.rpartition(".")[2]
+        if leaf.endswith("_scale"):
+            a[...] = 1.0
+        elif leaf.startswith("w_") or leaf in ("tok_emb", "pos_emb", "score_w"):
+            a[...] = rng.normal(0.0, INIT_STD, size=a.shape)
+    return params
 
 
 def pad_token_rows(rows):

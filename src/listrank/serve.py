@@ -65,11 +65,6 @@ class EmbeddingStore:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._index
 
-    def vector(self, doc_id: str) -> np.ndarray:
-        if doc_id not in self._index:
-            raise MissingIdError(f"doc_id {doc_id!r} is not in the store", [doc_id])
-        return self.vectors[self._index[doc_id]]
-
     def gather(self, doc_ids) -> tuple[np.ndarray, np.ndarray]:
         """Store rows of a sequence of ids and their vectors, in request order."""
         try:

@@ -94,43 +94,38 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators plus the shared step counter."""
+    """First and second moment vectors, laid out like ``EncoderParams.flat``,
+    plus the shared step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_adam_state(params: enc.EncoderParams) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(a) for name, a in params.named_arrays()},
-        v={name: np.zeros_like(a) for name, a in params.named_arrays()},
-        step=0,
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0)
 
 
 def adam_step(params: enc.EncoderParams, grads: enc.EncoderParams, state: AdamState, config: TrainConfig):
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction, over the flat vector.
 
     A non-finite gradient anywhere aborts the step and names the offending
     parameter; params and state are left untouched in that case.
     """
-    named_grads = list(grads.named_arrays())
-    for name, g in named_grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name)
+    g = grads.flat
+    if not np.isfinite(g).all():
+        first = next(name for name, a in grads.named_arrays() if not np.isfinite(a).all())
+        raise NonFiniteGradientError(first)
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t
     bc2 = 1.0 - config.beta2**t
-    for (name, p), (_, g) in zip(params.named_arrays(), named_grads):
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+    m, v = state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    params.flat -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
     return params, state
 
 
@@ -170,10 +165,9 @@ def _manifest(params: enc.EncoderParams) -> list:
     return manifest
 
 
-def _payload(params: enc.EncoderParams) -> bytes:
-    """Every array as little-endian float32, in ``named_arrays`` order."""
-    # bytes.join reads each array's buffer, so no tobytes copy is needed
-    return b"".join(np.ascontiguousarray(a, dtype="<f4") for _, a in params.named_arrays())
+def _payload(params: enc.EncoderParams) -> np.ndarray:
+    """``flat`` as little-endian float32: every array in ``named_arrays`` order."""
+    return params.flat.astype("<f4")
 
 
 def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
@@ -226,7 +220,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                                             f"got {header[key]!r}")
         try:
             config = enc.EncoderConfig(**header["encoder_config"])
-            params = enc.build_params(config, np.zeros)
+            params = enc.EncoderParams(config)
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise CheckpointHeaderError(f"{path}: bad encoder config ({exc})") from exc
         expected = _manifest(params)
@@ -234,8 +228,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         return sum(entry["size"] for entry in expected)
 
     header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
-    for entry, (_, a) in zip(_manifest(params), params.named_arrays()):
-        a[...] = np.frombuffer(payload, dtype="<f4", count=a.size, offset=entry["offset"]).reshape(a.shape)
+    params.flat[:] = np.frombuffer(payload, dtype="<f4")
     return Checkpoint(config, params, header["loss_name"], header["seed"], header["epoch"],
                       header["tokenizer_hash"])
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from conftest import rewrite_header
 
-from listrank.cli import main
+from listrank.cli import _encoder_config, main
 from listrank.dataset import load_dataset
+from listrank.encoder import EncoderConfig
 from listrank.metrics import METRIC_CSV_HEADER
 from listrank.serve import EmbeddingStore, load_store, save_store
 from listrank.training import checkpoint_fingerprint, load_checkpoint
@@ -129,6 +130,15 @@ class TestConfigResolution:
         assert resolved["list_size"] == 5      # file overrides the default
         assert resolved["noise_std"] == 0.2    # built-in default
 
+    def test_encoder_defaults_are_those_of_encoder_config(self, tmp_path):
+        """The encoder flags take their defaults from ``EncoderConfig``, so a
+        checkpoint trained without them has the library's default shape."""
+        code, _, err = run_cli(["train", "--data", "d.jsonl", "--tokenizer", "t.json", "--out", "o.ckpt"])
+        assert code == 1  # the files do not exist; the config echo comes first
+        resolved = echoed_config(err, "train")
+        config = _encoder_config(resolved, EncoderConfig().vocab_size)
+        assert config == EncoderConfig()
+
     def test_unknown_config_key_fails(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_querys": 4}))
@@ -224,6 +234,16 @@ class TestPipelineCommands:
         ])
         assert code == 0
         assert len(stdout.splitlines()) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_eval_rejects_a_cutoff_below_one(self, pipeline, k):
+        """``--k 0`` is an invalid cutoff like ``--k -1``, not "no cutoff"."""
+        code, stdout, err = run_cli([
+            "eval", "--model", pipeline["model"], "--tokenizer", pipeline["tokenizer"],
+            "--data", pipeline["data"], "--k", k,
+        ])
+        assert code == 1 and stdout == ""
+        assert error_lines(err) == [f"error: NDCG cutoff k must be positive, got {k}"]
 
     def test_rank_with_student_lists_all_store_documents(self, pipeline):
         code, stdout, err = run_cli([

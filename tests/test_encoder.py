@@ -19,13 +19,13 @@ from listrank.encoder import (
     _gelu_grad,
     _layer_norm,
     _layer_norm_backward,
-    add_params,
     backward_batch,
     embed_batch,
     forward_batch,
     init_params,
     mlm_logits_batch,
     pad_token_rows,
+    param_layout,
     score_cls_backward,
     score_cls_batch,
     zeros_like_params,
@@ -361,13 +361,6 @@ class TestParamContainers:
             assert z.shape == p.shape, name
             np.testing.assert_array_equal(z, 0.0, err_msg=name)
 
-    def test_add_params_accumulates_in_place(self):
-        a = init_params(TINY, seed=0)
-        b = init_params(TINY, seed=1)
-        expected = a.tok_emb + b.tok_emb
-        add_params(a, b)
-        np.testing.assert_array_equal(a.tok_emb, expected)
-
     def test_copy_is_deep(self):
         params = init_params(TINY, seed=0)
         clone = params.copy()
@@ -375,6 +368,49 @@ class TestParamContainers:
         clone.layers[0].w_q[0, 0] += 1.0
         assert params.tok_emb[0, 0] != clone.tok_emb[0, 0]
         assert params.layers[0].w_q[0, 0] != clone.layers[0].w_q[0, 0]
+
+    def test_copy_and_zeros_like_share_no_memory(self):
+        params = init_params(TINY, seed=0)
+        for other in (params.copy(), zeros_like_params(params)):
+            assert not np.shares_memory(other.flat, params.flat)
+            for (name, a), (_, b) in zip(other.named_arrays(), params.named_arrays()):
+                assert np.shares_memory(a, other.flat), name
+                assert not np.shares_memory(a, b), name
+
+    def test_layout_tiles_flat_without_gaps(self):
+        """The views follow ``param_layout`` and lie end to end in ``flat``,
+        so ``flat`` holds every array once and nothing else."""
+        params = init_params(EncoderConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=12,
+                                           vocab_size=11, max_len=5), seed=0)
+        start = params.flat.__array_interface__["data"][0]
+        offset = 0
+        for (name, a), (want_name, shape) in zip(params.named_arrays(), param_layout(params.config), strict=True):
+            assert (name, a.shape) == (want_name, shape)
+            assert a.flags.c_contiguous and a.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += a.size
+        assert offset == params.flat.size
+        assert params.layers[1].b_ffn2 is dict(params.named_arrays())["layer1.b_ffn2"]
+
+    def test_write_through_a_view_reaches_the_next_forward(self):
+        """Finite-difference checks perturb parameters through the
+        ``named_arrays()`` views: every such write must land in ``flat`` and
+        change what the next forward computes."""
+        params = init_params(TINY, seed=0)
+        ids, mask = tiny_batch()
+        states = np.linspace(-1.0, 1.0, 2 * TINY.model_dim).reshape(2, TINY.model_dim)
+
+        def outputs():
+            hidden, _ = forward_batch(params, TINY, ids, mask)
+            scores, _ = score_cls_batch(params, TINY, ids, mask)
+            return hidden, scores, mlm_logits_batch(params, states)
+
+        rng = np.random.default_rng(0)
+        for name, a in params.named_arrays():
+            before, flat_before = outputs(), params.flat.copy()
+            a += rng.normal(size=a.shape)
+            assert np.count_nonzero(params.flat != flat_before) == a.size, name
+            if not name.endswith(".b_k"):  # adds q·b_k to a whole logit row, which the softmax cancels
+                assert not all(np.array_equal(x, y) for x, y in zip(before, outputs())), name
 
 
 def _bits_equal(a, b):

@@ -101,11 +101,11 @@ class TestEmbeddingStore:
 
     def test_vector_lookup(self):
         store = tiny_store(n=3)
-        np.testing.assert_array_equal(store.vector("doc2"), store.vectors[2])
+        np.testing.assert_array_equal(store.gather(["doc2"])[1][0], store.vectors[2])
 
     def test_vector_missing_id_raises(self):
         with pytest.raises(MissingIdError) as excinfo:
-            tiny_store().vector("ghost")
+            tiny_store().gather(["ghost"])
         assert excinfo.value.missing_ids == ["ghost"]
 
     def test_gather_preserves_request_order(self):
@@ -145,7 +145,7 @@ class TestPrecomputeEmbeddings:
         _, tokenizer, _, student, catalog = world
         for doc in catalog[:5]:
             expected = embed_alone(student, tokenizer, doc.text).astype(np.float32)
-            np.testing.assert_array_equal(store.vector(doc.doc_id), expected)
+            np.testing.assert_array_equal(store.gather([doc.doc_id])[1][0], expected)
 
     def test_store_metadata(self, world, store):
         _, _, _, student, catalog = world
@@ -162,7 +162,7 @@ class TestPrecomputeEmbeddings:
         assert len(big) == 300
         for i in (0, 255, 256, 299):
             expected = embed_alone(student, tokenizer, catalog[i].text).astype(np.float32)
-            np.testing.assert_array_equal(big.vector(catalog[i].doc_id), expected)
+            np.testing.assert_array_equal(big.gather([catalog[i].doc_id])[1][0], expected)
 
     def test_empty_catalog_raises(self, world):
         _, tokenizer, _, student, _ = world
@@ -325,9 +325,10 @@ class TestRankWithStudent:
         ids = [d.doc_id for d in catalog[:6]]
         result = rank_with_student(student, store, "attr7 attr8", ids, tokenizer)
         q_emb = embed_alone(student, tokenizer, "attr7 attr8")
+        _, vectors = store.gather(ids)
         expected = {
-            doc_id: float(store.vector(doc_id).astype(np.float64) @ q_emb)
-            for doc_id in ids
+            doc_id: float(vector.astype(np.float64) @ q_emb)
+            for doc_id, vector in zip(ids, vectors)
         }
         assert {d: s for d, s in result.ranking} == pytest.approx(expected)
 

@@ -23,7 +23,6 @@ from listrank.dataset import (
 )
 from listrank.encoder import (
     EncoderConfig,
-    add_params,
     init_params,
     pad_token_rows,
     score_cls_backward,
@@ -46,6 +45,7 @@ from listrank.training import (
     LOSS_NAMES,
     Checkpoint,
     TrainConfig,
+    _manifest,
     adam_step,
     checkpoint_fingerprint,
     distill,
@@ -106,6 +106,8 @@ class TestTrainConfig:
 class TestAdamStep:
     CONFIG = EncoderConfig(n_layers=0, n_heads=1, model_dim=4, ffn_dim=4,
                            vocab_size=6, max_len=4)
+    TWO_LAYERS = EncoderConfig(n_layers=2, n_heads=2, model_dim=4, ffn_dim=6,
+                               vocab_size=7, max_len=3)
 
     def test_first_step_moves_by_almost_lr(self):
         """With one constant gradient the bias-corrected first Adam step is
@@ -160,6 +162,48 @@ class TestAdamStep:
         assert state.step == 0
         for (name, a), (_, b) in zip(params.named_arrays(), snapshot.named_arrays()):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_non_finite_gradient_names_its_parameter_and_leaves_state(self):
+        """One NaN deep in the flat gradient names the array holding it, and
+        the parameters, both moments and the step count stay as they were."""
+        params = init_params(self.TWO_LAYERS, seed=0)
+        state = init_adam_state(params)
+        grads = zeros_like_params(params)
+        grads.flat[:] = 0.5
+        adam_step(params, grads, state, TrainConfig(lr=0.1))
+        before = params.flat.copy(), state.m.copy(), state.v.copy()
+        grads.layers[1].b_ffn2[2] = np.nan
+        with pytest.raises(NonFiniteGradientError) as excinfo:
+            adam_step(params, grads, state, TrainConfig(lr=0.1))
+        assert excinfo.value.param_name == "layer1.b_ffn2"
+        assert str(excinfo.value) == str(NonFiniteGradientError("layer1.b_ffn2"))
+        assert state.step == 1
+        for got, want in zip((params.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_flat_update_equals_per_array_update_bit_for_bit(self):
+        """Adam is elementwise, so two steps over the flat vector give the
+        same bits as the update applied to each array on its own."""
+        config = TrainConfig(lr=0.01)
+        params = init_params(self.TWO_LAYERS, seed=0)
+        state = init_adam_state(params)
+        expected = {name: a.copy() for name, a in params.named_arrays()}
+        m = {name: np.zeros_like(a) for name, a in expected.items()}
+        v = {name: np.zeros_like(a) for name, a in expected.items()}
+        rng = np.random.default_rng(11)
+        for t in (1, 2):
+            grads = zeros_like_params(params)
+            for name, g in grads.named_arrays():
+                g[...] = rng.normal(size=g.shape)
+                m[name] *= config.beta1
+                m[name] += (1.0 - config.beta1) * g
+                v[name] *= config.beta2
+                v[name] += (1.0 - config.beta2) * (g * g)
+                expected[name] -= config.lr * (m[name] / (1.0 - config.beta1**t)) / (
+                    np.sqrt(v[name] / (1.0 - config.beta2**t)) + config.adam_eps)
+            adam_step(params, grads, state, config)
+        for name, a in params.named_arrays():
+            np.testing.assert_array_equal(a.view(np.int64), expected[name].view(np.int64), err_msg=name)
 
 
 class TestCheckpointFiles:
@@ -331,6 +375,19 @@ class TestCheckpointManifest:
     def test_unedited_manifest_loads(self, tmp_path):
         path = self.rewrite(tmp_path, lambda m: m)
         assert load_checkpoint(path).epoch == 0
+
+    def test_manifest_entries_are_the_flat_layout_in_order(self):
+        """Entry k names the k-th view of ``flat`` and starts at 4 bytes per
+        value before it, so the float32 payload is ``flat`` cast as a whole."""
+        params = init_params(self.CONFIG, seed=4)
+        start = params.flat.__array_interface__["data"][0]
+        end = 0
+        for entry, (name, a) in zip(_manifest(params), params.named_arrays(), strict=True):
+            value_offset = (a.__array_interface__["data"][0] - start) // 8
+            assert entry == {"name": name, "shape": list(a.shape), "offset": 4 * value_offset, "size": 4 * a.size}
+            assert value_offset == end, name
+            end += a.size
+        assert end == params.flat.size
 
     def test_manifest_that_is_not_a_list_rejected(self, tmp_path):
         path = self.rewrite(tmp_path, lambda m: {e["name"]: e for e in m})
@@ -576,7 +633,7 @@ class TestFinetuneLtr:
             offset += size
         batched = score_cls_backward(params, config, trace, d_scores)
         mean = per_group[0]
-        add_params(mean, per_group[1])
+        mean.flat += per_group[1].flat
         for (name, b), (_, m) in zip(batched.named_arrays(), mean.named_arrays()):
             np.testing.assert_allclose(b, m / 2.0, rtol=1e-9, atol=1e-12, err_msg=name)
 
