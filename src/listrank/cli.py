@@ -58,6 +58,8 @@ from .training import (
     finetune_ltr,
     init_checkpoint,
     load_checkpoint,
+    make_bi_encoder_scorer,
+    make_cross_encoder_scorer,
     pretrain_mlm,
     save_checkpoint,
 )
@@ -200,8 +202,6 @@ def _encoder_config(resolved, vocab_size):
 
 
 def _scorer_for(ckpt: Checkpoint, tokenizer: Tokenizer):
-    from .training import make_bi_encoder_scorer, make_cross_encoder_scorer
-
     if ckpt.loss_name == "margin_mse":
         return make_bi_encoder_scorer(ckpt, tokenizer)
     return make_cross_encoder_scorer(ckpt, tokenizer)
@@ -274,12 +274,12 @@ def _cmd_train(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     dataset = load_dataset(resolved["data"])
     eval_dataset = load_dataset(resolved["eval_data"]) if resolved["eval_data"] else None
+    train_config = _train_config(resolved, approx_alpha=resolved["alpha"])
     if resolved["init"]:
         ckpt_in = load_checkpoint(resolved["init"])
     else:
         config = _encoder_config(resolved, tokenizer.vocab_size)
         ckpt_in = init_checkpoint(config, resolved["seed"], tokenizer.content_hash())
-    train_config = _train_config(resolved, approx_alpha=resolved["alpha"])
     _progress(
         "train",
         f"{len(dataset.groups)} query groups, loss {resolved['loss']}, "
@@ -319,8 +319,7 @@ def _cmd_distill(resolved):
     save_checkpoint(student, resolved["out"])
     _progress("distill", f"saved student checkpoint to {resolved['out']}")
     if resolved["store_out"]:
-        catalog = [doc for group in dataset.groups for doc in group.docs]
-        store = precompute_embeddings(student, catalog, tokenizer)
+        store = precompute_embeddings(student, _candidate_docs(dataset, None), tokenizer)
         save_store(store, resolved["store_out"])
         _progress("distill", f"saved {len(store)} embeddings to {resolved['store_out']}")
     sys.stdout.write(metrics_to_csv(history))
@@ -339,6 +338,8 @@ def _load_student_store(path: str, student: Checkpoint):
 
 
 def _candidate_docs(dataset: Dataset, wanted):
+    """The documents with the ``wanted`` ids, in that order, or every doc id
+    once when ``wanted`` is None; a repeated id keeps its first occurrence."""
     by_id = {}
     for group in dataset.groups:
         for doc in group.docs:
@@ -384,8 +385,7 @@ def _cmd_bench(resolved):
     if resolved["store"]:
         store = _load_student_store(resolved["store"], student)
     else:
-        catalog = [doc for group in dataset.groups for doc in group.docs]
-        store = precompute_embeddings(student, catalog, tokenizer)
+        store = precompute_embeddings(student, _candidate_docs(dataset, None), tokenizer)
     report = benchmark_latency(
         teacher,
         student,

@@ -194,6 +194,8 @@ class SyntheticSpec:
             )
         if self.noise_std < 0:
             raise ValidationError("noise_std must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 _SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
@@ -364,10 +366,6 @@ class DatasetStats:
     list_len_p90: float | None
     query_len_median: float | None
     query_len_p90: float | None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.group_count == 0
 
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:

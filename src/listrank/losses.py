@@ -62,17 +62,6 @@ class ListTarget:
             raise ValidationError(f"grades must lie in [0, {GRADE_MAX}]")
 
 
-@dataclass(frozen=True)
-class ApproxConfig:
-    """Sharpness of the sigmoid used by the smooth rank approximation."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-
-
 def _checked_scores(scores, target: ListTarget) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != target.grades.shape:
@@ -149,9 +138,24 @@ def listmle_target_order(grades: np.ndarray, tie_seed: int) -> np.ndarray:
     return np.lexsort((priority, -grades))
 
 
-def _listmle_on_order(scores: np.ndarray, valid: np.ndarray, order: np.ndarray) -> LossOutput:
-    """Negative log Plackett-Luce likelihood of visiting the ``valid`` slots
-    of ``scores`` in ``order``; padded slots get zero gradient."""
+def listmle_loss_on_order(scores, target: ListTarget, order) -> LossOutput:
+    """Plackett-Luce negative log-likelihood of an explicit target order.
+
+    ``order`` indexes the valid subsequence (positions after dropping padded
+    slots) and must be a permutation of it; padded slots get zero gradient.
+    ``listmle_loss`` is this function applied to the grade-descending order
+    with seeded tie-breaks; passing the order directly supports custom tie
+    policies and permutation tests.
+    """
+    scores = _checked_scores(scores, target)
+    valid = np.flatnonzero(target.valid_mask == 1)
+    if valid.size == 0:
+        raise EmptyInputError("listmle_loss needs at least one valid slot")
+    order = np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(valid.size)):
+        raise ValidationError(
+            f"order must be a permutation of the {valid.size} valid slots"
+        )
     visited = valid[order]
     t = scores[visited]
     m = t.max()
@@ -163,48 +167,27 @@ def _listmle_on_order(scores: np.ndarray, valid: np.ndarray, order: np.ndarray) 
     return LossOutput(value, grad)
 
 
-def listmle_loss_on_order(scores, target: ListTarget, order) -> LossOutput:
-    """Plackett-Luce negative log-likelihood of an explicit target order.
-
-    ``order`` indexes the valid subsequence (positions after dropping padded
-    slots) and must be a permutation of it. ``listmle_loss`` is this function
-    applied to the grade-descending order with seeded tie-breaks; passing the
-    order directly supports custom tie policies and permutation tests.
-    """
-    scores = _checked_scores(scores, target)
-    valid = np.flatnonzero(target.valid_mask == 1)
-    if valid.size == 0:
-        raise EmptyInputError("listmle_loss needs at least one valid slot")
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(valid.size)):
-        raise ValidationError(
-            f"order must be a permutation of the {valid.size} valid slots"
-        )
-    return _listmle_on_order(scores, valid, order)
-
-
 def listmle_loss(scores, target: ListTarget, tie_seed: int = 0) -> LossOutput:
     """Negative log-likelihood of the grade-descending permutation under
     the Plackett-Luce model; grade ties are broken by a shuffle keyed on
     ``tie_seed`` so replays are deterministic.
     """
-    scores = _checked_scores(scores, target)
-    valid = np.flatnonzero(target.valid_mask == 1)
-    if valid.size == 0:
-        raise EmptyInputError("listmle_loss needs at least one valid slot")
-    order = listmle_target_order(target.grades[valid], tie_seed)
-    return _listmle_on_order(scores, valid, order)
+    order = listmle_target_order(target.grades[target.valid_mask == 1], tie_seed)
+    return listmle_loss_on_order(scores, target, order)
 
 
-def approxndcg_loss(scores, target: ListTarget, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
+def approxndcg_loss(scores, target: ListTarget, alpha: float = 1.0) -> LossOutput:
     """Negated smooth NDCG.
 
     Document positions are softened to
-    ``pos(i) = 1 + sum_{j != i} sigmoid(alpha * (s_j - s_i))`` and plugged
+    ``pos(i) = 1 + sum_{j != i} sigmoid(alpha * (s_j - s_i))``, ``alpha > 0``
+    being the sharpness of the smooth rank (Qin, Liu and Li 2010), and plugged
     into DCG with gain ``2^grade - 1`` and discount ``1/log2(1 + pos)``.
     Returns ``-DCG/IDCG`` (a value in [-1, 0]); a list whose grades are all
     zero scores -1 with zero gradient so batches stay total.
     """
+    if not alpha > 0:
+        raise ConfigurationError(f"alpha must be positive, got {alpha}")
     scores = _checked_scores(scores, target)
     valid = np.flatnonzero(target.valid_mask == 1)
     if valid.size == 0:
@@ -220,7 +203,7 @@ def approxndcg_loss(scores, target: ListTarget, cfg: ApproxConfig = ApproxConfig
         return LossOutput(-1.0, grad)
 
     diff = s[None, :] - s[:, None]  # diff[i, j] = s_j - s_i
-    beats = _sigmoid(cfg.alpha * diff)
+    beats = _sigmoid(alpha * diff)
     np.fill_diagonal(beats, 0.0)
     pos = 1.0 + beats.sum(axis=1)
     u = 1.0 + pos
@@ -230,7 +213,7 @@ def approxndcg_loss(scores, target: ListTarget, cfg: ApproxConfig = ApproxConfig
 
     # c_i = d(DCG)/d(pos_i); B is symmetric because sigma'(x) = sigma'(-x)
     c = -gains / (u * np.log(2.0) * log2u**2)
-    b = cfg.alpha * beats * (1.0 - beats)
+    b = alpha * beats * (1.0 - beats)
     ddcg_ds = b.T @ c - c * b.sum(axis=0)
     grad[valid] = -ddcg_ds / idcg
     return LossOutput(value, grad)

@@ -61,16 +61,6 @@ def score_order(scores: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     return np.lexsort((id_rank, -scores))
 
 
-def order_by_scores(scores: Sequence[float], doc_ids: Sequence[str] | None = None) -> list[int]:
-    """Indices sorted by descending score; ties break by ascending doc_id.
-
-    Without doc_ids, ties break by ascending original index.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    id_rank = np.arange(scores.size) if doc_ids is None else str_rank(doc_ids)
-    return score_order(scores, id_rank).tolist()
-
-
 def mean_ndcg(
     dataset: "Dataset | Iterable[QueryGroup]",
     scorer: Callable[["QueryGroup"], Sequence[float]],
@@ -80,6 +70,8 @@ def mean_ndcg(
 
     ``scorer`` maps a query group to one score per document.
     """
+    if k is not None and k <= 0:
+        raise ConfigurationError(f"NDCG cutoff k must be positive, got {k}")
     groups = dataset.groups if hasattr(dataset, "groups") else list(dataset)
     if not groups:
         raise EmptyInputError("cannot evaluate mean NDCG over an empty dataset")
@@ -91,8 +83,8 @@ def mean_ndcg(
             raise ConfigurationError(
                 f"scorer returned {scores.shape} scores for a group of {len(group.docs)} docs"
             )
-        order = order_by_scores(scores, [d.doc_id for d in group.docs])
-        total += ndcg_at_k([group.grades[i] for i in order], k)
+        order = score_order(scores, str_rank([d.doc_id for d in group.docs]))
+        total += ndcg_at_k([group.grades[i] for i in order.tolist()], k)
         count += 1
     return total / count
 

@@ -288,6 +288,8 @@ def benchmark_latency(
         raise ConfigurationError("n_queries must be >= 30 for stable statistics")
     if list_size < 1:
         raise ConfigurationError("list_size must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
     teacher_ms = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .fileio import FrameFormat, digest, read_framed, write_framed
 from .losses import (
-    ApproxConfig,
     ListTarget,
     approxndcg_loss,
     listmle_loss,
@@ -54,12 +54,14 @@ CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 2, CheckpointHeaderError, C
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters shared by all three training loops."""
+    """Hyperparameters shared by all three training loops. Adam's decay rates
+    and epsilon are the constants of Kingma and Ba (2015)."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 10
     batch_size: int = 8
     seed: int = 0
@@ -72,16 +74,12 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise ConfigurationError("lr must be positive")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigurationError("adam_eps must be positive")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not self.approx_alpha > 0:
             raise ConfigurationError("approx_alpha must be positive")
         if not 0.0 <= self.mask_rate <= 1.0:
@@ -254,8 +252,7 @@ def make_loss_kernel(loss_name: str, train_config: TrainConfig):
     if loss_name == "listmle":
         return lambda scores, target, tie_seed: listmle_loss(scores, target, tie_seed=tie_seed)
     if loss_name == "approxndcg":
-        cfg = ApproxConfig(alpha=train_config.approx_alpha)
-        return lambda scores, target, tie_seed: approxndcg_loss(scores, target, cfg)
+        return lambda scores, target, tie_seed: approxndcg_loss(scores, target, train_config.approx_alpha)
     raise ConfigurationError(f"unknown loss {loss_name!r}; choose one of {LOSS_NAMES}")
 
 
@@ -561,27 +558,24 @@ def distill(
     train_config: TrainConfig,
     tokenizer: Tokenizer,
     eval_dataset: Dataset = None,
-    teacher_scorer=None,
 ):
     """Train a bi-encoder student to reproduce the teacher's score margins.
 
-    Teacher scores per group are computed once up front (or taken from
-    ``teacher_scorer`` when given, which allows oracle-teacher control runs).
-    The student starts from the teacher's weights unless
-    ``train_config.init_from_teacher`` is false. Returns ``(checkpoint, history)``.
+    Teacher scores per group are computed once up front. The student starts
+    from the teacher's weights unless ``train_config.init_from_teacher`` is
+    false. Returns ``(checkpoint, history)``.
     """
     if not dataset.groups:
         raise EmptyInputError("distillation dataset has no query groups")
-    if teacher.loss_name not in LOSS_NAMES and teacher_scorer is None:
+    if teacher.loss_name not in LOSS_NAMES:
         raise ValidationError(
             f"teacher checkpoint was not produced by list fine-tuning (loss {teacher.loss_name!r})"
         )
     _check_tokenizer(teacher, tokenizer)
 
     config = teacher.config
-    if teacher_scorer is None:
-        teacher_scorer = make_cross_encoder_scorer(teacher, tokenizer)
-    teacher_scores = [np.asarray(teacher_scorer(g), dtype=np.float64) for g in dataset.groups]
+    scorer = make_cross_encoder_scorer(teacher, tokenizer)
+    teacher_scores = [np.asarray(scorer(g), dtype=np.float64) for g in dataset.groups]
 
     pair_sets = [distill_pairs(g, train_config.distill_pair_cap) for g in dataset.groups]
     usable = [gi for gi, pairs in enumerate(pair_sets) if pairs]

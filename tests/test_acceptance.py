@@ -8,9 +8,11 @@ directly against independent oracles.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +37,6 @@ from listrank.encoder import (
     score_cls_batch,
 )
 from listrank.losses import (
-    ApproxConfig,
     ListTarget,
     approxndcg_loss,
     finite_diff_check,
@@ -65,7 +66,7 @@ RANKING_KERNELS = {
     "ranknet": lambda s, t: ranknet_loss(s, t),
     "listnet": lambda s, t: listnet_loss(s, t),
     "listmle": lambda s, t: listmle_loss(s, t, tie_seed=0),
-    "approxndcg": lambda s, t: approxndcg_loss(s, t, ApproxConfig(10.0)),
+    "approxndcg": lambda s, t: approxndcg_loss(s, t, 10.0),
 }
 
 
@@ -197,11 +198,11 @@ class TestCriterion01GradientFidelity:
                 lambda s, t, k: listmle_loss(s, t, tie_seed=k), 1e-5, normal
             ),
             "approxndcg_a1": worst_fd_error(
-                lambda s, t, k: approxndcg_loss(s, t, ApproxConfig(1.0)), 5e-5, normal
+                lambda s, t, k: approxndcg_loss(s, t, 1.0), 5e-5, normal
             ),
         }
         for alpha in (10.0, 100.0):
-            cfg = ApproxConfig(alpha)
+            cfg = alpha
 
             def scores_for(rng, n, k, a=alpha):
                 return tight_spread_scores(rng, n, a, spread=(k % 2 == 1))
@@ -306,7 +307,7 @@ class TestCriterion03SharpAlphaAgreement:
             grades = rng.integers(0, 5, size=n)
             s = np.cumsum(0.5 + rng.random(n))
             s = s[rng.permutation(n)]
-            out = approxndcg_loss(s, ListTarget(grades), ApproxConfig(100.0))
+            out = approxndcg_loss(s, ListTarget(grades), 100.0)
             exact = ndcg_at_k(list(grades[np.argsort(-s)]))
             worst = max(worst, abs(-out.value - exact))
         criterion_report(
@@ -518,6 +519,8 @@ class TestCriterion10Determinism:
         CLI entry point; all written files and all stdout must match byte
         for byte. Benchmark timing values are wall-clock measurements, so
         for the bench command only the CSV layout is compared."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         stdouts, artifacts = [], []
         for run in ("first", "second"):
             root = tmp_path / run
@@ -528,6 +531,7 @@ class TestCriterion10Determinism:
                     [sys.executable, "-m", "listrank.cli", *argv],
                     capture_output=True,
                     text=True,
+                    env=env,
                 )
                 assert proc.returncode == 0, f"{name} failed: {proc.stderr}"
                 outs[name] = proc.stdout

@@ -365,6 +365,54 @@ class TestPipelineCommands:
         assert lines[2].startswith("student,")
 
 
+class TestSharedDocuments:
+    """A doc listed under two queries, as ``ingest_click_log`` produces when
+    two queries share a product: every store holds each doc id once."""
+
+    @pytest.fixture(scope="class")
+    def shared(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shared")
+        paths = {name: str(root / name) for name in ("data.jsonl", "tok.json", "model.ckpt", "student.ckpt")}
+        groups = [
+            ("q1", "red shoe", [("a", "red shoe", 3), ("b", "blue shoe", 1), ("c", "red hat", 2)]),
+            ("q2", "blue shoe", [("b", "blue shoe", 3), ("d", "green sock", 0)]),
+        ]
+        with open(paths["data.jsonl"], "w", encoding="utf-8") as fh:
+            for query_id, query, docs in groups:
+                docs = [{"doc_id": d, "text": text, "grade": grade} for d, text, grade in docs]
+                fh.write(json.dumps({"query_id": query_id, "query": query, "docs": docs}) + "\n")
+        common = ["--data", paths["data.jsonl"], "--tokenizer", paths["tok.json"], "--epochs", "1"]
+        steps = [
+            ["tokenize-train", "--data", paths["data.jsonl"], "--vocab-size", "300", "--out", paths["tok.json"]],
+            ["train", *common, "--loss", "listnet", "--out", paths["model.ckpt"], "--layers", "1",
+             "--heads", "2", "--dim", "16", "--ffn-dim", "32", "--max-len", "16"],
+            ["distill", *common, "--teacher", paths["model.ckpt"], "--out", paths["student.ckpt"]],
+        ]
+        for argv in steps:
+            code, _, err = run_cli(argv)
+            assert code == 0, f"{argv[0]} failed: {err}"
+        return paths
+
+    def test_distill_store_holds_each_doc_once(self, shared, tmp_path):
+        store = str(tmp_path / "docs.store")
+        code, _, err = run_cli([
+            "distill", "--teacher", shared["model.ckpt"], "--data", shared["data.jsonl"],
+            "--tokenizer", shared["tok.json"], "--out", str(tmp_path / "s.ckpt"),
+            "--store-out", store, "--epochs", "1",
+        ])
+        assert code == 0, err
+        assert load_store(store).doc_ids == ["a", "b", "c", "d"]
+
+    def test_bench_without_store_builds_one(self, shared):
+        code, stdout, err = run_cli([
+            "bench", "--teacher", shared["model.ckpt"], "--student", shared["student.ckpt"],
+            "--tokenizer", shared["tok.json"], "--data", shared["data.jsonl"],
+            "--n-queries", "30", "--list-size", "3", "--warmup", "1",
+        ])
+        assert code == 0, err
+        assert [line.split(",")[0] for line in stdout.splitlines()] == ["system", "teacher", "student"]
+
+
 class TestTokenizerContract:
     """Every command that combines a checkpoint with a tokenizer refuses one
     other than the tokenizer the checkpoint was trained with."""
@@ -475,3 +523,35 @@ def test_rank_with_a_truncated_or_bit_flipped_store_fails_with_one_line(pipeline
         assert stdout == ""
         [line] = error_lines(err)
         assert line.startswith(f"error: {path}: ")
+
+
+def _seeded_commands(paths, out):
+    return {
+        "synth-data": ["synth-data", "--out", out, "--n-queries", "2"],
+        "pretrain": ["pretrain", "--data", paths["data"], "--tokenizer", paths["tokenizer"], "--out", out],
+        "train": ["train", "--data", paths["data"], "--tokenizer", paths["tokenizer"], "--out", out],
+        "distill": ["distill", "--teacher", paths["model"], "--data", paths["data"],
+                    "--tokenizer", paths["tokenizer"], "--out", out],
+        "bench": ["bench", "--teacher", paths["model"], "--student", paths["student"],
+                  "--tokenizer", paths["tokenizer"], "--data", paths["data"], "--store", paths["store"]],
+    }
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["synth-data", "pretrain", "train", "distill", "bench"])
+def test_negative_seed_fails_with_one_line(pipeline, tmp_path, command, source):
+    """numpy refuses a negative seed with a traceback; every seeded command
+    refuses it first, whether it comes from a flag or from the config file."""
+    out = tmp_path / "out"
+    argv = _seeded_commands(pipeline, str(out))[command]
+    if source == "flag":
+        argv.append("--seed=-1")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    code, stdout, err = run_cli(argv)
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == ["error: seed must be non-negative, got -1"]
+    assert not out.exists()

@@ -429,7 +429,7 @@ class TestDatasetIO:
 class TestDatasetStats:
     def test_empty_dataset(self):
         stats = dataset_stats(Dataset([]))
-        assert stats.is_empty
+        assert stats.group_count == 0
         assert stats.list_len_median is None
 
     def test_longhand_medians(self):

@@ -11,7 +11,6 @@ import pytest
 
 from listrank.errors import ConfigurationError, EmptyInputError, ValidationError
 from listrank.losses import (
-    ApproxConfig,
     ListTarget,
     approxndcg_loss,
     finite_diff_check,
@@ -77,12 +76,13 @@ class TestListTarget:
             ranknet_loss(np.zeros(3), target)
 
 
-class TestApproxConfig:
+class TestApproxAlpha:
     def test_alpha_must_be_positive(self):
+        target = ListTarget(np.array([1, 0]))
         with pytest.raises(ConfigurationError):
-            ApproxConfig(0.0)
+            approxndcg_loss(np.zeros(2), target, alpha=0.0)
         with pytest.raises(ConfigurationError):
-            ApproxConfig(-1.0)
+            approxndcg_loss(np.zeros(2), target, alpha=-1.0)
 
 
 class TestRanknetLoss:
@@ -280,7 +280,7 @@ class TestApproxNdcgLoss:
         gains = 2.0**grades - 1.0
         idcg = float(np.sum(np.sort(gains)[::-1] / np.log2(2.0 + np.arange(n))))
         expected = -float(np.sum(gains / np.log2(2.0 + (n - 1) / 2.0))) / idcg
-        out = approxndcg_loss(np.full(n, 0.25), ListTarget(grades), ApproxConfig(5.0))
+        out = approxndcg_loss(np.full(n, 0.25), ListTarget(grades), 5.0)
         np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 
     def test_value_stays_in_unit_interval(self):
@@ -290,7 +290,7 @@ class TestApproxNdcgLoss:
         for alpha in (1.0, 10.0, 100.0):
             for _ in range(50):
                 scores, target = random_instance(rng)
-                out = approxndcg_loss(scores, target, ApproxConfig(alpha))
+                out = approxndcg_loss(scores, target, alpha)
                 assert -1.0 - 1e-12 <= out.value <= 1e-12
 
     def test_no_valid_slots_raises(self):
@@ -301,7 +301,7 @@ class TestApproxNdcgLoss:
         rng = np.random.default_rng(42)
         scores, target = random_instance(rng, n=10)
         err = finite_diff_check(
-            lambda s, t: approxndcg_loss(s, t, ApproxConfig(1.0)), scores, target, 5e-5
+            lambda s, t: approxndcg_loss(s, t, 1.0), scores, target, 5e-5
         )
         assert err < 1e-4
 
@@ -416,7 +416,7 @@ RANKING_KERNELS = {
     "ranknet": ranknet_loss,
     "listnet": listnet_loss,
     "listmle": lambda s, t: listmle_loss(s, t, tie_seed=0),
-    "approxndcg": lambda s, t: approxndcg_loss(s, t, ApproxConfig(10.0)),
+    "approxndcg": lambda s, t: approxndcg_loss(s, t, 10.0),
 }
 
 

@@ -19,8 +19,9 @@ from listrank.metrics import (
     metrics_to_csv,
     ndcg_at_k,
     nearest_rank_percentile,
-    order_by_scores,
     perplexity,
+    score_order,
+    str_rank,
 )
 
 
@@ -107,16 +108,16 @@ class TestOrderByScores:
     """Deterministic ranking of score lists."""
 
     def test_orders_by_descending_score(self):
-        assert order_by_scores([1.0, 3.0, 2.0]) == [1, 2, 0]
+        assert score_order(np.array([1.0, 3.0, 2.0]), np.arange(3)).tolist() == [1, 2, 0]
 
     def test_ties_break_by_original_index(self):
-        assert order_by_scores([2.0, 2.0, 3.0]) == [2, 0, 1]
+        assert score_order(np.array([2.0, 2.0, 3.0]), np.arange(3)).tolist() == [2, 0, 1]
 
     def test_ties_break_by_ascending_doc_id(self):
-        assert order_by_scores([1.0, 1.0], doc_ids=["b", "a"]) == [1, 0]
+        assert score_order(np.array([1.0, 1.0]), str_rank(["b", "a"])).tolist() == [1, 0]
 
     def test_empty_input(self):
-        assert order_by_scores([]) == []
+        assert score_order(np.array([]), np.arange(0)).tolist() == []
 
 
 class TestMeanNdcg:
@@ -152,6 +153,18 @@ class TestMeanNdcg:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyInputError):
             mean_ndcg([], lambda g: [])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_invalid_cutoff_is_refused_before_any_scoring(self, k):
+        calls = []
+
+        def scorer(group):
+            calls.append(group.query_id)
+            return [0.0] * len(group.docs)
+
+        with pytest.raises(ConfigurationError, match=f"NDCG cutoff k must be positive, got {k}"):
+            mean_ndcg([make_group("q1", [1, 2]), make_group("q2", [0, 1])], scorer, k=k)
+        assert calls == []
 
     def test_wrong_scorer_arity_raises(self):
         dataset = Dataset([make_group("q1", [1, 2])])

@@ -44,7 +44,7 @@ from listrank.serve import (
     rank_with_teacher,
     save_store,
 )
-from listrank.metrics import order_by_scores, str_rank
+from listrank.metrics import score_order, str_rank
 from listrank.tokenizer import train_bpe
 from listrank.training import checkpoint_fingerprint, init_checkpoint, make_cross_encoder_scorer
 
@@ -272,7 +272,7 @@ def same_bytes(got, expected):
 
 
 class TestSortedRanking:
-    """``_sorted_ranking`` and ``metrics.order_by_scores`` against Python's
+    """``_sorted_ranking`` and ``metrics.score_order`` against Python's
     sort on (-score, doc_id)."""
 
     @staticmethod
@@ -281,7 +281,7 @@ class TestSortedRanking:
         expected = python_sorted(doc_ids, scores)
         got = _sorted_ranking(doc_ids, str_rank(doc_ids), scores)
         assert same_bytes(got, expected)
-        assert [doc_ids[i] for i in order_by_scores(scores, doc_ids)] == [d for d, _ in expected]
+        assert [doc_ids[i] for i in score_order(scores, str_rank(doc_ids))] == [d for d, _ in expected]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_lists_with_many_ties(self, seed):
