@@ -95,7 +95,6 @@ class _Opt:
     required: bool = False
     help: str = ""
     choices: tuple = None
-    is_flag: bool = False
 
     @property
     def flag(self):
@@ -104,7 +103,7 @@ class _Opt:
 
 def _add_opts(parser, opts):
     for o in opts:
-        if o.is_flag:
+        if o.kind is bool:
             parser.add_argument(o.flag, action="store_const", const=True, default=None, help=o.help)
         else:
             parser.add_argument(o.flag, type=o.kind, default=None, choices=o.choices, help=o.help)
@@ -150,7 +149,7 @@ def _resolve(args, opts):
         if flag_value is not None:
             resolved[o.name] = flag_value
         elif o.name in file_cfg:
-            value = _config_value(o.name, file_cfg[o.name], bool if o.is_flag else o.kind)
+            value = _config_value(o.name, file_cfg[o.name], o.kind)
             if o.choices and value not in o.choices:
                 raise ConfigurationError(f"config key {o.name!r} must be one of {list(o.choices)}")
             resolved[o.name] = value
@@ -487,8 +486,7 @@ def _command_table():
                 _Opt("out", str, required=True, help="output student checkpoint path"),
                 _Opt("store_out", str, help="also write an embedding store here"),
                 _Opt("pair_cap", int, 50, help="max distillation pairs per query"),
-                _Opt("from_scratch", bool, False, is_flag=True,
-                     help="initialize the student fresh instead of from the teacher"),
+                _Opt("from_scratch", bool, False, help="initialize the student fresh instead of from the teacher"),
                 _Opt("epochs", int, 4, help="training epochs"),
                 _Opt("lr", float, 3e-4, help="learning rate"),
                 _Opt("batch_size", int, 8, help="query groups per optimizer step"),

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -192,8 +191,8 @@ class SyntheticSpec:
                 "attribute_vocab_size must be at least twice query_token_count "
                 "so every facet has a non-matching alternative"
             )
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValidationError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
@@ -254,7 +253,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             raw = GRADE_MAX * overlap / n_facets
             if spec.noise_std > 0:
                 raw += rng.normal(0.0, spec.noise_std)
-            grade = int(min(GRADE_MAX, max(0, math.floor(raw + 0.5))))
+            grade = math.floor(min(GRADE_MAX, max(0.0, raw)) + 0.5)
             docs.append(Document(doc_id=f"q{qi:05d}_d{dj:02d}", text=" ".join(tokens)))
             grades.append(grade)
         groups.append(
@@ -315,13 +314,16 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
             graded.append(grade)
             ctr_records.append(None)
         elif "clicks" in entry and "impressions" in entry:
+            for key in ("clicks", "impressions"):
+                if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+                    raise ParseError(f"{key!r} must be an integer, got {entry[key]!r}", line_no)
             graded.append(None)
             ctr_records.append(
                 ClickRecord(
                     query_id=str(obj["query_id"]),
                     doc_id=str(entry["doc_id"]),
-                    clicks=int(entry["clicks"]),
-                    impressions=int(entry["impressions"]),
+                    clicks=entry["clicks"],
+                    impressions=entry["impressions"],
                 )
             )
         else:

@@ -290,6 +290,8 @@ def benchmark_latency(
         raise ConfigurationError("list_size must be >= 1")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    if warmup < 0:
+        raise ConfigurationError(f"warmup must be non-negative, got {warmup}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
     teacher_ms = []

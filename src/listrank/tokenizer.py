@@ -261,14 +261,6 @@ def mask_for_mlm(
     """
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"mask rate must lie in [0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(len(seq.ids))
-    masked_ids = list(seq.ids)
-    labels = [UNMASKED] * len(seq.ids)
-    for pos, token_id in enumerate(seq.ids):
-        if token_id < N_SPECIAL:
-            continue
-        if draws[pos] < rate:
-            labels[pos] = token_id
-            masked_ids[pos] = MASK_ID
-    return TokenSequence(ids=masked_ids), labels
+    ids = np.asarray(seq.ids, dtype=np.int64)
+    chosen = (ids >= N_SPECIAL) & (np.random.default_rng(seed).random(ids.size) < rate)
+    return TokenSequence(ids=np.where(chosen, MASK_ID, ids).tolist()), np.where(chosen, ids, UNMASKED).tolist()

@@ -44,7 +44,7 @@ from .losses import (
     ranknet_loss,
 )
 from .metrics import MetricRow, mean_ndcg
-from .tokenizer import MASK_ID, N_SPECIAL, Tokenizer, mask_for_mlm
+from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
 LOSS_NAMES = ("ranknet", "listnet", "listmle", "approxndcg")
 
@@ -72,16 +72,16 @@ class TrainConfig:
     init_from_teacher: bool = True
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigurationError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if not self.approx_alpha > 0:
-            raise ConfigurationError("approx_alpha must be positive")
+        if not 0 < self.approx_alpha < np.inf:
+            raise ConfigurationError(f"approx_alpha must be positive and finite, got {self.approx_alpha}")
         if not 0.0 <= self.mask_rate <= 1.0:
             raise ConfigurationError("mask_rate must lie in [0, 1]")
         if not 0.0 < self.heldout_fraction < 1.0:
@@ -234,15 +234,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 # -- shared helpers ---------------------------------------------------------
 
 
-def _encode_groups(dataset: Dataset, tokenizer: Tokenizer, max_len: int):
-    """Tokenize every (query, document) pair once, grouped by query."""
-    encoded = []
-    for group in dataset.groups:
-        seqs = [tokenizer.encode_pair(group.query_text, d.text, max_len) for d in group.docs]
-        encoded.append([s.ids for s in seqs])
-    return encoded
-
-
 def make_loss_kernel(loss_name: str, train_config: TrainConfig):
     """Kernel(scores, target, tie_seed) for the configured objective."""
     if loss_name == "ranknet":
@@ -325,17 +316,18 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 
     Each epoch visits the ``n_items`` training items in an order drawn from
     ``[seed, shuffle_tag]``, ``batch_size`` at a time. ``step(batch, epoch)``
-    gets the item indices and returns ``(grads, losses, weight)`` for one Adam
-    step, or None to skip the batch. The epoch's train row is the sum of all
-    ``losses``, added in order, over the sum of all weights (0.0 when every
-    batch was skipped); ``evaluate(epoch)``'s rows follow it. Returns the
-    history rows.
+    gets the item indices, runs the forward pass and returns ``(trace,
+    finish)``, or None to skip the batch; ``finish()`` returns ``(grads,
+    losses, weight)`` for one Adam step. The epoch's train row is the sum of
+    all ``losses``, added in order, over the sum of all weights (0.0 when
+    every batch was skipped); ``evaluate(epoch)``'s rows follow it. Returns
+    the history rows.
 
-    Each step keeps its forward trace in the enclosing function (``nonlocal
-    trace``), so the previous batch's trace is freed only once the next
-    forward has replaced it, as in an inline loop. Freed when the step
-    returns, its pages go back to the operating system and fault in again on
-    every step: 2.5 times the page faults and about 10% slower fine-tuning.
+    As in an inline loop, a step's trace is freed only once the next forward
+    has run, and its other arrays as soon as it has finished. Freed with its
+    step, the trace's pages go back to the operating system and fault in
+    again every step (2.5 times the page faults, about 10% slower
+    fine-tuning); kept longer, it or those arrays add page faults too.
     """
     state = init_adam_state(params)
     shuffle_rng = np.random.default_rng([train_config.seed, shuffle_tag])
@@ -344,10 +336,12 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
         order = shuffle_rng.permutation(n_items)
         total, weight = 0.0, 0
         for start in range(0, n_items, train_config.batch_size):
-            result = step(order[start : start + train_config.batch_size], epoch)
-            if result is None:
+            forwarded = step(order[start : start + train_config.batch_size], epoch)
+            if forwarded is None:
                 continue
-            grads, losses, batch_weight = result
+            trace, finish = forwarded  # frees the previous step's trace
+            grads, losses, batch_weight = finish()
+            del forwarded, finish  # frees this step's other arrays before the next forward
             adam_step(params, grads, state, train_config)
             for value in losses:
                 total += value
@@ -360,16 +354,21 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 # -- masked-token pre-training ----------------------------------------------
 
 
-def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, positions, labels):
-    """Masked-token loss of the id ``rows`` at their ``positions`` (one list
-    per row, possibly empty) against the int64 ``labels`` of those positions
-    in order. Returns ``(loss, hidden, states, trace)``, ``states`` being the
-    gathered hidden states the head scored."""
+def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
+    """Masked-token loss of the id ``rows`` against ``label_rows``, label lists
+    as ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past its
+    end). Returns ``(loss, hidden, masked, states, trace)``: ``masked`` marks
+    the labelled positions and ``states = hidden[masked]``, in row-major
+    order, are the hidden states the head scored."""
     ids, mask = enc.pad_token_rows(rows)
+    labels = np.full(ids.shape, UNMASKED, dtype=np.int64)
+    for i, row in enumerate(label_rows):
+        labels[i, : len(row)] = row
+    masked = labels != UNMASKED
     hidden, trace = enc.forward_batch(params, config, ids, mask)
-    states = np.concatenate([hidden[i, pos, :] for i, pos in enumerate(positions) if pos])
-    loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels)
-    return loss, hidden, states, trace
+    states = hidden[masked]
+    loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
+    return loss, hidden, masked, states, trace
 
 
 def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mask_rate: float, mask_seed_base: list) -> float:
@@ -379,28 +378,19 @@ def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mas
     the first maskable position of the first eligible line is masked instead,
     so the evaluation is never empty for a corpus with any real tokens.
     """
-    batch_rows, batch_labels = [], []
+    rows, label_rows = [], []
     for li, seq in enumerate(seqs):
         masked, labels = mask_for_mlm(seq, rate=mask_rate, seed=mask_seed_base + [li])
-        positions = [p for p, lab in enumerate(labels) if lab >= 0]
-        if not positions:
-            continue
-        batch_rows.append((masked.ids, positions))
-        batch_labels.extend(labels[p] for p in positions)
-    if not batch_rows:
-        for seq in seqs:
-            maskable = [p for p, t in enumerate(seq.ids) if t >= N_SPECIAL]
-            if maskable:
-                forced = list(seq.ids)
-                batch_labels.append(forced[maskable[0]])
-                forced[maskable[0]] = MASK_ID
-                batch_rows.append((forced, [maskable[0]]))
-                break
-    if not batch_rows:
-        raise EmptyInputError("evaluation lines contain no maskable tokens")
-    rows, positions = zip(*batch_rows)
-    out, _, _, _ = _mlm_loss(params, config, rows, positions, np.asarray(batch_labels, dtype=np.int64))
-    return out.value
+        if any(lab != UNMASKED for lab in labels):
+            rows.append(masked.ids)
+            label_rows.append(labels)
+    if not rows:
+        maskable = ((seq.ids, p) for seq in seqs for p, t in enumerate(seq.ids) if t >= N_SPECIAL)
+        ids, p = next(maskable, (None, None))
+        if ids is None:
+            raise EmptyInputError("evaluation lines contain no maskable tokens")
+        rows, label_rows = [ids[:p] + [MASK_ID] + ids[p + 1 :]], [[UNMASKED] * p + [ids[p]]]
+    return _mlm_loss(params, config, rows, label_rows)[0].value
 
 
 def pretrain_mlm(
@@ -426,44 +416,35 @@ def pretrain_mlm(
     split_rng = np.random.default_rng([train_config.seed, 7201])
     perm = split_rng.permutation(n)
     n_heldout = max(1, int(round(train_config.heldout_fraction * n))) if n > 1 else 0
-    heldout_idx = perm[:n_heldout]
-    train_idx = perm[n_heldout:] if n_heldout else perm
-    heldout_seqs = [seqs[i] for i in heldout_idx] if n_heldout else [seqs[i] for i in train_idx]
+    train_idx = perm[n_heldout:]
+    heldout_seqs = [seqs[i] for i in (perm[:n_heldout] if n_heldout else train_idx)]
     eval_seed_base = [train_config.seed, 7202]
 
     def evaluate(epoch):
         loss = evaluate_mlm(params, encoder_config, heldout_seqs, train_config.mask_rate, eval_seed_base)
         return [MetricRow(epoch, "heldout", "mlm", loss, None)]
 
-    trace = None  # outlives the step; see _train
-
     def step(batch, epoch):
-        nonlocal trace
-        rows, gathered_labels, gathered_positions = [], [], []
+        rows, label_rows = [], []
         for li in train_idx[batch]:
-            masked, labels = mask_for_mlm(
+            masked_seq, labels = mask_for_mlm(
                 seqs[li], rate=train_config.mask_rate, seed=[train_config.seed, 7204, epoch, int(li)]
             )
-            positions = [p for p, lab in enumerate(labels) if lab >= 0]
-            rows.append(masked.ids)
-            gathered_positions.append(positions)
-            gathered_labels.extend(labels[p] for p in positions)
-        if not gathered_labels:
+            rows.append(masked_seq.ids)
+            label_rows.append(labels)
+        if all(lab == UNMASKED for labels in label_rows for lab in labels):
             return None
-        labels_arr = np.asarray(gathered_labels, dtype=np.int64)
-        out, hidden, states, trace = _mlm_loss(params, encoder_config, rows, gathered_positions, labels_arr)
+        out, hidden, masked, states, trace = _mlm_loss(params, encoder_config, rows, label_rows)
 
-        d_states = out.grad @ params.tok_emb
-        d_hidden = np.zeros_like(hidden)
-        row_offset = 0
-        for i, pos in enumerate(gathered_positions):
-            if pos:
-                d_hidden[i, pos, :] = d_states[row_offset : row_offset + len(pos)]
-                row_offset += len(pos)
-        grads = enc.backward_batch(params, encoder_config, trace, d_hidden)
-        grads.tok_emb += out.grad.T @ states
-        grads.mlm_bias += out.grad.sum(axis=0)
-        return grads, [out.value * labels_arr.size], labels_arr.size
+        def finish():
+            d_hidden = np.zeros_like(hidden)
+            d_hidden[masked] = out.grad @ params.tok_emb
+            grads = enc.backward_batch(params, encoder_config, trace, d_hidden)
+            grads.tok_emb += out.grad.T @ states
+            grads.mlm_bias += out.grad.sum(axis=0)
+            return grads, [out.value * len(states)], len(states)
+
+        return trace, finish
 
     history = evaluate(0)
     history += _train(params, train_config, train_idx.size, 7203, "mlm", step, evaluate)
@@ -495,40 +476,40 @@ def finetune_ltr(
     History rows carry the mean training loss per epoch and, when an eval
     dataset is given, its mean NDCG per epoch. Returns ``(checkpoint, history)``.
     """
-    if loss_name not in LOSS_NAMES:
-        raise ConfigurationError(f"unknown loss {loss_name!r}; choose one of {LOSS_NAMES}")
+    kernel = make_loss_kernel(loss_name, train_config)
     if not dataset.groups:
         raise EmptyInputError("training dataset has no query groups")
     _check_tokenizer(checkpoint_in, tokenizer)
 
     config = checkpoint_in.config
     params = checkpoint_in.params.copy()
-    kernel = make_loss_kernel(loss_name, train_config)
-    encoded = _encode_groups(dataset, tokenizer, config.max_len)
+    encoded = [[tokenizer.encode_pair(g.query_text, d.text, config.max_len).ids for d in g.docs]
+               for g in dataset.groups]
     targets = [ListTarget(np.asarray(g.grades, dtype=np.int64)) for g in dataset.groups]
 
     def snapshot(epoch):
         return Checkpoint(config, params, loss_name, train_config.seed, epoch, checkpoint_in.tokenizer_hash)
 
-    trace = None  # outlives the step; see _train
-
     def step(batch, epoch):
-        nonlocal trace
         rows = [row for gi in batch for row in encoded[gi]]
         ids, mask = enc.pad_token_rows(rows)
         scores, trace = enc.score_cls_batch(params, config, ids, mask)
-        d_scores = np.zeros_like(scores)
-        values = []
-        offset = 0
-        for gi in batch:
-            size = len(encoded[gi])
-            sl = slice(offset, offset + size)
-            tie_seed = [train_config.seed, 8102, epoch, int(gi)]
-            out = kernel(scores[sl], targets[gi], tie_seed)
-            d_scores[sl] = out.grad / batch.size
-            values.append(out.value)
-            offset += size
-        return enc.score_cls_backward(params, config, trace, d_scores), values, batch.size
+
+        def finish():
+            d_scores = np.zeros_like(scores)
+            values = []
+            offset = 0
+            for gi in batch:
+                size = len(encoded[gi])
+                sl = slice(offset, offset + size)
+                tie_seed = [train_config.seed, 8102, epoch, int(gi)]
+                out = kernel(scores[sl], targets[gi], tie_seed)
+                d_scores[sl] = out.grad / batch.size
+                values.append(out.value)
+                offset += size
+            return enc.score_cls_backward(params, config, trace, d_scores), values, batch.size
+
+        return trace, finish
 
     evaluate = _ndcg_eval(eval_dataset, snapshot, make_cross_encoder_scorer, tokenizer)
     history = _train(params, train_config, len(dataset.groups), 8101, loss_name, step, evaluate)
@@ -608,32 +589,33 @@ def distill(
     def snapshot(epoch):
         return Checkpoint(config, params, "margin_mse", train_config.seed, epoch, teacher.tokenizer_hash)
 
-    trace = None  # outlives the step; see _train
-
     def step(batch, epoch):
-        nonlocal trace
         rows = [row for bi in batch for row in encoded[bi]["rows"]]
         ids, mask = enc.pad_token_rows(rows)
         emb, trace = enc.embed_batch(params, config, ids, mask)
-        d_emb = np.zeros_like(emb)
-        values = []
-        offset = 0
-        for bi in batch:
-            e = encoded[bi]
-            n_rows = len(e["rows"])
-            block = emb[offset : offset + n_rows]
-            q = block[0]
-            s_pos = block[e["pos"]] @ q
-            s_neg = block[e["neg"]] @ q
-            out = margin_mse_loss(e["t_pos"], e["t_neg"], s_pos, s_neg)
-            d_pos, d_neg = out.grad[0] / batch.size, out.grad[1] / batch.size
-            d_block = d_emb[offset : offset + n_rows]
-            np.add.at(d_block, e["pos"], d_pos[:, None] * q[None, :])
-            np.add.at(d_block, e["neg"], d_neg[:, None] * q[None, :])
-            d_block[0] += d_pos @ block[e["pos"]] + d_neg @ block[e["neg"]]
-            values.append(out.value)
-            offset += n_rows
-        return enc.embed_backward(params, config, trace, d_emb), values, batch.size
+
+        def finish():
+            d_emb = np.zeros_like(emb)
+            values = []
+            offset = 0
+            for bi in batch:
+                e = encoded[bi]
+                n_rows = len(e["rows"])
+                block = emb[offset : offset + n_rows]
+                q = block[0]
+                s_pos = block[e["pos"]] @ q
+                s_neg = block[e["neg"]] @ q
+                out = margin_mse_loss(e["t_pos"], e["t_neg"], s_pos, s_neg)
+                d_pos, d_neg = out.grad[0] / batch.size, out.grad[1] / batch.size
+                d_block = d_emb[offset : offset + n_rows]
+                np.add.at(d_block, e["pos"], d_pos[:, None] * q[None, :])
+                np.add.at(d_block, e["neg"], d_neg[:, None] * q[None, :])
+                d_block[0] += d_pos @ block[e["pos"]] + d_neg @ block[e["neg"]]
+                values.append(out.value)
+                offset += n_rows
+            return enc.embed_backward(params, config, trace, d_emb), values, batch.size
+
+        return trace, finish
 
     evaluate = _ndcg_eval(eval_dataset, snapshot, make_bi_encoder_scorer, tokenizer)
     history = _train(params, train_config, len(usable), 9101, "margin_mse", step, evaluate)

@@ -555,3 +555,48 @@ def test_negative_seed_fails_with_one_line(pipeline, tmp_path, command, source):
     assert stdout == ""
     assert error_lines(err) == ["error: seed must be non-negative, got -1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("warmup", ["-1", "-31"])
+def test_negative_warmup_fails_with_one_line(pipeline, warmup):
+    """-1 measured 29 queries, under the floor of 30; -31 ended in numpy's
+    negative-dimension traceback."""
+    argv = _seeded_commands(pipeline, "unused")["bench"]
+    code, stdout, err = run_cli(argv + ["--n-queries", "30", "--list-size", "4", f"--warmup={warmup}"])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: warmup must be non-negative, got {warmup}"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--lr", "inf", "lr must be positive and finite, got inf"),
+    ("train", "--alpha", "inf", "approx_alpha must be positive and finite, got inf"),
+    ("pretrain", "--lr", "inf", "lr must be positive and finite, got inf"),
+    ("distill", "--lr", "inf", "lr must be positive and finite, got inf"),
+    ("synth-data", "--noise-std", "inf", "noise_std must be non-negative and finite, got inf"),
+    ("synth-data", "--noise-std", "nan", "noise_std must be non-negative and finite, got nan"),
+], ids=["train-lr", "train-alpha", "pretrain-lr", "distill-lr", "synth-data-noise-inf", "synth-data-noise-nan"])
+def test_non_finite_option_fails_with_one_line(pipeline, tmp_path, command, flag, value, message):
+    """An infinite rate failed as a non-finite gradient (exit 2), an infinite
+    noise as an OverflowError traceback; a nan noise wrote noise-free grades."""
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(_seeded_commands(pipeline, str(out))[command] + [flag, value])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clicks", ["x", None, [1], 1.7, True])
+def test_non_integer_clicks_fail_with_one_line(tmp_path, clicks):
+    """A dataset's counts are JSON integers; a traceback or a silent
+    truncation was the outcome before."""
+    data = tmp_path / "data.jsonl"
+    doc = {"doc_id": "d", "text": "t", "clicks": clicks, "impressions": 3}
+    data.write_text(json.dumps({"query_id": "q", "query": "x", "docs": [doc]}) + "\n", encoding="utf-8")
+    out = tmp_path / "tok.json"
+    code, stdout, err = run_cli(["tokenize-train", "--data", str(data), "--vocab-size", "300", "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: line 1: 'clicks' must be an integer, got {clicks!r}"]
+    assert not out.exists()

@@ -239,6 +239,12 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(n_queries=1, noise_std=-0.1)
 
+    @pytest.mark.parametrize("noise_std", [math.inf, math.nan])
+    def test_rejects_non_finite_noise(self, noise_std):
+        """inf overflowed in the grade rounding; nan skipped the noise, as nan > 0 is false."""
+        with pytest.raises(ValidationError, match="noise_std must be non-negative and finite"):
+            SyntheticSpec(n_queries=1, noise_std=noise_std)
+
 
 class TestAttributeVocabulary:
     def test_deterministic_for_same_shape(self):
@@ -301,6 +307,14 @@ class TestGenerateSynthetic:
         )
         for group in generate_synthetic(spec).groups:
             assert all(0 <= g <= 4 for g in group.grades)
+
+    def test_overflowing_noise_saturates_the_grades(self):
+        """A finite noise_std near the float maximum draws infinite noise,
+        which rounding to a grade used to refuse with an OverflowError."""
+        spec = SyntheticSpec(n_queries=3, list_size=20, attribute_vocab_size=40, noise_std=1e308, seed=4)
+        grades = [g for group in generate_synthetic(spec).groups for g in group.grades]
+        assert set(grades) == {0, 4}
+        assert all(type(g) is int for g in grades)
 
     def test_train_and_test_files_share_the_vocabulary(self):
         """Different seeds draw from one fixed attribute vocabulary, so a
@@ -424,6 +438,21 @@ class TestDatasetIO:
         }
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         assert load_dataset(path).groups[0].grades == [4, 2, 1]
+
+    @pytest.mark.parametrize("key", ["clicks", "impressions"])
+    @pytest.mark.parametrize("value", ["x", None, [1], 1.7, 2.0, True])
+    def test_non_integer_counts_rejected_with_line_number(self, tmp_path, key, value):
+        """Counts are JSON integers, as grades are: int() raised a traceback
+        on a string, null or list, truncated 1.7 and took true as 1."""
+        path = tmp_path / "bad.jsonl"
+        good = {"doc_id": "d", "text": "t", "clicks": 1, "impressions": 3}
+        bad = dict(good, **{key: value})
+        lines = [json.dumps({"query_id": qid, "query": "x", "docs": [doc]})
+                 for qid, doc in (("q1", good), ("q2", bad))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"line 2: '{key}' must be an integer, got {value!r}"
 
 
 class TestDatasetStats:

@@ -7,6 +7,7 @@ text the tokenizer never saw, because unmerged bytes remain encodable.
 
 import json
 
+import numpy as np
 import pytest
 
 from listrank.errors import ConfigurationError, EmptyInputError, ParseError, ValidationError
@@ -274,3 +275,20 @@ class TestMaskForMlm:
             mask_for_mlm(seq, rate=1.5)
         with pytest.raises(ConfigurationError):
             mask_for_mlm(seq, rate=-0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.15, 0.5, 1.0])
+    def test_matches_the_per_position_loop(self, rate):
+        """The same draws as a written-out loop over positions, lengths 0-40,
+        with special ids mixed in; plain int ids and labels come back."""
+        ids_rng = np.random.default_rng(17)
+        for length in range(41):
+            ids = ids_rng.integers(0, 3 * N_SPECIAL, size=length).tolist()
+            seed = [23, length]
+            draws = np.random.default_rng(seed).random(length)
+            want_ids, want_labels = list(ids), [UNMASKED] * length
+            for pos, token_id in enumerate(ids):
+                if token_id >= N_SPECIAL and draws[pos] < rate:
+                    want_ids[pos], want_labels[pos] = MASK_ID, token_id
+            masked, labels = mask_for_mlm(TokenSequence(ids=ids), rate=rate, seed=seed)
+            assert (masked.ids, labels) == (want_ids, want_labels)
+            assert all(type(v) is int for v in masked.ids + labels)

@@ -9,11 +9,13 @@ import dataclasses
 import math
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from conftest import rewrite_header
 
+from listrank import encoder, training
 from listrank.dataset import (
     Dataset,
     Document,
@@ -99,6 +101,12 @@ class TestTrainConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lr", "approx_alpha"])
+    def test_infinite_rate_rejected(self, field):
+        """An infinite rate used to surface as a non-finite gradient after a step."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite, got inf"):
+            TrainConfig(**{field: math.inf})
 
     def test_zero_epochs_allowed(self):
         assert TrainConfig(epochs=0).epochs == 0
@@ -788,3 +796,84 @@ class TestDistill:
         assert train[-1] < train[0]
         assert student.loss_name == "margin_mse"
         assert student.tokenizer_hash == teacher.tokenizer_hash
+
+
+class TestTraceLifetime:
+    """``_train`` drops each step's forward trace once the next step's
+    forward has run and before its backward, as an inline loop would: every
+    training forward after the first starts while the previous step's trace
+    is alive, so its pages are reused rather than returned to the operating
+    system and faulted in again, and every backward starts with only its own
+    trace alive, so the backward reuses the previous trace's pages."""
+
+    EPOCHS, BATCH = 2, 4
+
+    @pytest.fixture
+    def lifetimes(self, monkeypatch):
+        """Wrap the encoder's forward and backward. Each forward records
+        whether the trace made before it is still alive, each backward
+        whether every trace made before its own has been freed."""
+        traces, forwards, backwards = [], [], []
+        real_forward, real_backward = encoder.forward_batch, encoder.backward_batch
+
+        def forward_batch(*args):
+            forwards.append(bool(traces) and traces[-1]() is not None)
+            hidden, trace = real_forward(*args)
+            traces.append(weakref.ref(trace))
+            return hidden, trace
+
+        def backward_batch(*args):
+            backwards.append(all(ref() is None for ref in traces[:-1]))
+            return real_backward(*args)
+
+        monkeypatch.setattr(encoder, "forward_batch", forward_batch)
+        monkeypatch.setattr(encoder, "backward_batch", backward_batch)
+        return forwards, backwards
+
+    def steps(self, n_items):
+        return self.EPOCHS * math.ceil(n_items / self.BATCH)
+
+    def test_finetune(self, tiny_world, lifetimes):
+        dataset, tokenizer, config = tiny_world
+        forwards, backwards = lifetimes
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        finetune_ltr(dataset, ckpt, "listnet", TrainConfig(epochs=self.EPOCHS, batch_size=self.BATCH), tokenizer)
+        n = self.steps(len(dataset.groups))
+        assert forwards == [False] + [True] * (n - 1)
+        assert backwards == [True] * n
+
+    def test_distill(self, tiny_world, lifetimes):
+        """The teacher's scoring forwards come first and keep no trace."""
+        dataset, tokenizer, config = tiny_world
+        forwards, backwards = lifetimes
+        teacher = dataclasses.replace(init_checkpoint(config, 0, tokenizer.content_hash()), loss_name="listnet")
+        tc = TrainConfig(epochs=self.EPOCHS, batch_size=self.BATCH)
+        distill(teacher, dataset, tc, tokenizer)
+        n = self.steps(sum(1 for g in dataset.groups if distill_pairs(g, tc.distill_pair_cap)))
+        assert len(forwards) == len(dataset.groups) + n
+        assert forwards[-n:] == [False] + [True] * (n - 1)
+        assert backwards == [True] * n
+
+    def test_pretrain_without_heldout_forwards(self, tiny_world, lifetimes, monkeypatch):
+        """One line per step: many lines draw no mask and their steps are
+        skipped without a forward, and the trace outlives those steps too.
+        A step's loss gradient is freed before the next step's loss."""
+        dataset, tokenizer, config = tiny_world
+        forwards, backwards = lifetimes
+        monkeypatch.setattr(training, "evaluate_mlm", lambda *args: 0.0)
+        loss_grads, real_loss = [], training.mlm_cross_entropy
+
+        def mlm_cross_entropy(*args):
+            assert not loss_grads or loss_grads[-1]() is None
+            out = real_loss(*args)
+            loss_grads.append(weakref.ref(out.grad))
+            return out
+
+        monkeypatch.setattr(training, "mlm_cross_entropy", mlm_cross_entropy)
+        corpus = corpus_lines(dataset)
+        tc = TrainConfig(epochs=1, batch_size=1)
+        pretrain_mlm(corpus, tokenizer, config, tc)
+        n_train = len(corpus) - round(tc.heldout_fraction * len(corpus))
+        assert n_train // 2 < len(forwards) < n_train
+        assert forwards == [False] + [True] * (len(forwards) - 1)
+        assert backwards == [True] * len(forwards) == [True] * len(loss_grads)
