@@ -14,9 +14,10 @@ For each shape the record holds the median and quartiles of the forward,
 backward, Adam and whole-step times over clean repetitions, the minor page
 faults per step, and the GELU and layer-norm share of the step, timed in
 separate repetitions by wrapping the encoder's ``_gelu``, ``_gelu_grad``,
-``_layer_norm`` and ``_layer_norm_backward``. Without ``--out`` the record
-is printed; with it, the record is stored under ``--label`` in ``FILE``
-(other labels are kept).
+``_layer_norm`` and ``_layer_norm_backward``. As in ``training._train``,
+each step's trace is freed once the next step's forward has run. Without
+``--out`` the record is printed; with it, the record is stored under
+``--label`` in ``FILE`` (other labels are kept).
 """
 
 import os
@@ -58,27 +59,26 @@ def bench_shape(enc, training, n_seqs: int, length: int, reps: int) -> dict:
     params = enc.init_params(config, seed=0)
     state = training.init_adam_state(params)
     train_config = training.TrainConfig()
+    held = [None]  # the last step's trace, freed once the next forward has run, as in training._train
 
     def step(times):
         t0 = time.perf_counter()
-        _, trace = enc.score_cls_batch(params, config, ids, mask)
+        _, held[0] = enc.score_cls_batch(params, config, ids, mask)
         t1 = time.perf_counter()
-        grads = enc.score_cls_backward(params, config, trace, d_scores)
+        grads = enc.score_cls_backward(params, config, held[0], d_scores)
         t2 = time.perf_counter()
         training.adam_step(params, grads, state, train_config)
         t3 = time.perf_counter()
         if times is not None:
             for key, value in zip(("forward", "backward", "adam", "step"), (t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
                 times[key].append(value)
-        return trace  # the caller holds it until the next step, as the training loop does
 
-    trace = None
     for _ in range(WARMUP):
-        trace = step(None)
+        step(None)
     times = {k: [] for k in ("forward", "backward", "adam", "step")}
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
-        trace = step(times)
+        step(times)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
     spent = {k: 0.0 for k in KERNELS}
@@ -98,11 +98,11 @@ def bench_shape(enc, training, n_seqs: int, length: int, reps: int) -> dict:
     try:
         wrapped = {k: [] for k in ("forward", "backward", "adam", "step")}
         for _ in range(reps):
-            trace = step(wrapped)
+            step(wrapped)
     finally:
         for name, fn in originals.items():
             setattr(enc, name, fn)
-    del trace
+    del held
     wrapped_step = sum(wrapped["step"])
     return {
         "sequences": n_seqs,

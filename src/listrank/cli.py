@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .dataset import (
     Dataset,
@@ -28,17 +28,7 @@ from .dataset import (
     save_dataset,
 )
 from .encoder import POOLINGS, EncoderConfig
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    ContractError,
-    EmptyInputError,
-    ListRankError,
-    MissingIdError,
-    ParseError,
-    StoreError,
-    ValidationError,
-)
+from .errors import ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError
 from .metrics import mean_ndcg, metrics_to_csv, MetricRow
 from .serve import (
     benchmark_latency,
@@ -48,7 +38,7 @@ from .serve import (
     rank_with_teacher,
     save_store,
 )
-from .tokenizer import Tokenizer, load_tokenizer, train_bpe
+from .tokenizer import load_tokenizer, train_bpe
 from .training import (
     Checkpoint,
     LOSS_NAMES,
@@ -58,23 +48,10 @@ from .training import (
     finetune_ltr,
     init_checkpoint,
     load_checkpoint,
-    make_bi_encoder_scorer,
-    make_cross_encoder_scorer,
+    make_scorer,
     pretrain_mlm,
     save_checkpoint,
 )
-
-_INVALID_INPUT_ERRORS = (
-    ConfigurationError,
-    ValidationError,
-    ParseError,
-    MissingIdError,
-    EmptyInputError,
-    ContractError,
-    CheckpointError,
-    StoreError,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -188,9 +165,8 @@ _ENCODER_FLAGS = (
     ("max_len", "max_len", "maximum sequence length"),
     ("pooling", "pooling", "embedding pooling"),
 )
-_ENCODER_DEFAULTS = {f.name: f.default for f in fields(EncoderConfig)}
 _ENCODER_OPTS = [
-    _Opt(flag, type(_ENCODER_DEFAULTS[name]), _ENCODER_DEFAULTS[name], help=text,
+    _Opt(flag, type(getattr(EncoderConfig, name)), getattr(EncoderConfig, name), help=text,
          choices=POOLINGS if name == "pooling" else None)
     for flag, name, text in _ENCODER_FLAGS
 ]
@@ -198,12 +174,6 @@ _ENCODER_OPTS = [
 
 def _encoder_config(resolved, vocab_size):
     return EncoderConfig(vocab_size=vocab_size, **{name: resolved[flag] for flag, name, _ in _ENCODER_FLAGS})
-
-
-def _scorer_for(ckpt: Checkpoint, tokenizer: Tokenizer):
-    if ckpt.loss_name == "margin_mse":
-        return make_bi_encoder_scorer(ckpt, tokenizer)
-    return make_cross_encoder_scorer(ckpt, tokenizer)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -297,7 +267,7 @@ def _cmd_eval(resolved):
     tokenizer = load_tokenizer(resolved["tokenizer"])
     ckpt = load_checkpoint(resolved["model"])
     dataset = load_dataset(resolved["data"])
-    ndcg = mean_ndcg(dataset, _scorer_for(ckpt, tokenizer), k=resolved["k"])
+    ndcg = mean_ndcg(dataset, make_scorer(ckpt, tokenizer), k=resolved["k"])
     row = MetricRow(ckpt.epoch, "eval", ckpt.loss_name, None, ndcg)
     sys.stdout.write(metrics_to_csv([row]))
     return 0
@@ -413,10 +383,10 @@ def _command_table():
             [
                 _Opt("out", str, required=True, help="output dataset path (JSONL)"),
                 _Opt("n_queries", int, required=True, help="number of query groups"),
-                _Opt("list_size", int, 30, help="documents per query"),
-                _Opt("attribute_vocab", int, 120, help="attribute vocabulary size"),
-                _Opt("query_tokens", int, 4, help="attribute words per query"),
-                _Opt("noise_std", float, 0.2, help="grade noise standard deviation"),
+                _Opt("list_size", int, SyntheticSpec.list_size, help="documents per query"),
+                _Opt("attribute_vocab", int, SyntheticSpec.attribute_vocab_size, help="attribute vocabulary size"),
+                _Opt("query_tokens", int, SyntheticSpec.query_token_count, help="attribute words per query"),
+                _Opt("noise_std", float, SyntheticSpec.noise_std, help="grade noise standard deviation"),
                 seed,
             ],
         ),
@@ -441,8 +411,8 @@ def _command_table():
                 _Opt("epochs", int, 4, help="training epochs"),
                 _Opt("lr", float, 1e-3, help="learning rate"),
                 _Opt("batch_size", int, 64, help="lines per optimizer step"),
-                _Opt("mask_rate", float, 0.15, help="fraction of tokens masked"),
-                _Opt("heldout_fraction", float, 0.1, help="corpus fraction held out"),
+                _Opt("mask_rate", float, TrainConfig.mask_rate, help="fraction of tokens masked"),
+                _Opt("heldout_fraction", float, TrainConfig.heldout_fraction, help="corpus fraction held out"),
                 seed,
             ]
             + _ENCODER_OPTS,
@@ -456,7 +426,7 @@ def _command_table():
                 _Opt("tokenizer", str, required=True, help="tokenizer path"),
                 _Opt("init", str, help="starting checkpoint (default: fresh init)"),
                 _Opt("loss", str, "approxndcg", choices=LOSS_NAMES, help="surrogate loss"),
-                _Opt("alpha", float, 1.0, help="smooth-rank sharpness (approxndcg)"),
+                _Opt("alpha", float, TrainConfig.approx_alpha, help="smooth-rank sharpness (approxndcg)"),
                 _Opt("out", str, required=True, help="output checkpoint path"),
                 _Opt("epochs", int, 10, help="training epochs"),
                 _Opt("lr", float, 3e-4, help="learning rate"),
@@ -485,7 +455,7 @@ def _command_table():
                 _Opt("tokenizer", str, required=True, help="tokenizer path"),
                 _Opt("out", str, required=True, help="output student checkpoint path"),
                 _Opt("store_out", str, help="also write an embedding store here"),
-                _Opt("pair_cap", int, 50, help="max distillation pairs per query"),
+                _Opt("pair_cap", int, TrainConfig.distill_pair_cap, help="max distillation pairs per query"),
                 _Opt("from_scratch", bool, False, help="initialize the student fresh instead of from the teacher"),
                 _Opt("epochs", int, 4, help="training epochs"),
                 _Opt("lr", float, 3e-4, help="learning rate"),
@@ -549,7 +519,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except (_UsageError, *_INVALID_INPUT_ERRORS) as exc:
+    except (_UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ListRankError, OSError) as exc:

@@ -295,10 +295,17 @@ def save_dataset(dataset: Dataset, path) -> None:
     atomic_write(path, "".join(lines).encode("utf-8"))
 
 
+def _check_strings(obj: dict, keys, line_no: int) -> None:
+    for key in keys:
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{key!r} must be a string, got {obj[key]!r}", line_no)
+
+
 def _parse_group(obj: dict, line_no: int) -> QueryGroup:
     for key in ("query_id", "query", "docs"):
         if key not in obj:
             raise ParseError(f"missing field {key!r}", line_no)
+    _check_strings(obj, ("query_id", "query"), line_no)
     if not isinstance(obj["docs"], list) or not obj["docs"]:
         raise ParseError("'docs' must be a non-empty array", line_no)
     docs = []
@@ -307,7 +314,11 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
     for entry in obj["docs"]:
         if not isinstance(entry, dict) or "doc_id" not in entry or "text" not in entry:
             raise ParseError("each doc needs 'doc_id' and 'text'", line_no)
-        docs.append(Document(doc_id=str(entry["doc_id"]), text=str(entry["text"])))
+        _check_strings(entry, ("doc_id", "text"), line_no)
+        try:
+            docs.append(Document(doc_id=entry["doc_id"], text=entry["text"]))
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no) from exc
         if "grade" in entry:
             grade = entry["grade"]
             _check_grade(grade, f"line {line_no}")
@@ -318,14 +329,10 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
                 if not isinstance(entry[key], int) or isinstance(entry[key], bool):
                     raise ParseError(f"{key!r} must be an integer, got {entry[key]!r}", line_no)
             graded.append(None)
-            ctr_records.append(
-                ClickRecord(
-                    query_id=str(obj["query_id"]),
-                    doc_id=str(entry["doc_id"]),
-                    clicks=entry["clicks"],
-                    impressions=entry["impressions"],
-                )
-            )
+            try:
+                ctr_records.append(ClickRecord(obj["query_id"], entry["doc_id"], entry["clicks"], entry["impressions"]))
+            except ValidationError as exc:
+                raise ParseError(str(exc), line_no) from exc
         else:
             raise ParseError("doc needs either 'grade' or both 'clicks'/'impressions'", line_no)
     if all(g is not None for g in graded):
@@ -334,12 +341,7 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
         grades = grade_from_ctr([r for r in ctr_records if r is not None], min_impressions=0)
     else:
         raise ParseError("cannot mix 'grade' docs with 'clicks'/'impressions' docs in one group", line_no)
-    return QueryGroup(
-        query_id=str(obj["query_id"]),
-        query_text=str(obj["query"]),
-        docs=docs,
-        grades=grades,
-    )
+    return QueryGroup(query_id=obj["query_id"], query_text=obj["query"], docs=docs, grades=grades)
 
 
 def load_dataset(path) -> Dataset:

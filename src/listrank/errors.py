@@ -5,23 +5,27 @@ class ListRankError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(ListRankError):
+class InvalidInputError(ListRankError):
+    """Base class for errors caused by the caller's input; the CLI exits 1 on these."""
+
+
+class ValidationError(InvalidInputError):
     """Input data violates a documented invariant (bad counts, shapes, ranges)."""
 
 
-class ConfigurationError(ListRankError):
+class ConfigurationError(InvalidInputError):
     """A configuration value is out of its allowed range or unknown."""
 
 
-class EmptyInputError(ListRankError):
+class EmptyInputError(InvalidInputError):
     """An operation received an empty group / list / mask it cannot work on."""
 
 
-class ContractError(ListRankError):
+class ContractError(InvalidInputError):
     """A caller broke an API contract (mismatched trace, wrong first token, ...)."""
 
 
-class MissingIdError(ListRankError):
+class MissingIdError(InvalidInputError):
     """One or more referenced ids could not be resolved."""
 
     def __init__(self, message: str, missing_ids: list[str]):
@@ -29,7 +33,7 @@ class MissingIdError(ListRankError):
         self.missing_ids = missing_ids
 
 
-class ParseError(ListRankError):
+class ParseError(InvalidInputError):
     """A file could not be parsed; carries the 1-based line number when known."""
 
     def __init__(self, message: str, line_number: int | None = None):
@@ -47,7 +51,7 @@ class NonFiniteGradientError(ListRankError):
         self.param_name = param_name
 
 
-class CheckpointError(ListRankError):
+class CheckpointError(InvalidInputError):
     """Base class for checkpoint file problems."""
 
 
@@ -67,7 +71,7 @@ class CheckpointIntegrityError(CheckpointError):
     """The stored content hash does not match the payload."""
 
 
-class StoreError(ListRankError):
+class StoreError(InvalidInputError):
     """Base class for embedding-store file problems."""
 
 

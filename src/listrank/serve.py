@@ -54,8 +54,7 @@ class EmbeddingStore:
                 f"vectors shape {self.vectors.shape} does not match "
                 f"{len(self.doc_ids)} ids of dim {self.dim}"
             )
-        if len(set(self.doc_ids)) != len(self.doc_ids):
-            raise ValidationError("store doc ids must be unique")
+        _refuse_duplicates(self.doc_ids, "store doc ids")
         self._index = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         self._id_rank = None
 
@@ -92,23 +91,16 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     catalog = list(catalog)
     if not catalog:
         raise EmptyInputError("catalog is empty")
-    ids_seen = set()
-    for doc in catalog:
-        if doc.doc_id in ids_seen:
-            raise ValidationError(f"duplicate doc_id in catalog: {doc.doc_id!r}")
-        ids_seen.add(doc.doc_id)
-    vectors = np.empty((len(catalog), student.config.model_dim), dtype=np.float32)
+    dim = student.config.model_dim
+    store = EmbeddingStore(dim=dim, fingerprint=checkpoint_fingerprint(student),
+                           doc_ids=[d.doc_id for d in catalog],
+                           vectors=np.empty((len(catalog), dim), dtype=np.float32))
     for start in range(0, len(catalog), _EMBED_CHUNK):
         chunk = catalog[start : start + _EMBED_CHUNK]
         # _ holds the trace until the next chunk's forward; freeing it sooner costs page faults
         emb, _ = embed_texts(student, tokenizer, [d.text for d in chunk])
-        vectors[start : start + len(chunk)] = emb.astype(np.float32)
-    return EmbeddingStore(
-        dim=student.config.model_dim,
-        fingerprint=checkpoint_fingerprint(student),
-        doc_ids=[d.doc_id for d in catalog],
-        vectors=vectors,
-    )
+        store.vectors[start : start + len(chunk)] = emb
+    return store
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:
@@ -152,10 +144,11 @@ def _sorted_ranking(doc_ids, id_rank, scores):
     return list(zip(map(doc_ids.__getitem__, order.tolist()), scores[order].tolist()))
 
 
-def _check_candidates(candidate_ids):
-    if len(set(candidate_ids)) != len(candidate_ids):
-        dupes = sorted(d for d, n in Counter(candidate_ids).items() if n > 1)
-        raise ValidationError(f"duplicate candidate ids: {dupes}")
+def _refuse_duplicates(ids, what: str) -> None:
+    """Refuse ``ids`` if any repeats, naming every repeated id, sorted."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(d for d, n in Counter(ids).items() if n > 1)
+        raise ValidationError(f"duplicate {what}: {dupes}")
 
 
 def rank_with_student(
@@ -182,10 +175,10 @@ def rank_with_student(
     try:
         rows, vectors = store.gather(candidate_ids)
     except MissingIdError:
-        _check_candidates(candidate_ids)  # a duplicate is reported before a missing id
+        _refuse_duplicates(candidate_ids, "candidate ids")  # a duplicate is reported before a missing id
         raise
-    if np.bincount(rows).max() > 1:
-        _check_candidates(candidate_ids)  # raises: store ids are unique, so a repeated row is a repeated id
+    if np.bincount(rows).max() > 1:  # store ids are unique, so a repeated row is a repeated id
+        _refuse_duplicates(candidate_ids, "candidate ids")
     doc_vecs = vectors.astype(np.float64)
     q_emb, _ = embed_texts(student, tokenizer, [query])
     scores = doc_vecs @ q_emb[0]
@@ -207,7 +200,7 @@ def rank_with_teacher(
     _check_tokenizer(teacher, tokenizer)
     candidates = list(candidates)
     doc_ids = [d.doc_id for d in candidates]
-    _check_candidates(doc_ids)
+    _refuse_duplicates(doc_ids, "candidate ids")
     if not candidates:
         return RankResult([], 0.0)
     start = time.perf_counter()

@@ -194,8 +194,27 @@ def load_tokenizer(path) -> Tokenizer:
         raise ParseError(f"unsupported tokenizer file version {payload.get('version')!r}")
     if payload.get("special_tokens") != SPECIAL_TOKENS:
         raise ParseError("tokenizer file special_tokens table does not match this build")
-    merges = [tuple(pair) for pair in payload["merges"]]
-    return Tokenizer(token_to_id=dict(payload["vocab"]), merges=merges)
+    vocab, merges = payload["vocab"], payload["merges"]
+    _check_tables(vocab, merges)
+    return Tokenizer(token_to_id=vocab, merges=[tuple(pair) for pair in merges])
+
+
+def _check_tables(vocab, merges) -> None:
+    """Refuse tables ``train_bpe`` cannot write: ids other than the distinct
+    integers right after the specials, a missing byte symbol, or a merge that
+    is not two strings whose concatenation is a token."""
+    if not isinstance(vocab, dict) or any(type(i) is not int for i in vocab.values()):
+        raise ParseError("tokenizer vocab must map tokens to integer ids")
+    if sorted(vocab.values()) != list(range(N_SPECIAL, N_SPECIAL + len(vocab))):
+        raise ParseError(f"tokenizer vocab ids must be distinct and run from {N_SPECIAL} without gaps")
+    if not all(c in vocab for c in _CHAR_TO_BYTE):
+        raise ParseError(f"tokenizer vocab lacks some of the {N_BYTE_SYMBOLS} byte symbols")
+    if not isinstance(merges, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(t, str) for t in pair)
+        and pair[0] + pair[1] in vocab
+        for pair in merges
+    ):
+        raise ParseError("tokenizer merges must be pairs of strings that join to a vocab token")
 
 
 def train_bpe(corpus: list[str], vocab_size: int) -> Tokenizer:

@@ -46,8 +46,6 @@ from .losses import (
 from .metrics import MetricRow, mean_ndcg
 from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
-LOSS_NAMES = ("ranknet", "listnet", "listmle", "approxndcg")
-
 CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 2, CheckpointHeaderError, CheckpointVersionError,
                           CheckpointTruncatedError, CheckpointIntegrityError)
 
@@ -234,17 +232,15 @@ def load_checkpoint(path: str) -> Checkpoint:
 # -- shared helpers ---------------------------------------------------------
 
 
-def make_loss_kernel(loss_name: str, train_config: TrainConfig):
-    """Kernel(scores, target, tie_seed) for the configured objective."""
-    if loss_name == "ranknet":
-        return lambda scores, target, tie_seed: ranknet_loss(scores, target)
-    if loss_name == "listnet":
-        return lambda scores, target, tie_seed: listnet_loss(scores, target)
-    if loss_name == "listmle":
-        return lambda scores, target, tie_seed: listmle_loss(scores, target, tie_seed=tie_seed)
-    if loss_name == "approxndcg":
-        return lambda scores, target, tie_seed: approxndcg_loss(scores, target, train_config.approx_alpha)
-    raise ConfigurationError(f"unknown loss {loss_name!r}; choose one of {LOSS_NAMES}")
+#: Each list loss as ``kernel(scores, target, tie_seed, alpha)``. The entries
+#: look the loss functions up when called, so a rebound module name is seen.
+_LOSS_KERNELS = {
+    "ranknet": lambda scores, target, tie_seed, alpha: ranknet_loss(scores, target),
+    "listnet": lambda scores, target, tie_seed, alpha: listnet_loss(scores, target),
+    "listmle": lambda scores, target, tie_seed, alpha: listmle_loss(scores, target, tie_seed=tie_seed),
+    "approxndcg": lambda scores, target, tie_seed, alpha: approxndcg_loss(scores, target, alpha),
+}
+LOSS_NAMES = tuple(_LOSS_KERNELS)
 
 
 def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
@@ -296,7 +292,15 @@ def make_bi_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
     return scorer
 
 
-def _ndcg_eval(eval_dataset, snapshot, make_scorer, tokenizer: Tokenizer):
+def make_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
+    """The group scorer ``ckpt`` serves with: the bi-encoder scorer for a
+    distilled student, the cross-encoder scorer otherwise."""
+    if ckpt.loss_name == "margin_mse":
+        return make_bi_encoder_scorer(ckpt, tokenizer)
+    return make_cross_encoder_scorer(ckpt, tokenizer)
+
+
+def _ndcg_eval(eval_dataset, snapshot, tokenizer: Tokenizer):
     """An ``evaluate`` for ``_train``: one eval row holding the mean NDCG of
     ``snapshot(epoch)`` on ``eval_dataset``, or no row without eval data."""
 
@@ -476,7 +480,9 @@ def finetune_ltr(
     History rows carry the mean training loss per epoch and, when an eval
     dataset is given, its mean NDCG per epoch. Returns ``(checkpoint, history)``.
     """
-    kernel = make_loss_kernel(loss_name, train_config)
+    if loss_name not in _LOSS_KERNELS:
+        raise ConfigurationError(f"unknown loss {loss_name!r}; choose one of {LOSS_NAMES}")
+    kernel = _LOSS_KERNELS[loss_name]
     if not dataset.groups:
         raise EmptyInputError("training dataset has no query groups")
     _check_tokenizer(checkpoint_in, tokenizer)
@@ -503,7 +509,7 @@ def finetune_ltr(
                 size = len(encoded[gi])
                 sl = slice(offset, offset + size)
                 tie_seed = [train_config.seed, 8102, epoch, int(gi)]
-                out = kernel(scores[sl], targets[gi], tie_seed)
+                out = kernel(scores[sl], targets[gi], tie_seed, train_config.approx_alpha)
                 d_scores[sl] = out.grad / batch.size
                 values.append(out.value)
                 offset += size
@@ -511,7 +517,7 @@ def finetune_ltr(
 
         return trace, finish
 
-    evaluate = _ndcg_eval(eval_dataset, snapshot, make_cross_encoder_scorer, tokenizer)
+    evaluate = _ndcg_eval(eval_dataset, snapshot, tokenizer)
     history = _train(params, train_config, len(dataset.groups), 8101, loss_name, step, evaluate)
     return snapshot(train_config.epochs), history
 
@@ -617,6 +623,6 @@ def distill(
 
         return trace, finish
 
-    evaluate = _ndcg_eval(eval_dataset, snapshot, make_bi_encoder_scorer, tokenizer)
+    evaluate = _ndcg_eval(eval_dataset, snapshot, tokenizer)
     history = _train(params, train_config, len(usable), 9101, "margin_mse", step, evaluate)
     return snapshot(train_config.epochs), history

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 from conftest import rewrite_header
 
+from listrank import cli, errors
 from listrank.cli import _encoder_config, main
 from listrank.dataset import load_dataset
 from listrank.encoder import EncoderConfig
 from listrank.metrics import METRIC_CSV_HEADER
 from listrank.serve import EmbeddingStore, load_store, save_store
+from listrank.tokenizer import train_bpe
 from listrank.training import checkpoint_fingerprint, load_checkpoint
 
 
@@ -599,4 +601,53 @@ def test_non_integer_clicks_fail_with_one_line(tmp_path, clicks):
     assert code == 1
     assert stdout == ""
     assert error_lines(err) == [f"error: line 1: 'clicks' must be an integer, got {clicks!r}"]
+    assert not out.exists()
+
+
+ERROR_CLASSES = sorted((c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)),
+                       key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_tree(monkeypatch, cls):
+    """Invalid input exits 1 and every other library error 2, decided by
+    ``InvalidInputError`` alone."""
+
+    def fail(resolved):
+        raise cls.__new__(cls)
+
+    monkeypatch.setattr(cli, "_cmd_rank", fail)
+    code, stdout, err = run_cli(["rank", "--query", "q", "--tokenizer", "t"])
+    invalid_input = issubclass(cls, errors.InvalidInputError)
+    assert code == (1 if invalid_input else 2)
+    assert stdout == ""
+    assert error_lines(err) == ["error: " if invalid_input else "runtime failure: "]
+
+
+def test_invalid_input_families_are_the_eight_that_exit_1():
+    assert set(errors.InvalidInputError.__subclasses__()) == {
+        errors.ConfigurationError, errors.ValidationError, errors.ParseError, errors.MissingIdError,
+        errors.EmptyInputError, errors.ContractError, errors.CheckpointError, errors.StoreError,
+    }
+    assert errors.NonFiniteGradientError.__bases__ == (errors.ListRankError,)
+
+
+@pytest.mark.parametrize("vocab, merges", [([1, 2], [1]), ({"a": 5}, []), ({"a": "x"}, [])],
+                         ids=["tables-as-lists", "no-byte-symbols", "string-id"])
+def test_pretrain_refuses_a_malformed_tokenizer_with_one_line(tmp_path, vocab, merges):
+    """Such files ended in a TypeError traceback, or loaded and then failed
+    in ``pretrain`` with a KeyError or ValueError traceback."""
+    tables = json.loads(train_bpe(["tiny corpus"], 262).to_json_bytes())
+    tables.update(vocab=vocab, merges=merges)
+    tok = tmp_path / "tok.json"
+    tok.write_text(json.dumps(tables), encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("tiny corpus\n", encoding="utf-8")
+    out = tmp_path / "out.ckpt"
+    code, stdout, err = run_cli(["pretrain", "--tokenizer", str(tok), "--corpus", str(corpus),
+                                 "--out", str(out), "--epochs", "1", "--layers", "1", "--dim", "8",
+                                 "--heads", "1", "--ffn-dim", "8", "--max-len", "8"])
+    assert code == 1
+    assert stdout == ""
+    assert len(error_lines(err)) == 1 and error_lines(err)[0].startswith("error: tokenizer ")
     assert not out.exists()

@@ -454,6 +454,29 @@ class TestDatasetIO:
             load_dataset(path)
         assert str(excinfo.value) == f"line 2: '{key}' must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("group_edit, doc_edit, message", [
+        ({}, {"doc_id": None}, "'doc_id' must be a string, got None"),
+        ({}, {"text": ["a"]}, "'text' must be a string, got ['a']"),
+        ({"query_id": 7}, {}, "'query_id' must be a string, got 7"),
+        ({"query": None}, {}, "'query' must be a string, got None"),
+        ({}, {"doc_id": ""}, "doc_id must be non-empty"),
+        ({}, {"clicks": -1}, "clicks/impressions must be non-negative (q2, d)"),
+        ({}, {"clicks": 4}, "clicks (4) exceed impressions (3) for (q2, d)"),
+    ], ids=["null-doc-id", "list-text", "int-query-id", "null-query", "empty-doc-id", "negative-clicks",
+            "clicks-over-impressions"])
+    def test_bad_record_fields_rejected_with_line_number(self, tmp_path, group_edit, doc_edit, message):
+        """Ids and texts were coerced with ``str`` (null loaded as doc
+        'None'), and a record refused by ``Document`` or ``ClickRecord``
+        lost its line number."""
+        path = tmp_path / "bad.jsonl"
+        good = {"doc_id": "d", "text": "t", "clicks": 1, "impressions": 3}
+        lines = [json.dumps({"query_id": "q1", "query": "x", "docs": [good]}),
+                 json.dumps(dict({"query_id": "q2", "query": "x", "docs": [dict(good, **doc_edit)]}, **group_edit))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"line 2: {message}"
+
 
 class TestDatasetStats:
     def test_empty_dataset(self):

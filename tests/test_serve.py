@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import rewrite_header
 
+from listrank import encoder
 from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.encoder import (
     EncoderConfig,
@@ -134,8 +135,11 @@ class TestEmbeddingStore:
             EmbeddingStore(dim=4, fingerprint="f", doc_ids=["a"], vectors=np.zeros((1, 3)))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            EmbeddingStore(dim=2, fingerprint="f", doc_ids=["a", "a"], vectors=np.zeros((2, 2)))
+        """Every repeated id is named, sorted."""
+        ids = ["z", "b", "a", "z", "c", "b", "z"]
+        with pytest.raises(ValidationError) as excinfo:
+            EmbeddingStore(dim=1, fingerprint="f", doc_ids=ids, vectors=np.zeros((7, 1)))
+        assert str(excinfo.value) == "duplicate store doc ids: ['b', 'z']"
 
 
 class TestPrecomputeEmbeddings:
@@ -169,11 +173,19 @@ class TestPrecomputeEmbeddings:
         with pytest.raises(EmptyInputError):
             precompute_embeddings(student, [], tokenizer)
 
-    def test_duplicate_catalog_ids_raise(self, world):
+    def test_duplicate_catalog_ids_raise(self, world, monkeypatch):
+        """A repeated id past the first chunk is refused before any forward."""
         _, tokenizer, _, student, _ = world
-        catalog = [Document("same", "a"), Document("same", "b")]
-        with pytest.raises(ValidationError):
+        calls = []
+        forward = encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda *args: calls.append(1) or forward(*args))
+        catalog = [Document(f"c{i:04d}", "attr") for i in range(600)] + [Document("c0300", "late")]
+        with pytest.raises(ValidationError) as excinfo:
             precompute_embeddings(student, catalog, tokenizer)
+        assert str(excinfo.value) == "duplicate store doc ids: ['c0300']"
+        assert calls == []
+        assert len(precompute_embeddings(student, catalog[:3], tokenizer)) == 3
+        assert len(calls) == 1
 
 
 class TestStoreFiles:

@@ -223,6 +223,61 @@ class TestPersistence:
             load_tokenizer(path)
 
 
+def _renumbered(vocab):
+    return {token: N_SPECIAL + i for i, token in enumerate(vocab)}
+
+
+def _drop_first(vocab):
+    return _renumbered(list(vocab)[1:])
+
+
+def _with_id(vocab, index, new_id):
+    token = list(vocab)[index]
+    return dict(vocab, **{token: new_id})
+
+
+# Each case edits the vocab or the merges of a trained tokenizer's file.
+MALFORMED_TABLES = {
+    "vocab-list": ("vocab", lambda v: [1, 2]),
+    "vocab-without-bytes": ("vocab", lambda v: {"a": 5}),
+    "string-id": ("vocab", lambda v: {"a": "x"}),
+    "bool-id": ("vocab", lambda v: _with_id(v, 0, True)),
+    "float-id": ("vocab", lambda v: _with_id(v, 0, 5.0)),
+    "repeated-id": ("vocab", lambda v: _with_id(v, -1, N_SPECIAL)),
+    "gap-in-ids": ("vocab", lambda v: _with_id(v, -1, N_SPECIAL + len(v))),
+    "ids-from-zero": ("vocab", lambda v: {t: i - N_SPECIAL for t, i in v.items()}),
+    "missing-byte-symbol": ("vocab", _drop_first),
+    "merges-not-a-list": ("merges", lambda m: {"a": "b"}),
+    "merge-int": ("merges", lambda m: [1]),
+    "merge-string": ("merges", lambda m: ["ab"]),
+    "merge-triple": ("merges", lambda m: [m[0] + ["s"]]),
+    "merge-int-part": ("merges", lambda m: [[m[0][0], 7]]),
+    "merge-not-in-vocab": ("merges", lambda m: m + [["~", "~"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_load_refuses_tables_train_bpe_cannot_write(tok, tmp_path, case):
+    """Such tables ended in a TypeError traceback on load, or loaded and
+    failed later with a KeyError or ValueError on the first encode."""
+    key, edit = MALFORMED_TABLES[case]
+    payload = json.loads(tok.to_json_bytes())
+    payload[key] = edit(payload[key])
+    path = tmp_path / "tok.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_tokenizer(path)
+    assert str(excinfo.value).startswith("tokenizer ") and "\n" not in str(excinfo.value)
+
+
+def test_load_accepts_a_renumbered_file_train_bpe_could_write(tok, tmp_path):
+    payload = json.loads(tok.to_json_bytes())
+    assert _renumbered(payload["vocab"]) == payload["vocab"]
+    path = tmp_path / "tok.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_tokenizer(path) == tok
+
+
 class TestMaskForMlm:
     def seq_with_specials(self, tok):
         inner = tok.encode("red running shoes for the road").ids

@@ -563,6 +563,15 @@ class TestFinetuneLtr:
         with pytest.raises(ConfigurationError):
             finetune_ltr(dataset, ckpt, "hinge", TrainConfig(), tokenizer)
 
+    def test_unknown_loss_is_named_before_the_dataset_is_checked(self, tiny_world):
+        _, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        with pytest.raises(ConfigurationError) as excinfo:
+            finetune_ltr(Dataset([]), ckpt, "hinge", TrainConfig(), tokenizer)
+        assert str(excinfo.value) == (
+            "unknown loss 'hinge'; choose one of ('ranknet', 'listnet', 'listmle', 'approxndcg')"
+        )
+
     def test_empty_dataset_rejected(self, tiny_world):
         _, tokenizer, config = tiny_world
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
@@ -709,6 +718,22 @@ class TestScorers:
         emb, _ = embed_batch(ckpt.params, config, ids, mask)
         got = make_bi_encoder_scorer(ckpt, tokenizer)(group)
         np.testing.assert_allclose(got, emb[1:] @ emb[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("loss_name, expected", [
+        ("margin_mse", make_bi_encoder_scorer),
+        ("listnet", make_cross_encoder_scorer),
+        ("approxndcg", make_cross_encoder_scorer),
+        ("mlm", make_cross_encoder_scorer),
+        ("init", make_cross_encoder_scorer),
+    ])
+    def test_make_scorer_serves_a_distilled_checkpoint_as_a_bi_encoder(self, tiny_world, loss_name, expected):
+        dataset, tokenizer, config = tiny_world
+        ckpt = dataclasses.replace(init_checkpoint(config, 0, tokenizer.content_hash()), loss_name=loss_name)
+        group = dataset.groups[2]
+        got = training.make_scorer(ckpt, tokenizer)(group)
+        np.testing.assert_array_equal(got, expected(ckpt, tokenizer)(group))
+        other = make_cross_encoder_scorer if expected is make_bi_encoder_scorer else make_bi_encoder_scorer
+        assert not np.array_equal(got, other(ckpt, tokenizer)(group))
 
     @pytest.mark.parametrize("make_scorer", [make_cross_encoder_scorer, make_bi_encoder_scorer])
     def test_foreign_tokenizer_rejected(self, tiny_world, make_scorer):
