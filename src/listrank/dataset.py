@@ -321,7 +321,10 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
             raise ParseError(str(exc), line_no) from exc
         if "grade" in entry:
             grade = entry["grade"]
-            _check_grade(grade, f"line {line_no}")
+            try:
+                _check_grade(grade, f"doc {entry['doc_id']!r}")
+            except ValidationError as exc:
+                raise ParseError(str(exc), line_no) from exc
             graded.append(grade)
             ctr_records.append(None)
         elif "clicks" in entry and "impressions" in entry:

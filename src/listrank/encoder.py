@@ -1,12 +1,15 @@
 """Transformer encoder in plain numpy with hand-written backpropagation.
 
-The forward pass records every intermediate needed for the exact gradient
-(a ForwardTrace), so ``backward_batch`` can return analytically correct
-parameter gradients without any autodiff framework. All math happens in
-float64. Architecture: learned token and position embeddings, post-norm
-residual blocks (multi-head attention then a GELU feed-forward), a linear
-scoring head over the first-token state, and a masked-token head that
-shares the token embedding matrix.
+A training forward records every intermediate needed for the exact
+gradient (a ForwardTrace), so ``backward_batch`` can return analytically
+correct parameter gradients without any autodiff framework. An inference
+forward (``forward_batch`` with ``rows``) keeps no trace and runs the last
+layer past its attention only on the positions a head reads, with the same
+bits for those positions. All math happens in float64. Architecture: learned
+token and position embeddings, post-norm residual blocks (multi-head
+attention then a GELU feed-forward), a linear scoring head over the
+first-token state, and a masked-token head that shares the token embedding
+matrix.
 
 The feed-forward uses the exact (erf) GELU. Its trace caches
 ``1 + erf(x/√2)`` next to the pre-activation, so the backward pass evaluates
@@ -272,14 +275,29 @@ def _check_batch_inputs(config: EncoderConfig, ids: np.ndarray, attention_mask: 
         raise ValidationError("first position of every sequence must be valid")
 
 
-def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
+def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask, *, rows=None):
     """Run the encoder over ``[batch, length]`` token ids.
 
     Returns ``(hidden, trace)`` where hidden is ``[batch, length, model_dim]``.
+
+    ``rows``, a boolean ``[batch, length]`` mask of the positions the caller
+    reads, makes this an inference forward: it returns only those states,
+    ``hidden[rows]`` as ``[n_rows, model_dim]`` in row-major order, and keeps
+    no trace. The last layer's attention still runs over every position (all
+    keys and values are read), but its out-projection, residuals, layer norms
+    and feed-forward run on the selected rows alone. Every row's arithmetic
+    is the same as in the full forward, so the states are bit for bit
+    ``hidden[rows]``. With fewer than two rows selected, or sequences of
+    length one, the last layer runs in full and the rows are picked
+    afterwards.
     """
     ids = np.asarray(ids, dtype=np.int64)
     attention_mask = np.asarray(attention_mask, dtype=np.int64)
     _check_batch_inputs(config, ids, attention_mask)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.dtype != np.bool_ or rows.shape != ids.shape:
+            raise ValidationError("rows must be a boolean mask shaped like ids")
     b, l = ids.shape
 
     x = params.tok_emb[ids]
@@ -287,8 +305,14 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf)
     scale = 1.0 / math.sqrt(config.head_dim)
 
-    trace = ForwardTrace(ids=ids, attention_mask=attention_mask, hidden=None, params_id=id(params))
-    for layer in params.layers:
+    trace = None if rows is not None else ForwardTrace(
+        ids=ids, attention_mask=attention_mask, hidden=None, params_id=id(params)
+    )
+    # a product with one row per matrix takes BLAS's matrix-vector path, which
+    # rounds differently, so the gather needs two rows and two positions
+    gather = rows is not None and l >= 2 and np.count_nonzero(rows) >= 2
+    gather_at = len(params.layers) - 1 if gather else None
+    for i, layer in enumerate(params.layers):
         q = _split_heads(_affine(x, layer.w_q, layer.b_q), config.n_heads)
         k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
         v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
@@ -299,6 +323,8 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         probs = np.exp(logits, out=logits)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(probs, v))
+        if i == gather_at:
+            ctx, x = ctx[rows], x[rows]
         r1 = _affine(ctx, layer.w_o, layer.b_o)
         r1 += x
         h1, x_hat1, inv_std1 = _layer_norm(r1, layer.ln1_scale, layer.ln1_offset)
@@ -308,15 +334,18 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         r2 += h1
         r2 += layer.b_ffn2
         x_next, x_hat2, inv_std2 = _layer_norm(r2, layer.ln2_scale, layer.ln2_offset)
-        trace.layers.append(
-            _LayerTrace(
-                x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
-                ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
-                x_hat2=x_hat2, inv_std2=inv_std2,
+        if trace is not None:
+            trace.layers.append(
+                _LayerTrace(
+                    x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                    x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
+                    ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
+                    x_hat2=x_hat2, inv_std2=inv_std2,
+                )
             )
-        )
         x = x_next
+    if trace is None:
+        return x if x.ndim == 2 else x[rows]  # gathered in the last layer, or picked now
     trace.hidden = x
     return x, trace
 

@@ -253,20 +253,34 @@ def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
         )
 
 
-def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> tuple:
+def _cls_rows(ids: np.ndarray) -> np.ndarray:
+    """The ``rows`` mask of ``forward_batch`` that selects each sequence's first position."""
+    rows = np.zeros(ids.shape, dtype=bool)
+    rows[:, 0] = True
+    return rows
+
+
+def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np.ndarray:
     """Cross-encoder scores of ``query`` paired with each of ``texts``, run as
-    one padded batch. Returns ``(scores, trace)`` as ``score_cls_batch`` does."""
+    one padded inference forward over the [CLS] states; bit for bit the
+    scores ``score_cls_batch`` returns."""
     rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
     ids, mask = enc.pad_token_rows(rows)
-    return enc.score_cls_batch(ckpt.params, ckpt.config, ids, mask)
+    enc._require_cls(ids)
+    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=_cls_rows(ids))
+    return cls @ ckpt.params.score_w + ckpt.params.score_b
 
 
-def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> tuple:
-    """Bi-encoder embeddings of ``texts``, run as one padded batch. Returns
-    ``(embeddings, trace)`` as ``embed_batch`` does."""
+def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
+    """Bi-encoder embeddings of ``texts``, run as one padded batch; bit for
+    bit the embeddings ``embed_batch`` returns. With CLS pooling the forward
+    is an inference forward over the [CLS] states; mean pooling reads every
+    position and runs the full forward."""
     rows = [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts]
     ids, mask = enc.pad_token_rows(rows)
-    return enc.embed_batch(ckpt.params, ckpt.config, ids, mask)
+    if ckpt.config.pooling == "cls":
+        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=_cls_rows(ids))
+    return enc.embed_batch(ckpt.params, ckpt.config, ids, mask)[0]
 
 
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
@@ -274,8 +288,7 @@ def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
     _check_tokenizer(ckpt, tokenizer)
 
     def scorer(group: QueryGroup) -> np.ndarray:
-        scores, _ = score_pairs(ckpt, tokenizer, group.query_text, [d.text for d in group.docs])
-        return scores
+        return score_pairs(ckpt, tokenizer, group.query_text, [d.text for d in group.docs])
 
     return scorer
 
@@ -286,7 +299,7 @@ def make_bi_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
     _check_tokenizer(ckpt, tokenizer)
 
     def scorer(group: QueryGroup) -> np.ndarray:
-        emb, _ = embed_texts(ckpt, tokenizer, [group.query_text] + [d.text for d in group.docs])
+        emb = embed_texts(ckpt, tokenizer, [group.query_text] + [d.text for d in group.docs])
         return emb[1:] @ emb[0]
 
     return scorer
@@ -358,17 +371,23 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 # -- masked-token pre-training ----------------------------------------------
 
 
-def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
-    """Masked-token loss of the id ``rows`` against ``label_rows``, label lists
-    as ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past its
-    end). Returns ``(loss, hidden, masked, states, trace)``: ``masked`` marks
-    the labelled positions and ``states = hidden[masked]``, in row-major
-    order, are the hidden states the head scored."""
+def _mlm_batch(rows, label_rows):
+    """Padded ``(ids, mask, labels, masked)`` of the id ``rows`` and their label
+    lists as ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past
+    its end); ``masked`` marks the labelled positions."""
     ids, mask = enc.pad_token_rows(rows)
     labels = np.full(ids.shape, UNMASKED, dtype=np.int64)
     for i, row in enumerate(label_rows):
         labels[i, : len(row)] = row
-    masked = labels != UNMASKED
+    return ids, mask, labels, labels != UNMASKED
+
+
+def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
+    """Masked-token loss of the id ``rows`` against ``label_rows`` (see
+    ``_mlm_batch``). Returns ``(loss, hidden, masked, states, trace)``:
+    ``states = hidden[masked]``, in row-major order, are the hidden states the
+    head scored."""
+    ids, mask, labels, masked = _mlm_batch(rows, label_rows)
     hidden, trace = enc.forward_batch(params, config, ids, mask)
     states = hidden[masked]
     loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
@@ -380,7 +399,9 @@ def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mas
 
     Lines where the draw masks nothing are skipped; if that leaves nothing,
     the first maskable position of the first eligible line is masked instead,
-    so the evaluation is never empty for a corpus with any real tokens.
+    so the evaluation is never empty for a corpus with any real tokens. The
+    forward is an inference forward over the masked positions, so the value
+    is bit for bit the loss ``_mlm_loss`` computes on the same lines.
     """
     rows, label_rows = [], []
     for li, seq in enumerate(seqs):
@@ -394,7 +415,9 @@ def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mas
         if ids is None:
             raise EmptyInputError("evaluation lines contain no maskable tokens")
         rows, label_rows = [ids[:p] + [MASK_ID] + ids[p + 1 :]], [[UNMASKED] * p + [ids[p]]]
-    return _mlm_loss(params, config, rows, label_rows)[0].value
+    ids, mask, labels, masked = _mlm_batch(rows, label_rows)
+    states = enc.forward_batch(params, config, ids, mask, rows=masked)
+    return mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked]).value
 
 
 def pretrain_mlm(

@@ -5,13 +5,15 @@ prints one ``[criterion NN] name: PASS/FAIL (detail)`` line per criterion
 and repeats all collected lines in a terminal summary block so the whole
 gate can be read off one screen.
 
-``rewrite_header`` edits the JSON header of a checkpoint or store file.
+``rewrite_header`` edits the JSON header of a checkpoint or store file, and
+``bits_equal`` compares float64 arrays bit for bit.
 """
 
 import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 _criterion_lines = []
@@ -49,3 +51,9 @@ def rewrite_header(path, edit):
     body = blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len : -8]
     with open(path, "wb") as fh:
         fh.write(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def bits_equal(a, b):
+    """Same shape and the same float64 bits everywhere (``-0.0`` != ``0.0``)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -417,11 +417,24 @@ class TestDatasetIO:
             load_dataset(path)
 
     def test_out_of_range_grade_in_file_rejected(self, tmp_path):
+        """An out-of-range grade is a record error like any other: a
+        ParseError that names the line."""
+        self.check_bad_grade(tmp_path, 9)
+
+    @pytest.mark.parametrize("grade", [-1, "3", 2.0, True, None])
+    def test_non_int_or_negative_grade_in_file_rejected(self, tmp_path, grade):
+        self.check_bad_grade(tmp_path, grade)
+
+    @staticmethod
+    def check_bad_grade(tmp_path, grade):
         path = tmp_path / "bad.jsonl"
-        obj = {"query_id": "q", "query": "x", "docs": [{"doc_id": "d", "text": "t", "grade": 9}]}
-        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
+        good = {"query_id": "p", "query": "x", "docs": [{"doc_id": "d", "text": "t", "grade": 1}]}
+        obj = {"query_id": "q", "query": "x", "docs": [{"doc_id": "d", "text": "t", "grade": grade}]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == f"line 2: grade {grade!r} outside [0, 4] in doc 'd'"
+        assert excinfo.value.line_number == 2
 
     def test_ctr_docs_are_graded_on_load(self, tmp_path):
         """Docs carrying counts instead of grades go through CTR grading

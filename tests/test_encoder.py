@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bits_equal
 from scipy.special import erf
 
+from listrank import encoder
 from listrank.encoder import (
     LN_EPS,
     EncoderConfig,
@@ -413,12 +415,6 @@ class TestParamContainers:
                 assert not all(np.array_equal(x, y) for x, y in zip(before, outputs())), name
 
 
-def _bits_equal(a, b):
-    """Same shape and the same float64 bits everywhere (``-0.0`` != ``0.0``)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _edge_sample(shape, seed):
     """Seeded normal draws (scaled to reach GELU's tails) with ``0.0``,
     ``-0.0``, subnormals, ±8 and ±40 written over the first entries."""
@@ -435,10 +431,10 @@ class TestFusedKernelsAreBitIdentical:
     def test_gelu_and_its_cached_derivative(self):
         x = _edge_sample((4, 5, 32), seed=11)
         act, cdf2 = _gelu(x)
-        assert _bits_equal(act, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
-        assert _bits_equal(cdf2, 1.0 + erf(x / math.sqrt(2.0)))
+        assert bits_equal(act, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        assert bits_equal(cdf2, 1.0 + erf(x / math.sqrt(2.0)))
         expected = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        assert _bits_equal(_gelu_grad(x, cdf2), expected)
+        assert bits_equal(_gelu_grad(x, cdf2), expected)
 
     def test_layer_norm_matches_mean_based_form(self):
         rng = np.random.default_rng(12)
@@ -452,7 +448,7 @@ class TestFusedKernelsAreBitIdentical:
         x_hat = centered * inv_std
         got = _layer_norm(x, scale, offset)
         for g, want in zip(got, (x_hat * scale + offset, x_hat, inv_std)):
-            assert _bits_equal(g, want)
+            assert bits_equal(g, want)
 
         d_out = _edge_sample((4, 5, 16), seed=14)
         d_hat = d_out * scale
@@ -461,9 +457,84 @@ class TestFusedKernelsAreBitIdentical:
         expected = (inv_std * (d_hat - mean1 - x_hat * mean2),
                     (d_out * x_hat).sum(axis=(0, 1)), d_out.sum(axis=(0, 1)))
         for g, want in zip(_layer_norm_backward(d_out, x_hat, inv_std, scale), expected):
-            assert _bits_equal(g, want)
+            assert bits_equal(g, want)
 
     def test_affine_matches_matmul_plus_bias(self):
         rng = np.random.default_rng(15)
         x, w, b = rng.standard_normal((3, 4, 8)), rng.standard_normal((8, 6)), rng.standard_normal(6)
-        assert _bits_equal(_affine(x, w, b), x @ w + b)
+        assert bits_equal(_affine(x, w, b), x @ w + b)
+
+
+#: the width of the default encoder, where BLAS runs its blocked kernels
+WIDE = dict(n_heads=4, model_dim=64, ffn_dim=256, vocab_size=300, max_len=16)
+
+
+def _random_batch(batch, length, seed):
+    """``batch`` CLS-first rows of random tokens; the first row has ``length``
+    tokens and the others a random length of at least one, padded."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, length + 1, size=batch)
+    lengths[0] = length
+    return pad_token_rows([[CLS_ID] + rng.integers(4, 300, size=n - 1).tolist() for n in lengths])
+
+
+def _rows(kind, mask, seed):
+    """A ``rows`` mask: each sequence's first position, about 15% of the real
+    positions, or exactly one real position."""
+    rows = np.zeros(mask.shape, dtype=bool)
+    if kind == "cls":
+        rows[:, 0] = True
+    elif kind == "masked":
+        rows[:] = (np.random.default_rng(seed).random(mask.shape) < 0.15) & (mask == 1)
+    else:
+        rows[mask.shape[0] - 1, np.flatnonzero(mask[-1])[-1]] = True
+    return rows
+
+
+class TestInferenceRows:
+    """``forward_batch(..., rows=...)`` returns ``hidden[rows]`` of the full
+    forward, bit for bit, and keeps no trace."""
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("batch, length", [(1, 7), (2, 6), (3, 12), (30, 10), (256, 5), (4, 1)])
+    @pytest.mark.parametrize("kind", ["cls", "masked", "one"])
+    def test_rows_equal_full_forward_selection(self, n_layers, batch, length, kind):
+        config = EncoderConfig(n_layers=n_layers, **WIDE)
+        params = init_params(config, seed=n_layers + 1)
+        ids, mask = _random_batch(batch, length, seed=batch * length)
+        rows = _rows(kind, mask, seed=batch + length)
+        hidden, _ = forward_batch(params, config, ids, mask)
+        states = forward_batch(params, config, ids, mask, rows=rows)
+        assert isinstance(states, np.ndarray) and states.shape == (np.count_nonzero(rows), config.model_dim)
+        assert bits_equal(states, hidden[rows])
+
+    def test_mixed_lengths_select_real_and_padded_positions(self):
+        """The tiny batch has padding; a mask over every position, padded
+        ones included, still returns the full forward's states."""
+        params = init_params(TINY, seed=0)
+        ids, mask = tiny_batch()
+        hidden, _ = forward_batch(params, TINY, ids, mask)
+        every = np.ones(ids.shape, dtype=bool)
+        assert bits_equal(forward_batch(params, TINY, ids, mask, rows=every), hidden.reshape(-1, TINY.model_dim))
+
+    def test_empty_selection_returns_no_rows(self):
+        params = init_params(TINY, seed=0)
+        ids, mask = tiny_batch()
+        states = forward_batch(params, TINY, ids, mask, rows=np.zeros(ids.shape, dtype=bool))
+        assert states.shape == (0, TINY.model_dim)
+
+    @pytest.mark.parametrize("rows", [
+        np.ones((3, 4), dtype=bool), np.ones((3, 5, 1), dtype=bool), np.ones((3, 5), dtype=np.int64),
+    ], ids=["short", "3-d", "int"])
+    def test_bad_rows_rejected_before_any_layer(self, rows, monkeypatch):
+        """A ``rows`` mask that is not boolean and shaped like ``ids`` is
+        refused before the first projection."""
+        params = init_params(TINY, seed=0)
+        ids, mask = tiny_batch()
+        calls = []
+        monkeypatch.setattr(encoder, "_affine", lambda *args: calls.append(1) or _affine(*args))
+        with pytest.raises(ValidationError, match="rows must be a boolean mask shaped like ids"):
+            forward_batch(params, TINY, ids, mask, rows=rows)
+        assert calls == []
+        forward_batch(params, TINY, ids, mask, rows=np.ones(ids.shape, dtype=bool))
+        assert calls  # the count sees a forward that runs

@@ -178,7 +178,7 @@ class TestPrecomputeEmbeddings:
         _, tokenizer, _, student, _ = world
         calls = []
         forward = encoder.forward_batch
-        monkeypatch.setattr(encoder, "forward_batch", lambda *args: calls.append(1) or forward(*args))
+        monkeypatch.setattr(encoder, "forward_batch", lambda *args, **kw: calls.append(1) or forward(*args, **kw))
         catalog = [Document(f"c{i:04d}", "attr") for i in range(600)] + [Document("c0300", "late")]
         with pytest.raises(ValidationError) as excinfo:
             precompute_embeddings(student, catalog, tokenizer)

@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import rewrite_header
+from conftest import bits_equal, rewrite_header
 
 from listrank import encoder, training
 from listrank.dataset import (
@@ -750,6 +750,85 @@ class TestScorers:
         assert make_scorer(ckpt, tokenizer)(dataset.groups[0]).shape == (len(dataset.groups[0].docs),)
 
 
+class TestInferenceForwards:
+    """``score_pairs``, ``embed_texts`` and ``evaluate_mlm`` run the rows-only
+    inference forward and return exactly what the training heads compute."""
+
+    @pytest.mark.parametrize("n_docs", [1, 2, 8])
+    def test_score_pairs_equals_score_cls_batch(self, tiny_world, n_docs):
+        dataset, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        group = dataset.groups[2]
+        texts = [d.text for d in group.docs[:n_docs]]
+        ids, mask = pad_token_rows([tokenizer.encode_pair(group.query_text, t, config.max_len).ids for t in texts])
+        expected, _ = score_cls_batch(ckpt.params, config, ids, mask)
+        assert bits_equal(training.score_pairs(ckpt, tokenizer, group.query_text, texts), expected)
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("n_texts", [1, 2, 9])
+    def test_embed_texts_equals_embed_batch(self, tiny_world, monkeypatch, pooling, n_texts):
+        """CLS pooling reads the selected rows; mean pooling keeps the full
+        forward with its trace."""
+        dataset, tokenizer, config = tiny_world
+        config = dataclasses.replace(config, pooling=pooling)
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        group = dataset.groups[3]
+        texts = ([group.query_text] + [d.text for d in group.docs])[:n_texts]
+        ids, mask = pad_token_rows([tokenizer.encode_single(t, config.max_len).ids for t in texts])
+        expected, _ = encoder.embed_batch(ckpt.params, config, ids, mask)
+        kwargs, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda *a, **kw: kwargs.append(kw) or forward(*a, **kw))
+        assert bits_equal(training.embed_texts(ckpt, tokenizer, texts), expected)
+        assert [set(kw) for kw in kwargs] == [{"rows"} if pooling == "cls" else set()]
+
+    def test_embed_texts_of_one_token_texts(self, tiny_world):
+        """Empty texts encode to ``[CLS]`` alone: the batch has length one."""
+        _, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        ids, mask = pad_token_rows([[CLS_ID]] * 3)
+        expected, _ = encoder.embed_batch(ckpt.params, config, ids, mask)
+        assert bits_equal(training.embed_texts(ckpt, tokenizer, ["", "", ""]), expected)
+
+    @pytest.mark.parametrize("mask_rate", [0.0, 0.3])
+    def test_evaluate_mlm_equals_mlm_loss(self, tiny_world, monkeypatch, mask_rate):
+        """Rate 0 forces exactly one masked position, which keeps the full
+        last layer; rate 0.3 masks many."""
+        dataset, tokenizer, config = tiny_world
+        params = init_params(config, seed=0)
+        seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:20]]
+        batches, build = [], training._mlm_batch
+        monkeypatch.setattr(training, "_mlm_batch", lambda *a: batches.append(a) or build(*a))
+        value = evaluate_mlm(params, config, seqs, mask_rate=mask_rate, mask_seed_base=[0, 5])
+        (rows, label_rows), = batches
+        assert (sum(lab != training.UNMASKED for labels in label_rows for lab in labels) == 1) == (mask_rate == 0.0)
+        assert bits_equal(value, training._mlm_loss(params, config, rows, label_rows)[0].value)
+
+    def test_non_cls_pair_rejected_before_any_layer(self, tiny_world, monkeypatch):
+        _, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        calls, affine = [], encoder._affine
+        monkeypatch.setattr(encoder, "_affine", lambda *a: calls.append(1) or affine(*a))
+        monkeypatch.setattr(tokenizer, "encode_pair", lambda *a: TokenSequence(ids=[7, 8, 9]))
+        with pytest.raises(ContractError, match=r"\[CLS\]"):
+            training.score_pairs(ckpt, tokenizer, "q", ["a", "b"])
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["out_of_vocab", "mask"])
+    def test_bad_batch_rejected_before_any_layer(self, tiny_world, monkeypatch, bad):
+        _, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
+        calls, affine = [], encoder._affine
+        monkeypatch.setattr(encoder, "_affine", lambda *a: calls.append(1) or affine(*a))
+        if bad == "out_of_vocab":
+            monkeypatch.setattr(tokenizer, "encode_pair", lambda *a: TokenSequence(ids=[CLS_ID, config.vocab_size]))
+        else:
+            pad = encoder.pad_token_rows
+            monkeypatch.setattr(encoder, "pad_token_rows", lambda rows: (pad(rows)[0], 2 * pad(rows)[1]))
+        with pytest.raises(ValidationError, match="out" if bad == "out_of_vocab" else "0 or 1"):
+            training.score_pairs(ckpt, tokenizer, "q", ["a", "b"])
+        assert calls == []
+
+
 class TestDistill:
     def finetuned_teacher(self, tiny_world):
         dataset, tokenizer, config = tiny_world
@@ -841,8 +920,10 @@ class TestTraceLifetime:
         traces, forwards, backwards = [], [], []
         real_forward, real_backward = encoder.forward_batch, encoder.backward_batch
 
-        def forward_batch(*args):
+        def forward_batch(*args, **kwargs):
             forwards.append(bool(traces) and traces[-1]() is not None)
+            if "rows" in kwargs:  # an inference forward keeps no trace
+                return real_forward(*args, **kwargs)
             hidden, trace = real_forward(*args)
             traces.append(weakref.ref(trace))
             return hidden, trace
