@@ -2,10 +2,12 @@
 
 A training forward records every intermediate needed for the exact
 gradient (a ForwardTrace), so ``backward_batch`` can return analytically
-correct parameter gradients without any autodiff framework. An inference
-forward (``forward_batch`` with ``rows``) keeps no trace and runs the last
-layer past its attention only on the positions a head reads, with the same
-bits for those positions. All math happens in float64. Architecture: learned
+correct parameter gradients without any autodiff framework. Every head reads
+only some positions of the last layer (the first token, or the masked ones),
+so its forward passes those ``rows``: the last layer runs past its attention
+only on them, with the same bits for those positions, and the training
+backward of that part runs on them alone. Inference keeps no trace. All math
+happens in float64. Architecture: learned
 token and position embeddings, post-norm residual blocks (multi-head
 attention then a GELU feed-forward), a linear scoring head over the
 first-token state, and a masked-token head that shares the token embedding
@@ -221,6 +223,11 @@ def _layer_norm_backward(d_out, x_hat, inv_std, scale):
 
 @dataclass
 class _LayerTrace:
+    """One layer's cached arrays. With ``rows`` (the gathered last layer),
+    ``x_in`` and the attention arrays cover every position and the arrays
+    from ``ctx`` on cover only the selected rows, ``[n_rows, ...]``."""
+
+    rows: np.ndarray
     x_in: np.ndarray
     q: np.ndarray
     k: np.ndarray
@@ -239,11 +246,14 @@ class _LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """Cached intermediates from one forward pass; consumed by backward."""
+    """Cached intermediates from one forward pass; consumed by backward.
+    ``hidden`` is what the forward returned; ``picked`` is the ``rows`` mask
+    when the rows were picked after a full last layer, else None."""
 
     ids: np.ndarray
     attention_mask: np.ndarray
     hidden: np.ndarray
+    picked: np.ndarray = None
     layers: list = field(default_factory=list)
     params_id: int = 0
 
@@ -275,21 +285,27 @@ def _check_batch_inputs(config: EncoderConfig, ids: np.ndarray, attention_mask: 
         raise ValidationError("first position of every sequence must be valid")
 
 
-def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask, *, rows=None):
+def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask, *, rows=None, _keep_trace=False):
     """Run the encoder over ``[batch, length]`` token ids.
 
     Returns ``(hidden, trace)`` where hidden is ``[batch, length, model_dim]``.
 
     ``rows``, a boolean ``[batch, length]`` mask of the positions the caller
-    reads, makes this an inference forward: it returns only those states,
-    ``hidden[rows]`` as ``[n_rows, model_dim]`` in row-major order, and keeps
-    no trace. The last layer's attention still runs over every position (all
-    keys and values are read), but its out-projection, residuals, layer norms
-    and feed-forward run on the selected rows alone. Every row's arithmetic
-    is the same as in the full forward, so the states are bit for bit
-    ``hidden[rows]``. With fewer than two rows selected, or sequences of
-    length one, the last layer runs in full and the rows are picked
-    afterwards.
+    reads, returns only those states, ``hidden[rows]`` as ``[n_rows,
+    model_dim]`` in row-major order. The last layer's attention still runs
+    over every position (all keys and values are read), but its
+    out-projection, residuals, layer norms and feed-forward run on the
+    selected rows alone. Every row's arithmetic is the same as in the full
+    forward, so the states are bit for bit ``hidden[rows]``. With fewer than
+    two rows selected, sequences of length one or no layers, the last layer
+    runs in full and the rows are picked afterwards.
+
+    A forward with ``rows`` is an inference forward and returns the states
+    alone, keeping no trace. The heads' training forwards (``score_cls_batch``,
+    ``embed_batch`` and the masked-token loss) pass ``rows`` with the private
+    ``_keep_trace=True`` and get ``(states, trace)``; that trace keeps the
+    gathered layer's attention inputs for every position and the rest of that
+    layer for the selected rows only.
     """
     ids = np.asarray(ids, dtype=np.int64)
     attention_mask = np.asarray(attention_mask, dtype=np.int64)
@@ -305,12 +321,12 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf)
     scale = 1.0 / math.sqrt(config.head_dim)
 
-    trace = None if rows is not None else ForwardTrace(
+    trace = ForwardTrace(
         ids=ids, attention_mask=attention_mask, hidden=None, params_id=id(params)
-    )
+    ) if rows is None or _keep_trace else None
     # a product with one row per matrix takes BLAS's matrix-vector path, which
-    # rounds differently, so the gather needs two rows and two positions
-    gather = rows is not None and l >= 2 and np.count_nonzero(rows) >= 2
+    # rounds differently, so the gather needs two rows, two positions and a layer
+    gather = rows is not None and len(params.layers) > 0 and l >= 2 and np.count_nonzero(rows) >= 2
     gather_at = len(params.layers) - 1 if gather else None
     for i, layer in enumerate(params.layers):
         q = _split_heads(_affine(x, layer.w_q, layer.b_q), config.n_heads)
@@ -323,6 +339,7 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         probs = np.exp(logits, out=logits)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(probs, v))
+        x_in = x if trace is not None else None  # without a trace the gather frees the full x
         if i == gather_at:
             ctx, x = ctx[rows], x[rows]
         r1 = _affine(ctx, layer.w_o, layer.b_o)
@@ -337,21 +354,42 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         if trace is not None:
             trace.layers.append(
                 _LayerTrace(
-                    x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                    rows=rows if i == gather_at else None,
+                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                     x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
                     ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
                     x_hat2=x_hat2, inv_std2=inv_std2,
                 )
             )
         x = x_next
+    picked = rows if rows is not None and not gather else None
+    if picked is not None:
+        x = x[picked]
     if trace is None:
-        return x if x.ndim == 2 else x[rows]  # gathered in the last layer, or picked now
-    trace.hidden = x
+        return x
+    trace.hidden, trace.picked = x, picked
     return x, trace
 
 
+def _scatter(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``[n_rows, dim]`` values of the selected ``rows`` placed in zeros
+    shaped ``[batch, length, dim]``."""
+    out = np.zeros(rows.shape + values.shape[-1:])
+    out[rows] = values
+    return out
+
+
 def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_hidden) -> EncoderParams:
-    """Exact gradients of ``sum(d_hidden * hidden)`` for every parameter."""
+    """Exact gradients of ``sum(d_hidden * hidden)`` for every parameter.
+
+    ``d_hidden`` is shaped like the states the forward returned: ``[batch,
+    length, model_dim]``, or ``[n_rows, model_dim]`` after a forward with
+    ``rows``. There the gathered last layer's backward from its second layer
+    norm down to its out-projection runs on the selected rows only (every
+    other position's gradient is exactly zero), and the gradients of its
+    context and residual are scattered to every position for the attention
+    backward and the earlier layers.
+    """
     if trace.params_id != id(params):
         raise ContractError("trace was produced by different parameters")
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
@@ -361,10 +399,10 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         )
     grads = zeros_like_params(params)
     scale = 1.0 / math.sqrt(config.head_dim)
-    b, l = trace.ids.shape
+    l = trace.ids.shape[1]
     d = config.model_dim
 
-    d_x = d_hidden
+    d_x = d_hidden if trace.picked is None else _scatter(d_hidden, trace.picked)
     for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers), reversed(grads.layers)):
         d_r2, g.ln2_scale[:], g.ln2_offset[:] = _layer_norm_backward(
             d_x, lt.x_hat2, lt.inv_std2, layer.ln2_scale
@@ -390,7 +428,10 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_r1_flat = d_r1.reshape(-1, d)
         g.w_o[:] = lt.ctx.reshape(-1, d).T @ d_r1_flat
         g.b_o[:] = d_r1_flat.sum(axis=0)
-        d_ctx = _split_heads(d_r1 @ layer.w_o.T, config.n_heads)
+        d_ctx = d_r1 @ layer.w_o.T
+        if lt.rows is not None:
+            d_ctx, d_r1 = _scatter(d_ctx, lt.rows), _scatter(d_r1, lt.rows)
+        d_ctx = _split_heads(d_ctx, config.n_heads)
 
         d_v = np.matmul(lt.probs.swapaxes(-1, -2), d_ctx)
         # softmax backward in place: d_logits = probs * (d_probs - sum(d_probs * probs))
@@ -428,48 +469,49 @@ def _require_cls(trace_ids: np.ndarray):
         raise ContractError("scoring requires sequences that start with the [CLS] token")
 
 
+def _cls_rows(ids) -> np.ndarray:
+    """The ``rows`` mask of ``forward_batch`` that selects each sequence's
+    first position (all False unless ``ids`` is 2-D, which the forward refuses)."""
+    rows = np.zeros(np.shape(ids), dtype=bool)
+    if rows.ndim == 2:
+        rows[:, 0] = True
+    return rows
+
+
 def score_cls_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
     """Scalar relevance score per sequence from the first-token state."""
-    hidden, trace = forward_batch(params, config, ids, attention_mask)
+    cls, trace = forward_batch(params, config, ids, attention_mask, rows=_cls_rows(ids), _keep_trace=True)
     _require_cls(trace.ids)
-    scores = hidden[:, 0, :] @ params.score_w + params.score_b
-    return scores, trace
+    return cls @ params.score_w + params.score_b, trace
 
 
 def score_cls_backward(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_scores) -> EncoderParams:
     d_scores = np.asarray(d_scores, dtype=np.float64)
     if d_scores.shape != (trace.hidden.shape[0],):
         raise ContractError("one upstream gradient per sequence is required")
-    d_hidden = np.zeros_like(trace.hidden)
-    d_hidden[:, 0, :] = d_scores[:, None] * params.score_w
-    grads = backward_batch(params, config, trace, d_hidden)
-    grads.score_w[:] += trace.hidden[:, 0, :].T @ d_scores
+    grads = backward_batch(params, config, trace, d_scores[:, None] * params.score_w)
+    grads.score_w[:] += trace.hidden.T @ d_scores
     grads.score_b[()] += d_scores.sum()
     return grads
 
 
 def embed_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
     """One embedding vector per sequence (first-token state, or masked mean)."""
-    hidden, trace = forward_batch(params, config, ids, attention_mask)
     if config.pooling == "cls":
-        emb = hidden[:, 0, :].copy()
-    else:
-        m = trace.attention_mask[:, :, None].astype(np.float64)
-        emb = (hidden * m).sum(axis=1) / m.sum(axis=1)
-    return emb, trace
+        return forward_batch(params, config, ids, attention_mask, rows=_cls_rows(ids), _keep_trace=True)
+    hidden, trace = forward_batch(params, config, ids, attention_mask)
+    m = trace.attention_mask[:, :, None].astype(np.float64)
+    return (hidden * m).sum(axis=1) / m.sum(axis=1), trace
 
 
 def embed_backward(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_emb) -> EncoderParams:
     d_emb = np.asarray(d_emb, dtype=np.float64)
-    if d_emb.shape != (trace.hidden.shape[0], trace.hidden.shape[2]):
+    if d_emb.shape != (trace.ids.shape[0], config.model_dim):
         raise ContractError("one upstream gradient row per sequence is required")
-    d_hidden = np.zeros_like(trace.hidden)
     if config.pooling == "cls":
-        d_hidden[:, 0, :] = d_emb
-    else:
-        m = trace.attention_mask[:, :, None].astype(np.float64)
-        d_hidden[:] = d_emb[:, None, :] * (m / m.sum(axis=1, keepdims=True))
-    return backward_batch(params, config, trace, d_hidden)
+        return backward_batch(params, config, trace, d_emb)
+    m = trace.attention_mask[:, :, None].astype(np.float64)
+    return backward_batch(params, config, trace, d_emb[:, None, :] * (m / m.sum(axis=1, keepdims=True)))
 
 
 def mlm_logits_batch(params: EncoderParams, states) -> np.ndarray:

@@ -195,9 +195,10 @@ def rank_with_teacher(
     candidates,
     tokenizer: Tokenizer,
 ) -> RankResult:
-    """Rank candidate documents with one cross-encoder forward per document.
+    """Rank candidate documents with the cross-encoder, run as one padded
+    forward over every (query, document) pair.
 
-    The timed window covers pair encoding, all forwards, and the sort.
+    The timed window covers pair encoding, the forward, and the sort.
     """
     _check_tokenizer(teacher, tokenizer)
     candidates = list(candidates)

@@ -253,13 +253,6 @@ def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
         )
 
 
-def _cls_rows(ids: np.ndarray) -> np.ndarray:
-    """The ``rows`` mask of ``forward_batch`` that selects each sequence's first position."""
-    rows = np.zeros(ids.shape, dtype=bool)
-    rows[:, 0] = True
-    return rows
-
-
 def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np.ndarray:
     """Cross-encoder scores of ``query`` paired with each of ``texts``, run as
     one padded inference forward over the [CLS] states; bit for bit the
@@ -267,7 +260,7 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
     ids, mask = enc.pad_token_rows(rows)
     enc._require_cls(ids)
-    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=_cls_rows(ids))
+    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
     return cls @ ckpt.params.score_w + ckpt.params.score_b
 
 
@@ -279,7 +272,7 @@ def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     rows = [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts]
     ids, mask = enc.pad_token_rows(rows)
     if ckpt.config.pooling == "cls":
-        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=_cls_rows(ids))
+        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
     return enc.embed_batch(ckpt.params, ckpt.config, ids, mask)[0]
 
 
@@ -384,14 +377,13 @@ def _mlm_batch(rows, label_rows):
 
 def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
     """Masked-token loss of the id ``rows`` against ``label_rows`` (see
-    ``_mlm_batch``). Returns ``(loss, hidden, masked, states, trace)``:
-    ``states = hidden[masked]``, in row-major order, are the hidden states the
-    head scored."""
+    ``_mlm_batch``). Returns ``(loss, states, trace)``: ``states``, the hidden
+    states of the masked positions in row-major order, are what the head
+    scored, and the forward ran the last layer past attention on them alone."""
     ids, mask, labels, masked = _mlm_batch(rows, label_rows)
-    hidden, trace = enc.forward_batch(params, config, ids, mask)
-    states = hidden[masked]
+    states, trace = enc.forward_batch(params, config, ids, mask, rows=masked, _keep_trace=True)
     loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
-    return loss, hidden, masked, states, trace
+    return loss, states, trace
 
 
 def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mask_rate: float, mask_seed_base: list) -> float:
@@ -461,12 +453,10 @@ def pretrain_mlm(
             label_rows.append(labels)
         if all(lab == UNMASKED for labels in label_rows for lab in labels):
             return None
-        out, hidden, masked, states, trace = _mlm_loss(params, encoder_config, rows, label_rows)
+        out, states, trace = _mlm_loss(params, encoder_config, rows, label_rows)
 
         def finish():
-            d_hidden = np.zeros_like(hidden)
-            d_hidden[masked] = out.grad @ params.tok_emb
-            grads = enc.backward_batch(params, encoder_config, trace, d_hidden)
+            grads = enc.backward_batch(params, encoder_config, trace, out.grad @ params.tok_emb)
             grads.tok_emb += out.grad.T @ states
             grads.mlm_bias += out.grad.sum(axis=0)
             return grads, [out.value * len(states)], len(states)

@@ -12,7 +12,7 @@ import pytest
 from conftest import bits_equal
 from scipy.special import erf
 
-from listrank import encoder
+from listrank import encoder, training
 from listrank.encoder import (
     LN_EPS,
     EncoderConfig,
@@ -22,6 +22,7 @@ from listrank.encoder import (
     _layer_norm,
     _layer_norm_backward,
     backward_batch,
+    embed_backward,
     embed_batch,
     forward_batch,
     init_params,
@@ -33,7 +34,7 @@ from listrank.encoder import (
     zeros_like_params,
 )
 from listrank.errors import ConfigurationError, ContractError, ValidationError
-from listrank.tokenizer import CLS_ID, PAD_ID
+from listrank.tokenizer import CLS_ID, PAD_ID, UNMASKED
 
 TINY = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
 TINY_ROWS = [[CLS_ID, 7, 12, 9, 6], [CLS_ID, 5, 18], [CLS_ID, 11, 6, 13]]
@@ -538,3 +539,119 @@ class TestInferenceRows:
         assert calls == []
         forward_batch(params, TINY, ids, mask, rows=np.ones(ids.shape, dtype=bool))
         assert calls  # the count sees a forward that runs
+
+
+def _full_path(params, config, ids, mask, rows, d_states):
+    """The reference for a head's training backward: a full forward, then
+    ``backward_batch`` with ``d_states`` at the ``rows`` and zero elsewhere.
+    Returns the gradients and ``hidden[rows]``."""
+    hidden, trace = forward_batch(params, config, ids, mask)
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[rows] = d_states
+    return backward_batch(params, config, trace, d_hidden), hidden[rows]
+
+
+def _mlm_lines(ids, mask, rows, seed):
+    """Id lines and label lines of the padded batch, with a random label at
+    each selected row, as ``training._mlm_loss`` takes them."""
+    labels = np.where(rows, np.random.default_rng(seed).integers(4, 300, size=ids.shape), UNMASKED)
+    lengths = mask.sum(axis=1)
+    return ([ids[i, :n].tolist() for i, n in enumerate(lengths)],
+            [labels[i, :n].tolist() for i, n in enumerate(lengths)])
+
+
+class TestTrainingRows:
+    """A head's training forward passes the rows it reads and its backward
+    runs the last layer past attention on those rows alone. The gradients
+    equal the full path's to within 1e-12 of the largest one: the
+    weight-gradient products sum over fewer rows, so they may round
+    differently. The batches with one selected row or length one take the
+    fallback, which scatters ``d_hidden`` before a full backward."""
+
+    SHAPES = [(1, 7), (2, 6), (3, 12), (30, 10), (240, 10), (4, 1)]
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got.flat - want.flat).max() <= 1e-12 * np.abs(want.flat).max()
+
+    @staticmethod
+    def case(n_layers, batch, length):
+        config = EncoderConfig(n_layers=n_layers, **WIDE)
+        ids, mask = _random_batch(batch, length, seed=batch * length)
+        return config, init_params(config, seed=n_layers + 1), ids, mask, np.random.default_rng(batch + length)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("batch, length", SHAPES)
+    def test_score_cls_backward(self, n_layers, batch, length):
+        config, params, ids, mask, rng = self.case(n_layers, batch, length)
+        d_scores = rng.standard_normal(batch)
+        scores, trace = score_cls_batch(params, config, ids, mask)
+        want, cls = _full_path(params, config, ids, mask, _rows("cls", mask, 0), d_scores[:, None] * params.score_w)
+        want.score_w[:] += cls.T @ d_scores
+        want.score_b[()] += d_scores.sum()
+        assert bits_equal(scores, cls @ params.score_w + params.score_b)
+        self.assert_close(score_cls_backward(params, config, trace, d_scores), want)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("batch, length", SHAPES)
+    def test_embed_backward_cls_pooling(self, n_layers, batch, length):
+        config, params, ids, mask, rng = self.case(n_layers, batch, length)
+        d_emb = rng.standard_normal((batch, config.model_dim))
+        emb, trace = embed_batch(params, config, ids, mask)
+        want, cls = _full_path(params, config, ids, mask, _rows("cls", mask, 0), d_emb)
+        assert bits_equal(emb, cls)
+        self.assert_close(embed_backward(params, config, trace, d_emb), want)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("batch, length, kind", [
+        (3, 12, "masked"), (30, 10, "masked"), (240, 10, "masked"), (30, 10, "one"), (4, 1, "one"),
+    ])
+    def test_mlm_gradient(self, n_layers, batch, length, kind):
+        """Masked rows, several in a sequence and none at padding, or
+        exactly one in the batch."""
+        config, params, ids, mask, _ = self.case(n_layers, batch, length)
+        rows = _rows(kind, mask, seed=batch + length)
+        per_sequence = rows.sum(axis=1)
+        if kind == "masked":
+            assert per_sequence.max() >= 2 and (mask == 0).any()
+        else:
+            assert per_sequence.sum() == 1
+        loss, states, trace = training._mlm_loss(params, config, *_mlm_lines(ids, mask, rows, seed=batch))
+        d_states = loss.grad @ params.tok_emb
+        want, picked = _full_path(params, config, ids, mask, rows, d_states)
+        assert bits_equal(states, picked)
+        self.assert_close(backward_batch(params, config, trace, d_states), want)
+
+    def test_mlm_gradient_matches_finite_differences(self):
+        """Central differences on every parameter of a two-layer encoder,
+        through the masked-token loss with several masked rows per sequence
+        and padding, so the gathered last layer is the one differentiated."""
+        config = EncoderConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=6)
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(41)
+        for name, arr in params.named_arrays():
+            arr[...] = 1.0 + 0.2 * rng.standard_normal(arr.shape) if name.endswith("scale") else 0.5 * rng.standard_normal(arr.shape)
+        lines = [[CLS_ID, 7, 12, 3, 9, 4], [CLS_ID, 5, 18], [CLS_ID, 2, 6, 11]]
+        labels = [[UNMASKED, 3, UNMASKED, 17, 8], [UNMASKED, UNMASKED, 9], [UNMASKED, 14, 6]]
+
+        def objective():
+            return training._mlm_loss(params, config, lines, labels)[0].value
+
+        loss, states, trace = training._mlm_loss(params, config, lines, labels)
+        assert len(states) == 6 and isinstance(trace.layers[-1].rows, np.ndarray)
+        grads = backward_batch(params, config, trace, loss.grad @ params.tok_emb)
+        grads.tok_emb += loss.grad.T @ states
+        grads.mlm_bias += loss.grad.sum(axis=0)
+        analytic = dict(grads.named_arrays())
+        eps, worst = 1e-5, 0.0
+        for name, arr in params.named_arrays():
+            for idx in np.ndindex(arr.shape):
+                keep = arr[idx]
+                arr[idx] = keep + eps
+                hi = objective()
+                arr[idx] = keep - eps
+                lo = objective()
+                arr[idx] = keep
+                numeric, g = (hi - lo) / (2.0 * eps), analytic[name][idx]
+                worst = max(worst, abs(g - numeric) / max(abs(g), abs(numeric), 1e-6))
+        assert worst < 1e-4

@@ -922,11 +922,10 @@ class TestTraceLifetime:
 
         def forward_batch(*args, **kwargs):
             forwards.append(bool(traces) and traces[-1]() is not None)
-            if "rows" in kwargs:  # an inference forward keeps no trace
-                return real_forward(*args, **kwargs)
-            hidden, trace = real_forward(*args)
-            traces.append(weakref.ref(trace))
-            return hidden, trace
+            out = real_forward(*args, **kwargs)
+            if isinstance(out, tuple):  # a training forward; an inference forward keeps no trace
+                traces.append(weakref.ref(out[1]))
+            return out
 
         def backward_batch(*args):
             backwards.append(all(ref() is None for ref in traces[:-1]))
