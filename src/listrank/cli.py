@@ -112,7 +112,7 @@ def _resolve(args, opts):
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the recursion limit
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigurationError("config file must hold a JSON object")
@@ -149,7 +149,7 @@ def _load_corpus(resolved):
         try:
             with open(resolved["corpus"], "r", encoding="utf-8") as fh:
                 lines.extend(line.strip() for line in fh if line.strip())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read corpus file: {exc}") from exc
     if not lines:
         raise ConfigurationError("provide --data and/or --corpus with at least one line")

@@ -1,4 +1,4 @@
-"""Click-log modelling, CTR-to-grade conversion, and synthetic ranking data.
+"""Ranking data: CTR-to-grade conversion, synthetic data and dataset files.
 
 Grades are integers 0..4. CTR grading is done in exact rational arithmetic
 (clicks/impressions are counts), so ceil() never suffers float rounding and
@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyInputError, MissingIdError, ParseError, ValidationError
+from .errors import EmptyInputError, ParseError, ValidationError
 from .fileio import atomic_write
 from .metrics import nearest_rank_percentile
 
 GRADE_MAX = 4
-DEFAULT_MIN_IMPRESSIONS = 50
-DEFAULT_RESULT_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,19 @@ class Document:
     def __post_init__(self):
         if not self.doc_id:
             raise ValidationError("doc_id must be non-empty")
+        if not valid_doc_ids([self.doc_id]):
+            raise ValidationError(f"doc_id {self.doc_id!r} must be a string without a comma or a line break")
+
+
+def valid_doc_ids(doc_ids: list) -> bool:
+    """Whether every id is a non-empty string with no comma and no line break
+    (any character ``str.splitlines`` breaks at), so ``rank`` prints it as one
+    CSV field and ``--candidates`` can name it. Checked joined, in a few scans."""
+    try:
+        joined = "".join(doc_ids)
+    except TypeError:  # an id that is not a string
+        return False
+    return all(doc_ids) and "," not in joined and (not joined or joined.splitlines() == [joined])
 
 
 @dataclass
@@ -79,14 +91,17 @@ class Dataset:
     groups: list[QueryGroup] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
-        for group in self.groups:
-            if group.query_id in seen:
-                raise ValidationError(f"duplicate query_id {group.query_id!r} in dataset")
-            seen.add(group.query_id)
+        _refuse_duplicates([group.query_id for group in self.groups], "query ids")
 
     def __len__(self) -> int:
         return len(self.groups)
+
+
+def _refuse_duplicates(ids, what: str) -> None:
+    """Refuse ``ids`` if any repeats, naming every repeated id, sorted."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(d for d, n in Counter(ids).items() if n > 1)
+        raise ValidationError(f"duplicate {what}: {dupes}")
 
 
 def _check_grade(grade: int, context: str) -> None:
@@ -120,49 +135,6 @@ def grade_from_ctr(records: list[ClickRecord], min_impressions: int) -> list[int
     if max_ctr == 0:
         return [0] * len(surviving)
     return [math.ceil(GRADE_MAX * ctr / max_ctr) for ctr in ctrs]
-
-
-def ingest_click_log(
-    records: list[ClickRecord],
-    docs: dict[str, Document],
-    min_impressions: int = DEFAULT_MIN_IMPRESSIONS,
-    result_cap: int = DEFAULT_RESULT_CAP,
-    query_texts: dict[str, str] | None = None,
-) -> Dataset:
-    """Build a graded dataset from a click log.
-
-    Per query: drop low-impression records, keep the ``result_cap`` documents
-    with the most impressions (proxy for the engine's original ordering), then
-    grade the kept records. Queries with no surviving records are omitted.
-    ``query_texts`` optionally maps query_id to query text; the id itself is
-    used when absent.
-    """
-    missing = sorted({r.doc_id for r in records if r.doc_id not in docs})
-    if missing:
-        raise MissingIdError(f"unresolvable doc_ids: {', '.join(missing)}", missing)
-
-    by_query: dict[str, list[ClickRecord]] = {}
-    for record in records:
-        by_query.setdefault(record.query_id, []).append(record)
-
-    groups = []
-    for query_id, query_records in by_query.items():
-        surviving = [r for r in query_records if r.impressions >= min_impressions]
-        if not surviving:
-            continue
-        order = sorted(range(len(surviving)), key=lambda i: (-surviving[i].impressions, i))
-        kept = [surviving[i] for i in order[:result_cap]]
-        grades = grade_from_ctr(kept, min_impressions)
-        text = query_texts.get(query_id, query_id) if query_texts else query_id
-        groups.append(
-            QueryGroup(
-                query_id=query_id,
-                query_text=text,
-                docs=[docs[r.doc_id] for r in kept],
-                grades=grades,
-            )
-        )
-    return Dataset(groups=groups)
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -308,58 +280,50 @@ def _parse_group(obj: dict, line_no: int) -> QueryGroup:
     _check_strings(obj, ("query_id", "query"), line_no)
     if not isinstance(obj["docs"], list) or not obj["docs"]:
         raise ParseError("'docs' must be a non-empty array", line_no)
-    docs = []
-    graded: list[int | None] = []
-    ctr_records: list[ClickRecord | None] = []
+    docs, grades, clicks = [], [], []
     for entry in obj["docs"]:
         if not isinstance(entry, dict) or "doc_id" not in entry or "text" not in entry:
             raise ParseError("each doc needs 'doc_id' and 'text'", line_no)
         _check_strings(entry, ("doc_id", "text"), line_no)
         try:
             docs.append(Document(doc_id=entry["doc_id"], text=entry["text"]))
+            if "grade" in entry:
+                _check_grade(entry["grade"], f"doc {entry['doc_id']!r}")
+                grades.append(entry["grade"])
+            elif "clicks" in entry and "impressions" in entry:
+                for key in ("clicks", "impressions"):
+                    if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+                        raise ParseError(f"{key!r} must be an integer, got {entry[key]!r}", line_no)
+                clicks.append(ClickRecord(obj["query_id"], entry["doc_id"], entry["clicks"], entry["impressions"]))
+            else:
+                raise ParseError("doc needs either 'grade' or both 'clicks'/'impressions'", line_no)
         except ValidationError as exc:
             raise ParseError(str(exc), line_no) from exc
-        if "grade" in entry:
-            grade = entry["grade"]
-            try:
-                _check_grade(grade, f"doc {entry['doc_id']!r}")
-            except ValidationError as exc:
-                raise ParseError(str(exc), line_no) from exc
-            graded.append(grade)
-            ctr_records.append(None)
-        elif "clicks" in entry and "impressions" in entry:
-            for key in ("clicks", "impressions"):
-                if not isinstance(entry[key], int) or isinstance(entry[key], bool):
-                    raise ParseError(f"{key!r} must be an integer, got {entry[key]!r}", line_no)
-            graded.append(None)
-            try:
-                ctr_records.append(ClickRecord(obj["query_id"], entry["doc_id"], entry["clicks"], entry["impressions"]))
-            except ValidationError as exc:
-                raise ParseError(str(exc), line_no) from exc
-        else:
-            raise ParseError("doc needs either 'grade' or both 'clicks'/'impressions'", line_no)
-    if all(g is not None for g in graded):
-        grades = [g for g in graded if g is not None]
-    elif all(r is not None for r in ctr_records):
-        grades = grade_from_ctr([r for r in ctr_records if r is not None], min_impressions=0)
-    else:
+    if grades and clicks:
         raise ParseError("cannot mix 'grade' docs with 'clicks'/'impressions' docs in one group", line_no)
+    if clicks:
+        grades = grade_from_ctr(clicks, min_impressions=0)
     return QueryGroup(query_id=obj["query_id"], query_text=obj["query"], docs=docs, grades=grades)
 
 
 def load_dataset(path) -> Dataset:
+    # split at \n, \r and \r\n as text mode does, but decode per line so bad UTF-8 names its line
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
     groups = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("each line must be a JSON object", line_no)
-            groups.append(_parse_group(obj, line_no))
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested past the recursion limit
+            raise ParseError(f"invalid JSON: {exc}", line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("each line must be a JSON object", line_no)
+        groups.append(_parse_group(obj, line_no))
     return Dataset(groups=groups)
 
 

@@ -14,12 +14,11 @@ table, then the float32 vectors, then a hash of every byte before it.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _refuse_duplicates, valid_doc_ids
 from .errors import (
     ConfigurationError,
     EmptyInputError,
@@ -117,8 +116,8 @@ def load_store(path: str) -> EmbeddingStore:
     def payload_bytes(header):
         dim, fingerprint, doc_ids = (header.get(k) for k in ("dim", "fingerprint", "doc_ids"))
         if not (type(dim) is int and dim >= 0 and isinstance(fingerprint, str)
-                and isinstance(doc_ids, list) and all(type(d) is str for d in doc_ids)):
-            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and string doc ids")
+                and isinstance(doc_ids, list) and valid_doc_ids(doc_ids)):
+            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and valid doc ids")
         return 4 * dim * len(doc_ids)
 
     header, payload = read_framed(path, STORE_FORMAT, payload_bytes)
@@ -145,13 +144,6 @@ def _sorted_ranking(doc_ids, id_rank, scores):
     """
     order = score_order(scores, id_rank)
     return list(zip(map(doc_ids.__getitem__, order.tolist()), scores[order].tolist()))
-
-
-def _refuse_duplicates(ids, what: str) -> None:
-    """Refuse ``ids`` if any repeats, naming every repeated id, sorted."""
-    if len(set(ids)) != len(ids):
-        dupes = sorted(d for d, n in Counter(ids).items() if n > 1)
-        raise ValidationError(f"duplicate {what}: {dupes}")
 
 
 def rank_with_student(

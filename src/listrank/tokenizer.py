@@ -186,7 +186,7 @@ def load_tokenizer(path) -> Tokenizer:
     try:
         with open(path, "rb") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the recursion limit
         raise ParseError(f"tokenizer file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "vocab" not in payload or "merges" not in payload:
         raise ParseError("tokenizer file missing 'vocab' or 'merges'")

@@ -115,6 +115,15 @@ class TestArgumentHandling:
         assert code == 1
         assert "file not found" in err
 
+    def test_corpus_that_is_not_utf8_fails_cleanly(self, tmp_path):
+        """The byte 0xff raised a UnicodeDecodeError traceback."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"red shoe\n\xff\n")
+        code, _, err = run_cli(["tokenize-train", "--corpus", str(corpus), "--out", str(tmp_path / "tok.json")])
+        assert code == 1
+        [line] = error_lines(err)
+        assert line.startswith("error: cannot read corpus file: ")
+
 
 class TestConfigResolution:
     def test_flag_beats_config_file_beats_default(self, tmp_path):
@@ -171,13 +180,17 @@ class TestConfigResolution:
         assert "must be a boolean" in err
 
     def test_config_file_with_invalid_json_fails(self, tmp_path):
+        """A byte that is not UTF-8 and nesting past the recursion limit
+        raised UnicodeDecodeError and RecursionError tracebacks."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json at all")
-        code, _, err = run_cli([
-            "synth-data", "--config", str(cfg), "--out", str(tmp_path / "d.jsonl"),
-        ])
-        assert code == 1
-        assert "not valid JSON" in err
+        for content in (b"not json at all", b'{"seed": "\xff"}', b"[" * 100_000):
+            cfg.write_bytes(content)
+            code, _, err = run_cli([
+                "synth-data", "--config", str(cfg), "--out", str(tmp_path / "d.jsonl"),
+            ])
+            assert code == 1
+            [line] = error_lines(err)
+            assert line.startswith("error: config file is not valid JSON: ")
 
 
 class TestSynthData:
@@ -368,8 +381,8 @@ class TestPipelineCommands:
 
 
 class TestSharedDocuments:
-    """A doc listed under two queries, as ``ingest_click_log`` produces when
-    two queries share a product: every store holds each doc id once."""
+    """A doc listed under two queries, as a dataset file may hold when two
+    queries share a product: every store holds each doc id once."""
 
     @pytest.fixture(scope="class")
     def shared(self, tmp_path_factory):

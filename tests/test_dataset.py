@@ -1,4 +1,4 @@
-"""Unit tests for click-log grading, synthetic data, and dataset files.
+"""Unit tests for CTR grading, synthetic data, and dataset files.
 
 CTR grading is checked against hand-derived grades and against exactness
 properties (scaling a query's counts by a common factor can never change
@@ -24,14 +24,12 @@ from listrank.dataset import (
     dataset_stats,
     generate_synthetic,
     grade_from_ctr,
-    ingest_click_log,
     load_dataset,
     save_dataset,
     split_dataset,
 )
 from listrank.errors import (
     EmptyInputError,
-    MissingIdError,
     ParseError,
     ValidationError,
 )
@@ -64,6 +62,16 @@ class TestDocument:
         with pytest.raises(ValidationError):
             Document(doc_id="", text="hello")
 
+    @pytest.mark.parametrize("doc_id", ["a,b", "c\nd", "e\r", "\u2028f", 7])
+    def test_id_that_is_not_one_csv_field_raises(self, doc_id):
+        """``rank`` printed ``a,b`` as two fields and ``c\nd`` as two rows."""
+        with pytest.raises(ValidationError) as excinfo:
+            Document(doc_id=doc_id, text="hello")
+        assert str(excinfo.value) == f"doc_id {doc_id!r} must be a string without a comma or a line break"
+
+    def test_ids_with_other_punctuation_are_kept(self):
+        assert Document(doc_id="a b;c\t\"d\"_é", text="hello").doc_id == "a b;c\t\"d\"_é"
+
 
 class TestQueryGroup:
     def test_doc_grade_length_mismatch_raises(self):
@@ -92,8 +100,9 @@ class TestDataset:
     def test_duplicate_query_id_raises(self):
         g1 = QueryGroup("q", "a", [Document("d1", "x")], [0])
         g2 = QueryGroup("q", "b", [Document("d2", "y")], [1])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             Dataset([g1, g2])
+        assert str(excinfo.value) == "duplicate query ids: ['q']"
 
     def test_len_counts_groups(self):
         g = QueryGroup("q", "a", [Document("d1", "x")], [0])
@@ -175,46 +184,6 @@ class TestGradeFromCtr:
     def test_mixed_queries_raise(self):
         with pytest.raises(ValidationError):
             grade_from_ctr([record("q1", "a", 1, 10), record("q2", "b", 1, 10)], 0)
-
-
-class TestIngestClickLog:
-    def make_docs(self, *doc_ids):
-        return {d: Document(d, f"text of {d}") for d in doc_ids}
-
-    def test_unresolvable_doc_ids_raise_sorted(self):
-        docs = self.make_docs("a")
-        records = [record("q", "z", 1, 100), record("q", "b", 1, 100), record("q", "a", 1, 100)]
-        with pytest.raises(MissingIdError) as excinfo:
-            ingest_click_log(records, docs)
-        assert excinfo.value.missing_ids == ["b", "z"]
-
-    def test_result_cap_keeps_most_impressed_docs(self):
-        """With cap 2 the two docs with the most impressions survive and
-        grading is relative to the kept leader only."""
-        docs = self.make_docs("a", "b", "c")
-        records = [
-            record("q", "a", 10, 1000),
-            record("q", "b", 30, 300),
-            record("q", "c", 20, 200),  # most clicked per impression, fewest impressions
-        ]
-        dataset = ingest_click_log(records, docs, min_impressions=0, result_cap=2)
-        group = dataset.groups[0]
-        assert [d.doc_id for d in group.docs] == ["a", "b"]
-        # ctrs 1/100 and 1/10: leader grades 4, the other ceil(4/10) = 1
-        assert group.grades == [1, 4]
-
-    def test_queries_without_survivors_are_omitted(self):
-        docs = self.make_docs("a", "b")
-        records = [record("q1", "a", 5, 100), record("q2", "b", 1, 10)]
-        dataset = ingest_click_log(records, docs, min_impressions=50)
-        assert [g.query_id for g in dataset.groups] == ["q1"]
-
-    def test_query_texts_map_is_used_with_id_fallback(self):
-        docs = self.make_docs("a", "b")
-        records = [record("q1", "a", 5, 100), record("q2", "b", 5, 100)]
-        dataset = ingest_click_log(records, docs, query_texts={"q1": "red shoes"})
-        texts = {g.query_id: g.query_text for g in dataset.groups}
-        assert texts == {"q1": "red shoes", "q2": "q2"}
 
 
 class TestSyntheticSpec:
@@ -366,13 +335,27 @@ class TestDatasetIO:
         assert len(load_dataset(path).groups) == 2
 
     def test_invalid_json_reports_line_number(self, tmp_path):
+        """A byte that is not UTF-8 and nesting past the recursion limit
+        raised UnicodeDecodeError and RecursionError tracebacks."""
         path = tmp_path / "bad.jsonl"
+        for bad in (b"{not json", b'{"query_id": "\xff"}', b"[" * 100_000):
+            save_dataset(self.sample(), path)
+            with open(path, "ab") as fh:
+                fh.write(bad + b"\n")
+            with pytest.raises(ParseError) as excinfo:
+                load_dataset(path)
+            assert str(excinfo.value).startswith("line 3: invalid JSON: ")
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_files_count_lines_as_text_mode_does(self, tmp_path, newline):
+        path = tmp_path / "data.jsonl"
         save_dataset(self.sample(), path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(ParseError) as excinfo:
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(newline.join(lines + [b"{not json"]) + newline)
+        with pytest.raises(ParseError, match="^line 3: "):
             load_dataset(path)
-        assert "line 3" in str(excinfo.value)
+        path.write_bytes(newline.join(lines) + newline)
+        assert [g.query_id for g in load_dataset(path).groups] == ["q1", "q2"]
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -473,10 +456,11 @@ class TestDatasetIO:
         ({"query_id": 7}, {}, "'query_id' must be a string, got 7"),
         ({"query": None}, {}, "'query' must be a string, got None"),
         ({}, {"doc_id": ""}, "doc_id must be non-empty"),
+        ({}, {"doc_id": "a,b"}, "doc_id 'a,b' must be a string without a comma or a line break"),
         ({}, {"clicks": -1}, "clicks/impressions must be non-negative (q2, d)"),
         ({}, {"clicks": 4}, "clicks (4) exceed impressions (3) for (q2, d)"),
-    ], ids=["null-doc-id", "list-text", "int-query-id", "null-query", "empty-doc-id", "negative-clicks",
-            "clicks-over-impressions"])
+    ], ids=["null-doc-id", "list-text", "int-query-id", "null-query", "empty-doc-id", "comma-doc-id",
+            "negative-clicks", "clicks-over-impressions"])
     def test_bad_record_fields_rejected_with_line_number(self, tmp_path, group_edit, doc_edit, message):
         """Ids and texts were coerced with ``str`` (null loaded as doc
         'None'), and a record refused by ``Document`` or ``ClickRecord``

@@ -1,9 +1,14 @@
 """Source hygiene: every name a ``listrank`` module imports, and every
-private name it defines at top level, is referenced in that module.
+private name it defines at top level, is referenced in that module; every
+public name it defines at top level is used outside its own definition.
 
 The check reads each module's syntax tree. A name counts as referenced when
 it is read as a name anywhere in the module, including inside a string
-annotation such as ``-> "EncoderParams"``.
+annotation such as ``-> "EncoderParams"``. A public name counts as used when
+another top-level statement of ``src/listrank``, a file under ``perfbench/``
+or ``scripts/``, or the acceptance tests reads it as a name or an attribute
+or imports it by name. The other tests do not count: a name only they reach
+is code that nothing needs.
 """
 
 import ast
@@ -11,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "listrank"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "listrank"
 
 
 def _annotations(tree):
@@ -49,22 +55,47 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _bound_names(statement) -> list:
+    """The names a top-level statement defines or assigns."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return []
+
+
 def unused_private_names(source: str) -> list:
     """``(line, name)`` of every private name (one underscore in front, not a
     dunder) bound at the module's top level that the module never reads."""
     tree = ast.parse(source)
-    defined = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined[node.name] = node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        defined[name.id] = node.lineno
+    defined = {name: node.lineno for node in tree.body for name in _bound_names(node)}
     used = _referenced(tree)
     return sorted((line, name) for name, line in defined.items()
                   if name.startswith("_") and not name.startswith("__") and name not in used)
+
+
+def _uses(tree) -> set:
+    """Names ``tree`` reads, reads as an attribute, or imports by name."""
+    used = _referenced(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def unused_public_names(modules: dict, outside: list) -> list:
+    """``(module, name)`` of every public name bound at the top level of a
+    module in ``modules`` (name to source) that no other top-level statement
+    of those modules and none of the ``outside`` sources uses."""
+    statements = [(module, node, _uses(node)) for module, source in modules.items()
+                  for node in ast.parse(source).body]
+    used_outside = set().union(*(_uses(ast.parse(source)) for source in outside))
+    return sorted((module, name) for module, node, _ in statements for name in _bound_names(node)
+                  if not name.startswith("_") and name not in used_outside
+                  and not any(name in uses for _, other, uses in statements if other is not node))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -75,6 +106,22 @@ def test_every_import_is_referenced(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_private_top_level_name_is_referenced(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_top_level_name_is_used():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    outside = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]]
+    assert unused_public_names(modules, outside) == []
+
+
+def test_checker_finds_public_names_only_their_own_definition_uses():
+    modules = {
+        "a.py": "LIMIT = 3\ndef walk(n):\n    return walk(n - 1) if n else LIMIT\nclass Node:\n    pass\n",
+        "b.py": "from .a import Node\ndef build():\n    return Node()\ndef _helper(): pass\n",
+    }
+    assert unused_public_names(modules, []) == [("a.py", "walk"), ("b.py", "build")]
+    assert unused_public_names(modules, ["import m\nm.walk(1)\n", "from p.b import build\n"]) == []
 
 
 def test_checker_finds_unread_private_names():

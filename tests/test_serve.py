@@ -262,7 +262,8 @@ class TestStoreFiles:
             load_store(path)
 
     @pytest.mark.parametrize("field, value", [("dim", "4"), ("dim", True), ("fingerprint", 7),
-                                              ("doc_ids", ["doc0", 1, "doc2"])])
+                                              ("doc_ids", ["doc0", 1, "doc2"]), ("doc_ids", ["doc0", "a,b", "doc2"]),
+                                              ("doc_ids", ["doc0", "c\nd", "doc2"]), ("doc_ids", ["doc0", "", "doc2"])])
     def test_header_field_of_wrong_type_raises_format_error(self, tmp_path, field, value):
         """A crafted header with a valid hash is refused by its fields' types."""
         path = tmp_path / "x.store"

@@ -195,10 +195,13 @@ class TestPersistence:
         assert a.content_hash() != b.content_hash()
 
     def test_invalid_json_raises(self, tmp_path):
+        """A byte that is not UTF-8 and nesting past the recursion limit
+        raised UnicodeDecodeError and RecursionError tracebacks."""
         path = tmp_path / "tok.json"
-        path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_tokenizer(path)
+        for content in (b"{broken", b'{"vocab": "\xff"}', b"[" * 100_000):
+            path.write_bytes(content)
+            with pytest.raises(ParseError, match="^tokenizer file is not valid JSON: "):
+                load_tokenizer(path)
 
     def test_missing_vocab_raises(self, tmp_path):
         path = tmp_path / "tok.json"
