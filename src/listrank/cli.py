@@ -13,12 +13,20 @@ malformed files, contract violations), 2 for runtime failures.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import dataclass
+import os
 
-from .dataset import (
+# BLAS splits a product among its threads in ways that change the rounding, so
+# one thread, set before numpy loads, keeps every output byte independent of
+# the machine's core count.
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), "1"))
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+
+from .dataset import (  # noqa: E402
     Dataset,
     SyntheticSpec,
     corpus_lines,
@@ -27,10 +35,10 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .encoder import POOLINGS, EncoderConfig
-from .errors import ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError
-from .metrics import mean_ndcg, metrics_to_csv, MetricRow
-from .serve import (
+from .encoder import POOLINGS, EncoderConfig  # noqa: E402
+from .errors import ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError  # noqa: E402
+from .metrics import mean_ndcg, metrics_to_csv, MetricRow  # noqa: E402
+from .serve import (  # noqa: E402
     benchmark_latency,
     load_store,
     precompute_embeddings,
@@ -38,8 +46,8 @@ from .serve import (
     rank_with_teacher,
     save_store,
 )
-from .tokenizer import load_tokenizer, train_bpe
-from .training import (
+from .tokenizer import load_tokenizer, train_bpe  # noqa: E402
+from .training import (  # noqa: E402
     Checkpoint,
     LOSS_NAMES,
     TrainConfig,

@@ -310,7 +310,7 @@ def load_dataset(path) -> Dataset:
     # split at \n, \r and \r\n as text mode does, but decode per line so bad UTF-8 names its line
     with open(path, "rb") as fh:
         raw_lines = fh.read().splitlines()
-    groups = []
+    groups, first_line = [], {}
     for line_no, raw in enumerate(raw_lines, start=1):
         try:
             line = raw.decode("utf-8")
@@ -323,7 +323,11 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"invalid JSON: {exc}", line_no) from exc
         if not isinstance(obj, dict):
             raise ParseError("each line must be a JSON object", line_no)
-        groups.append(_parse_group(obj, line_no))
+        group = _parse_group(obj, line_no)
+        if group.query_id in first_line:
+            raise ParseError(f"query id {group.query_id!r} repeats line {first_line[group.query_id]}", line_no)
+        first_line[group.query_id] = line_no
+        groups.append(group)
     return Dataset(groups=groups)
 
 

@@ -22,8 +22,10 @@ order of operations as their written-out forms, so every result is bit for
 bit the same as those forms.
 
 Padded positions are excluded from attention with additive -inf on the key
-axis, which makes the states of real tokens exactly independent of how much
-padding follows them.
+axis, which makes the states of real tokens independent of how much padding
+follows them, up to rounding: the softmax sum and ``probs @ v`` run over the
+padded length, and numpy's pairwise sum changes its order at 8 or more keys,
+so a text can embed to other bits in a batch padded to another length.
 """
 
 from __future__ import annotations

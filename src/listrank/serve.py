@@ -30,11 +30,17 @@ from .errors import (
 from .fileio import FrameFormat, read_framed, write_framed
 from .metrics import nearest_rank_percentile, score_order, str_rank
 from .tokenizer import Tokenizer
-from .training import Checkpoint, _check_tokenizer, checkpoint_fingerprint, embed_texts, score_pairs
+from .training import (
+    Checkpoint,
+    _check_tokenizer,
+    _embed_rows,
+    checkpoint_fingerprint,
+    embed_texts,
+    score_pairs,
+)
 
 STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreFormatError, StoreFormatError, StoreFormatError,
                            StoreIntegrityError)
-_EMBED_CHUNK = 256
 
 
 @dataclass
@@ -47,14 +53,19 @@ class EmbeddingStore:
     vectors: np.ndarray
 
     def __post_init__(self):
+        """Refuse what ``load_store`` would refuse to read back: ids that are
+        not distinct ``valid_doc_ids``, or vectors of another shape."""
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
         if self.vectors.shape != (len(self.doc_ids), self.dim):
             raise ValidationError(
                 f"vectors shape {self.vectors.shape} does not match "
                 f"{len(self.doc_ids)} ids of dim {self.dim}"
             )
-        _refuse_duplicates(self.doc_ids, "store doc ids")
+        if not valid_doc_ids(self.doc_ids):
+            raise ValidationError("store doc ids must be non-empty strings without a comma or a line break")
         self._index = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        if len(self._index) != len(self.doc_ids):
+            _refuse_duplicates(self.doc_ids, "store doc ids")
         self._id_rank = None
 
     def __len__(self) -> int:
@@ -85,23 +96,36 @@ class EmbeddingStore:
 
 
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
-    """Embed every catalog document with the student encoder (float32)."""
+    """Embed every catalog document with the student encoder (float32).
+
+    The catalog is tokenized once and embedded in order, in chunks cut before
+    the doc that would take ``docs × longest row`` past a padded-token budget;
+    a chunk holds at least one doc."""
     _check_tokenizer(student, tokenizer)
     catalog = list(catalog)
     if not catalog:
         raise EmptyInputError("catalog is empty")
-    dim = student.config.model_dim
-    store = EmbeddingStore(dim=dim, fingerprint=checkpoint_fingerprint(student),
+    config = student.config
+    store = EmbeddingStore(dim=config.model_dim, fingerprint=checkpoint_fingerprint(student),
                            doc_ids=[d.doc_id for d in catalog],
-                           vectors=np.empty((len(catalog), dim), dtype=np.float32))
-    for start in range(0, len(catalog), _EMBED_CHUNK):
-        chunk = catalog[start : start + _EMBED_CHUNK]
-        # The inference forward keeps no trace, so each chunk's arrays are
-        # freed before the next chunk's forward and faulted in afresh: 10,500
-        # docs took about 110k minor faults per build, against 3k-15k when the
-        # trace was held until the next forward, and the build was still about
-        # 10% faster (2-core Xeon, one BLAS thread).
-        store.vectors[start : start + len(chunk)] = embed_texts(student, tokenizer, [d.text for d in chunk])
+                           vectors=np.empty((len(catalog), config.model_dim), dtype=np.float32))
+    rows = [tokenizer.encode_single(d.text, config.max_len).ids for d in catalog]
+    # The budget keeps a chunk's widest float64 activation (the feed-forward's,
+    # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
+    # arrays are freed before the next forward; glibc hands the memory of
+    # larger chunks back to the system (unmap or heap trim), so each chunk
+    # then faults its memory in afresh. At 10,500 docs of 5 tokens (2-core
+    # x86-64, one BLAS thread), a repeated build took 109k minor faults and
+    # 1.04 s with chunks of 256 docs, 0-900 faults and 0.71-0.87 s at budgets
+    # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens.
+    budget = (1 << 20) // (8 * config.ffn_dim)
+    start, longest = 0, 0
+    for end, n in enumerate(map(len, rows)):
+        longest = max(longest, n)
+        if end > start and (end + 1 - start) * longest > budget:
+            store.vectors[start:end] = _embed_rows(student, rows[start:end])
+            start, longest = end, n
+    store.vectors[start:] = _embed_rows(student, rows[start:])
     return store
 
 
@@ -113,17 +137,20 @@ def save_store(store: EmbeddingStore, path: str) -> None:
 
 
 def load_store(path: str) -> EmbeddingStore:
+    """Read a store file; ``EmbeddingStore`` checks its ids once, after the hash."""
     def payload_bytes(header):
         dim, fingerprint, doc_ids = (header.get(k) for k in ("dim", "fingerprint", "doc_ids"))
-        if not (type(dim) is int and dim >= 0 and isinstance(fingerprint, str)
-                and isinstance(doc_ids, list) and valid_doc_ids(doc_ids)):
-            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and valid doc ids")
+        if not (type(dim) is int and dim >= 0 and isinstance(fingerprint, str) and isinstance(doc_ids, list)):
+            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and a doc id list")
         return 4 * dim * len(doc_ids)
 
     header, payload = read_framed(path, STORE_FORMAT, payload_bytes)
     doc_ids, dim = header["doc_ids"], header["dim"]
     vectors = np.frombuffer(payload, dtype="<f4").reshape(len(doc_ids), dim).copy()
-    return EmbeddingStore(dim=dim, fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
+    try:
+        return EmbeddingStore(dim=dim, fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
+    except ValidationError as exc:
+        raise StoreFormatError(f"{path}: header needs valid doc ids: {exc}") from None
 
 
 # -- ranking ----------------------------------------------------------------

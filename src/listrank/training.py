@@ -266,10 +266,14 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     """Bi-encoder embeddings of ``texts``, run as one padded batch; bit for
-    bit the embeddings ``embed_batch`` returns. With CLS pooling the forward
-    is an inference forward over the [CLS] states; mean pooling reads every
-    position and runs the full forward."""
-    rows = [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts]
+    bit the embeddings ``embed_batch`` returns."""
+    return _embed_rows(ckpt, [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts])
+
+
+def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:
+    """Bi-encoder embeddings of token id rows, padded into one batch. With
+    CLS pooling the forward is an inference forward over the [CLS] states;
+    mean pooling reads every position and runs the full forward."""
     ids, mask = enc.pad_token_rows(rows)
     if ckpt.config.pooling == "cls":
         return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))

@@ -2,14 +2,19 @@
 
 All commands run in process through ``main(argv)`` with stdout and stderr
 captured, so exit codes, stream separation, and option resolution are
-checked without spawning subprocesses.
+checked without spawning subprocesses. Only the BLAS thread-count test
+starts fresh processes, since the thread count is fixed when numpy loads.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,3 +669,27 @@ def test_pretrain_refuses_a_malformed_tokenizer_with_one_line(tmp_path, vocab, m
     assert stdout == ""
     assert len(error_lines(err)) == 1 and error_lines(err)[0].startswith("error: tokenizer ")
     assert not out.exists()
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``train`` at 8 groups x 30 docs in fresh processes asked for one BLAS
+    thread and for two. Its backward rounds differently on two OpenBLAS
+    threads, which changed 193 float32 weights when the CLI left the thread
+    count to the environment."""
+    data, tok = tmp_path / "data.jsonl", tmp_path / "tok.json"
+    for argv in (["synth-data", "--out", str(data), "--n-queries", "8", "--list-size", "30", "--seed", "4"],
+                 ["tokenize-train", "--data", str(data), "--vocab-size", "600", "--out", str(tok)]):
+        assert run_cli(argv)[0] == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                  "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), threads))
+        out = tmp_path / f"threads{threads}.ckpt"
+        proc = subprocess.run([sys.executable, "-m", "listrank.cli", "train", "--data", str(data),
+                               "--tokenizer", str(tok), "--loss", "listmle", "--out", str(out),
+                               "--epochs", "2"], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]

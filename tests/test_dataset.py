@@ -474,6 +474,17 @@ class TestDatasetIO:
             load_dataset(path)
         assert str(excinfo.value) == f"line 2: {message}"
 
+    def test_repeated_query_id_names_both_lines(self, tmp_path):
+        """A repeated query id was refused by ``Dataset`` without a line number."""
+        path = tmp_path / "bad.jsonl"
+        record = {"query_id": "q", "query": "x", "docs": [{"doc_id": "d", "text": "t", "grade": 1}]}
+        lines = [json.dumps(record), json.dumps(dict(record, query_id="r")), "", json.dumps(record)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == "line 4: query id 'q' repeats line 1"
+        assert excinfo.value.line_number == 4
+
 
 class TestDatasetStats:
     def test_empty_dataset(self):

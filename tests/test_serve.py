@@ -6,6 +6,7 @@ directly through the encoder API, so the serving paths are checked
 against independent arithmetic rather than against themselves.
 """
 
+import dataclasses
 import os
 import random
 import struct
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import rewrite_header
 
-from listrank import encoder
+from listrank import encoder, serve, training
 from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.encoder import (
     EncoderConfig,
@@ -134,6 +135,25 @@ class TestEmbeddingStore:
         with pytest.raises(ValidationError):
             EmbeddingStore(dim=4, fingerprint="f", doc_ids=["a"], vectors=np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("bad", ["a,b", "c\nd", "e\u2028f", "", 7, None])
+    def test_an_id_load_store_refuses_is_refused(self, bad):
+        """A store holding such an id could be built and saved, and only
+        ``load_store`` refused the file."""
+        with pytest.raises(ValidationError) as excinfo:
+            EmbeddingStore(dim=1, fingerprint="f", doc_ids=["a", bad], vectors=np.zeros((2, 1)))
+        assert str(excinfo.value) == "store doc ids must be non-empty strings without a comma or a line break"
+
+    def test_each_store_path_checks_the_ids_once(self, world, tmp_path, monkeypatch):
+        _, tokenizer, _, student, catalog = world
+        calls, check = [], serve.valid_doc_ids
+        monkeypatch.setattr(serve, "valid_doc_ids", lambda ids: calls.append("check") or check(ids))
+        store = precompute_embeddings(student, catalog, tokenizer)
+        assert calls == ["check"]
+        save_store(store, tmp_path / "x.store")
+        assert calls == ["check"]
+        load_store(tmp_path / "x.store")
+        assert calls == ["check", "check"]
+
     def test_duplicate_ids_rejected(self):
         """Every repeated id is named, sorted."""
         ids = ["z", "b", "a", "z", "c", "b", "z"]
@@ -158,13 +178,15 @@ class TestPrecomputeEmbeddings:
         assert store.doc_ids == [d.doc_id for d in catalog]
 
     def test_chunked_embedding_matches_unchunked(self, world):
-        """A catalog larger than the internal chunk size must produce the
-        same vectors as embedding each document alone."""
+        """A catalog larger than one chunk must produce the same vectors as
+        embedding each document alone. Every doc is 12 tokens and ffn_dim 32
+        gives a budget of 4,096 tokens, so chunks hold 341 docs."""
         _, tokenizer, _, student, _ = world
-        catalog = [Document(f"c{i:04d}", f"attr{i % 7} attr{i % 5}") for i in range(300)]
+        catalog = [Document(f"c{i:04d}", f"attr{i % 7} attr{i % 5}") for i in range(700)]
+        assert {len(tokenizer.encode_single(d.text, student.config.max_len).ids) for d in catalog} == {12}
         big = precompute_embeddings(student, catalog, tokenizer)
-        assert len(big) == 300
-        for i in (0, 255, 256, 299):
+        assert len(big) == 700
+        for i in (0, 340, 341, 681, 682, 699):
             expected = embed_alone(student, tokenizer, catalog[i].text).astype(np.float32)
             np.testing.assert_array_equal(big.gather([catalog[i].doc_id])[1][0], expected)
 
@@ -186,6 +208,98 @@ class TestPrecomputeEmbeddings:
         assert calls == []
         assert len(precompute_embeddings(student, catalog[:3], tokenizer)) == 3
         assert len(calls) == 1
+
+
+def record_chunks(monkeypatch):
+    """Wrap the store build's ``_embed_rows``; returns the list that each
+    call appends its float64 embeddings to."""
+    chunks, embed_rows = [], serve._embed_rows
+    monkeypatch.setattr(serve, "_embed_rows", lambda ckpt, rows: chunks.append(embed_rows(ckpt, rows)) or chunks[-1])
+    return chunks
+
+
+class TestEmbeddingChunks:
+    """The store build tokenizes the catalog once and embeds it in order, in
+    chunks of at most ``(1 << 20) // (8 * ffn_dim)`` padded tokens."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, world):
+        """A student at the default feed-forward width (a 512-token budget)."""
+        _, tokenizer, _, _, _ = world
+        config = EncoderConfig(vocab_size=tokenizer.vocab_size, n_layers=1, n_heads=2, model_dim=16,
+                               ffn_dim=256, max_len=64)
+        return init_checkpoint(config, seed=2, tokenizer_hash=tokenizer.content_hash())
+
+    @staticmethod
+    def mixed_catalog(n):
+        rng = random.Random(5)
+        return [Document(f"m{i:04d}", " ".join(f"attr{rng.randrange(40)}" for _ in range(rng.randrange(1, 30))))
+                for i in range(n)]
+
+    @pytest.mark.parametrize("catalog, batches", [
+        (mixed_catalog(300), None),
+        ([Document(f"l{i:02d}", " ".join(f"attr{i % 9} attr{k}" for k in range(40))) for i in range(20)],
+         [8, 8, 4]),
+    ], ids=["mixed", "64-token"])
+    def test_every_forward_stays_within_the_budget(self, world, wide, monkeypatch, catalog, batches):
+        """Each chunk is cut just before the doc that would take it past the
+        budget, so it is as large as the budget allows."""
+        _, tokenizer, _, _, _ = world
+        budget = (1 << 20) // (8 * wide.config.ffn_dim)
+        shapes, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
+                            or forward(p, c, ids, *a, **kw))
+        precompute_embeddings(wide, catalog, tokenizer)
+        lengths = [len(tokenizer.encode_single(d.text, wide.config.max_len).ids) for d in catalog]
+        assert budget == 512 and max(lengths) > 12
+        assert sum(b for b, _ in shapes) == len(catalog)
+        start = 0
+        for b, length in shapes:
+            assert b * length <= budget
+            assert length == max(lengths[start:start + b])
+            start += b
+            if start < len(catalog):
+                assert (b + 1) * max(length, lengths[start]) > budget
+        if batches is not None:
+            assert shapes == [(b, 64) for b in batches]
+
+    def test_a_doc_longer_than_the_budget_is_a_chunk_of_its_own(self, world, monkeypatch):
+        _, tokenizer, _, _, _ = world
+        config = EncoderConfig(vocab_size=tokenizer.vocab_size, n_layers=1, n_heads=2, model_dim=16,
+                               ffn_dim=8192, max_len=32)  # a budget of 16 tokens, docs of 32
+        student = init_checkpoint(config, seed=2, tokenizer_hash=tokenizer.content_hash())
+        catalog = [Document(f"l{i:02d}", " ".join(f"attr{i % 9} attr{k}" for k in range(40))) for i in range(5)]
+        chunks = record_chunks(monkeypatch)
+        store = precompute_embeddings(student, catalog, tokenizer)
+        assert [len(emb) for emb in chunks] == [1] * 5
+        for doc, vector in zip(catalog, store.vectors):
+            np.testing.assert_array_equal(vector, embed_alone(student, tokenizer, doc.text).astype(np.float32))
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_uniform_lengths_match_one_batch_bit_for_bit(self, world, wide, monkeypatch, pooling):
+        _, tokenizer, _, _, _ = world
+        student = init_checkpoint(dataclasses.replace(wide.config, pooling=pooling), seed=2,
+                                  tokenizer_hash=tokenizer.content_hash())
+        catalog = [Document(f"u{i:04d}", f"attr{i % 7} attr{i % 5}") for i in range(400)]
+        chunks = record_chunks(monkeypatch)
+        store = precompute_embeddings(student, catalog, tokenizer)
+        one_batch = training.embed_texts(student, tokenizer, [d.text for d in catalog])
+        assert len(chunks) == 10  # 400 docs of 12 tokens in chunks of 42
+        np.testing.assert_array_equal(np.concatenate(chunks), one_batch)
+        np.testing.assert_array_equal(store.vectors, one_batch.astype(np.float32))
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_mixed_lengths_match_one_batch_up_to_rounding(self, world, wide, monkeypatch, pooling):
+        """Padding to another length changes the order of the softmax sums."""
+        _, tokenizer, _, _, _ = world
+        student = init_checkpoint(dataclasses.replace(wide.config, pooling=pooling), seed=2,
+                                  tokenizer_hash=tokenizer.content_hash())
+        catalog = self.mixed_catalog(300)
+        chunks = record_chunks(monkeypatch)
+        precompute_embeddings(student, catalog, tokenizer)
+        one_batch = training.embed_texts(student, tokenizer, [d.text for d in catalog])
+        assert len(chunks) > 1
+        np.testing.assert_allclose(np.concatenate(chunks), one_batch, rtol=0, atol=1e-12)
 
 
 class TestStoreFiles:
@@ -271,6 +385,14 @@ class TestStoreFiles:
         rewrite_header(path, lambda header: dict(header, **{field: value}))
         with pytest.raises(StoreFormatError, match="header needs"):
             load_store(path)
+
+    def test_repeated_id_raises_format_error(self, tmp_path):
+        path = tmp_path / "x.store"
+        save_store(tiny_store(), path)
+        rewrite_header(path, lambda header: dict(header, doc_ids=["doc0", "doc2", "doc2"]))
+        with pytest.raises(StoreFormatError) as excinfo:
+            load_store(path)
+        assert str(excinfo.value) == f"{path}: header needs valid doc ids: duplicate store doc ids: ['doc2']"
 
 
 def python_sorted(doc_ids, scores):
