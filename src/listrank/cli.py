@@ -30,7 +30,6 @@ from .dataset import (  # noqa: E402
     Dataset,
     SyntheticSpec,
     corpus_lines,
-    dataset_stats,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -198,11 +197,11 @@ def _cmd_synth_data(resolved):
     )
     dataset = generate_synthetic(spec)
     save_dataset(dataset, resolved["out"])
-    stats = dataset_stats(dataset)
+    # the generator makes every group exactly the spec's size
     _progress(
         "synth-data",
-        f"wrote {stats.group_count} queries to {resolved['out']} "
-        f"(median list {stats.list_len_median}, median query tokens {stats.query_len_median})",
+        f"wrote {spec.n_queries} queries to {resolved['out']} "
+        f"(median list {spec.list_size}, median query tokens {spec.query_token_count})",
     )
     return 0
 
@@ -524,8 +523,10 @@ def main(argv=None) -> int:
         resolved = _resolve(args, args._opts)
         _progress(args.command, f"config {json.dumps(resolved, sort_keys=True)}")
         return args._func(resolved)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # a named path that cannot be opened is invalid input; a rename names its target second
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else f"{exc.strerror or exc}".lower()
+        print(f"error: {reason}: {exc.filename2 or exc.filename or exc}", file=sys.stderr)
         return 1
     except (_UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

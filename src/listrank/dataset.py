@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import EmptyInputError, ParseError, ValidationError
 from .fileio import atomic_write
-from .metrics import nearest_rank_percentile
 
 GRADE_MAX = 4
 
@@ -329,33 +328,6 @@ def load_dataset(path) -> Dataset:
         first_line[group.query_id] = line_no
         groups.append(group)
     return Dataset(groups=groups)
-
-
-# -- summary stats ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    group_count: int
-    list_len_median: float | None
-    list_len_p90: float | None
-    query_len_median: float | None
-    query_len_p90: float | None
-
-
-def dataset_stats(dataset: Dataset) -> DatasetStats:
-    """Count plus nearest-rank median/p90 of list lengths and query token counts."""
-    if not dataset.groups:
-        return DatasetStats(0, None, None, None, None)
-    list_lens = [len(g.docs) for g in dataset.groups]
-    query_lens = [len(g.query_text.split()) for g in dataset.groups]
-    return DatasetStats(
-        group_count=len(dataset.groups),
-        list_len_median=nearest_rank_percentile(list_lens, 50),
-        list_len_p90=nearest_rank_percentile(list_lens, 90),
-        query_len_median=nearest_rank_percentile(query_lens, 50),
-        query_len_p90=nearest_rank_percentile(query_lens, 90),
-    )
 
 
 def split_dataset(dataset: Dataset, first_count: int) -> tuple[Dataset, Dataset]:

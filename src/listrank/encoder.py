@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigurationError, ContractError, ValidationError
+from .errors import ConfigurationError, ContractError, EmptyInputError, ValidationError
 from .tokenizer import CLS_ID, PAD_ID
 
 LN_EPS = 1e-5
@@ -157,6 +157,8 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 def pad_token_rows(rows):
     """Stack variable-length id lists into (ids, attention_mask) arrays,
     padding short rows with the padding token."""
+    if not rows:
+        raise EmptyInputError("a batch needs at least one row of token ids")
     max_len = max(len(r) for r in rows)
     ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(rows), max_len), dtype=np.int64)
@@ -174,6 +176,16 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w
     out += b
     return out
+
+
+def _affine_backward(x: np.ndarray, d_out: np.ndarray, w: np.ndarray, g_w: np.ndarray, g_b: np.ndarray):
+    """Backward of ``_affine``: writes ``g_w`` and ``g_b`` from the products
+    over every row of ``x`` and ``d_out`` flattened, and returns the input
+    gradient ``d_out @ w.T``."""
+    d_flat = d_out.reshape(-1, d_out.shape[-1])
+    g_w[:] = x.reshape(-1, x.shape[-1]).T @ d_flat
+    g_b[:] = d_flat.sum(axis=0)
+    return d_out @ w.T
 
 
 def _gelu(x: np.ndarray):
@@ -402,7 +414,6 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
     grads = zeros_like_params(params)
     scale = 1.0 / math.sqrt(config.head_dim)
     l = trace.ids.shape[1]
-    d = config.model_dim
 
     d_x = d_hidden if trace.picked is None else _scatter(d_hidden, trace.picked)
     for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers), reversed(grads.layers)):
@@ -410,27 +421,16 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
             d_x, lt.x_hat2, lt.inv_std2, layer.ln2_scale
         )
         # r2 = h1 + ffn_act @ w_ffn2 + b_ffn2
-        act_flat = lt.ffn_act.reshape(-1, config.ffn_dim)
-        d_r2_flat = d_r2.reshape(-1, d)
-        g.w_ffn2[:] = act_flat.T @ d_r2_flat
-        g.b_ffn2[:] = d_r2_flat.sum(axis=0)
         d_pre = _gelu_grad(lt.ffn_pre, lt.ffn_cdf2)
-        d_pre *= d_r2 @ layer.w_ffn2.T
-        d_pre_flat = d_pre.reshape(-1, config.ffn_dim)
-        h1_flat = lt.h1.reshape(-1, d)
-        g.w_ffn1[:] = h1_flat.T @ d_pre_flat
-        g.b_ffn1[:] = d_pre_flat.sum(axis=0)
-        d_h1 = d_pre @ layer.w_ffn1.T
+        d_pre *= _affine_backward(lt.ffn_act, d_r2, layer.w_ffn2, g.w_ffn2, g.b_ffn2)
+        d_h1 = _affine_backward(lt.h1, d_pre, layer.w_ffn1, g.w_ffn1, g.b_ffn1)
         d_h1 += d_r2
 
         d_r1, g.ln1_scale[:], g.ln1_offset[:] = _layer_norm_backward(
             d_h1, lt.x_hat1, lt.inv_std1, layer.ln1_scale
         )
         # r1 = x_in + ctx @ w_o + b_o
-        d_r1_flat = d_r1.reshape(-1, d)
-        g.w_o[:] = lt.ctx.reshape(-1, d).T @ d_r1_flat
-        g.b_o[:] = d_r1_flat.sum(axis=0)
-        d_ctx = d_r1 @ layer.w_o.T
+        d_ctx = _affine_backward(lt.ctx, d_r1, layer.w_o, g.w_o, g.b_o)
         if lt.rows is not None:
             d_ctx, d_r1 = _scatter(d_ctx, lt.rows), _scatter(d_r1, lt.rows)
         d_ctx = _split_heads(d_ctx, config.n_heads)
@@ -446,17 +446,9 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_k *= scale
 
         d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
-        x_flat = lt.x_in.reshape(-1, d)
-        for d_head, w_name, b_name, w in (
-            (d_q, "w_q", "b_q", layer.w_q),
-            (d_k, "w_k", "b_k", layer.w_k),
-            (d_v, "w_v", "b_v", layer.w_v),
-        ):
-            d_proj = _merge_heads(d_head)
-            d_proj_flat = d_proj.reshape(-1, d)
-            getattr(g, w_name)[:] = x_flat.T @ d_proj_flat
-            getattr(g, b_name)[:] = d_proj_flat.sum(axis=0)
-            d_x += d_proj @ w.T
+        d_x += _affine_backward(lt.x_in, _merge_heads(d_q), layer.w_q, g.w_q, g.b_q)
+        d_x += _affine_backward(lt.x_in, _merge_heads(d_k), layer.w_k, g.w_k, g.b_k)
+        d_x += _affine_backward(lt.x_in, _merge_heads(d_v), layer.w_v, g.w_v, g.b_v)
 
     np.add.at(grads.tok_emb, trace.ids, d_x)
     grads.pos_emb[:l] = d_x.sum(axis=0)
@@ -466,24 +458,28 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
 # -- heads ------------------------------------------------------------------
 
 
-def _require_cls(trace_ids: np.ndarray):
-    if np.any(trace_ids[:, 0] != CLS_ID):
-        raise ContractError("scoring requires sequences that start with the [CLS] token")
-
-
 def _cls_rows(ids) -> np.ndarray:
     """The ``rows`` mask of ``forward_batch`` that selects each sequence's
-    first position (all False unless ``ids`` is 2-D, which the forward refuses)."""
+    first position (all False unless ``ids`` is 2-D with a column, which the
+    forward refuses)."""
     rows = np.zeros(np.shape(ids), dtype=bool)
-    if rows.ndim == 2:
+    if rows.ndim == 2 and rows.shape[1] > 0:
         rows[:, 0] = True
     return rows
 
 
+def _require_cls(ids, rows: np.ndarray):
+    """Refuse a batch whose ``_cls_rows`` do not all hold [CLS]; run before
+    the forward, so a refused batch costs nothing."""
+    if np.any(np.asarray(ids)[rows] != CLS_ID):
+        raise ContractError("scoring requires sequences that start with the [CLS] token")
+
+
 def score_cls_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
     """Scalar relevance score per sequence from the first-token state."""
-    cls, trace = forward_batch(params, config, ids, attention_mask, rows=_cls_rows(ids), _keep_trace=True)
-    _require_cls(trace.ids)
+    rows = _cls_rows(ids)
+    _require_cls(ids, rows)
+    cls, trace = forward_batch(params, config, ids, attention_mask, rows=rows, _keep_trace=True)
     return cls @ params.score_w + params.score_b, trace
 
 

@@ -47,19 +47,17 @@ STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreFormatError, StoreForma
 class EmbeddingStore:
     """Document embeddings plus the id table used to look them up."""
 
-    dim: int
     fingerprint: str
     doc_ids: list
     vectors: np.ndarray
 
     def __post_init__(self):
         """Refuse what ``load_store`` would refuse to read back: ids that are
-        not distinct ``valid_doc_ids``, or vectors of another shape."""
+        not distinct ``valid_doc_ids``, or vectors that are not one row per id."""
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
-        if self.vectors.shape != (len(self.doc_ids), self.dim):
+        if self.vectors.ndim != 2 or len(self.vectors) != len(self.doc_ids):
             raise ValidationError(
-                f"vectors shape {self.vectors.shape} does not match "
-                f"{len(self.doc_ids)} ids of dim {self.dim}"
+                f"vectors shape {self.vectors.shape} is not one row for each of {len(self.doc_ids)} ids"
             )
         if not valid_doc_ids(self.doc_ids):
             raise ValidationError("store doc ids must be non-empty strings without a comma or a line break")
@@ -67,6 +65,11 @@ class EmbeddingStore:
         if len(self._index) != len(self.doc_ids):
             _refuse_duplicates(self.doc_ids, "store doc ids")
         self._id_rank = None
+
+    @property
+    def dim(self) -> int:
+        """Width of the vectors."""
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -106,8 +109,7 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     if not catalog:
         raise EmptyInputError("catalog is empty")
     config = student.config
-    store = EmbeddingStore(dim=config.model_dim, fingerprint=checkpoint_fingerprint(student),
-                           doc_ids=[d.doc_id for d in catalog],
+    store = EmbeddingStore(fingerprint=checkpoint_fingerprint(student), doc_ids=[d.doc_id for d in catalog],
                            vectors=np.empty((len(catalog), config.model_dim), dtype=np.float32))
     rows = [tokenizer.encode_single(d.text, config.max_len).ids for d in catalog]
     # The budget keeps a chunk's widest float64 activation (the feed-forward's,
@@ -148,7 +150,7 @@ def load_store(path: str) -> EmbeddingStore:
     doc_ids, dim = header["doc_ids"], header["dim"]
     vectors = np.frombuffer(payload, dtype="<f4").reshape(len(doc_ids), dim).copy()
     try:
-        return EmbeddingStore(dim=dim, fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
+        return EmbeddingStore(fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
     except ValidationError as exc:
         raise StoreFormatError(f"{path}: header needs valid doc ids: {exc}") from None
 
@@ -246,7 +248,11 @@ class LatencyStats:
 class BenchmarkReport:
     teacher: LatencyStats
     student: LatencyStats
-    speedup: float
+
+    @property
+    def speedup(self) -> float:
+        """Teacher mean latency over student mean latency."""
+        return self.teacher.mean_ms / self.student.mean_ms
 
     def to_csv(self) -> str:
         lines = ["system,mean_ms,median_ms,p90_ms,speedup_vs_teacher"]
@@ -297,7 +303,6 @@ def benchmark_latency(
     """Measure per-query latency of both systems over the same workload.
 
     The first ``warmup`` queries are run but excluded from statistics.
-    Speedup is teacher mean latency over student mean latency.
     """
     if n_queries < 30:
         raise ConfigurationError("n_queries must be >= 30 for stable statistics")
@@ -320,7 +325,4 @@ def benchmark_latency(
         if i >= warmup:
             student_ms.append(result.latency_ms)
 
-    teacher_stats = _stats(teacher_ms)
-    student_stats = _stats(student_ms)
-    speedup = teacher_stats.mean_ms / student_stats.mean_ms
-    return BenchmarkReport(teacher=teacher_stats, student=student_stats, speedup=speedup)
+    return BenchmarkReport(teacher=_stats(teacher_ms), student=_stats(student_ms))

@@ -133,23 +133,21 @@ class Checkpoint:
     """A full model snapshot: parameters plus everything needed to rebuild
     the exact training context (architecture, objective, seed, tokenizer)."""
 
-    config: enc.EncoderConfig
     params: enc.EncoderParams
     loss_name: str
     seed: int
     epoch: int
     tokenizer_hash: str
 
+    @property
+    def config(self) -> enc.EncoderConfig:
+        """The architecture, owned by ``params``."""
+        return self.params.config
+
 
 def init_checkpoint(config: enc.EncoderConfig, seed: int, tokenizer_hash: str) -> Checkpoint:
-    return Checkpoint(
-        config=config,
-        params=enc.init_params(config, seed),
-        loss_name="init",
-        seed=seed,
-        epoch=0,
-        tokenizer_hash=tokenizer_hash,
-    )
+    return Checkpoint(params=enc.init_params(config, seed), loss_name="init", seed=seed, epoch=0,
+                      tokenizer_hash=tokenizer_hash)
 
 
 def _manifest(params: enc.EncoderParams) -> list:
@@ -203,10 +201,10 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Parameters come back as float64 copies of the stored float32 values.
     """
-    config = params = None
+    params = None
 
     def payload_bytes(header):
-        nonlocal config, params
+        nonlocal params
         for key in ("encoder_config", "loss_name", "seed", "epoch", "tokenizer_hash", "manifest"):
             if key not in header:
                 raise CheckpointHeaderError(f"{path}: header missing field {key!r}")
@@ -215,8 +213,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointHeaderError(f"{path}: header field {key!r} must be {kind.__name__}, "
                                             f"got {header[key]!r}")
         try:
-            config = enc.EncoderConfig(**header["encoder_config"])
-            params = enc.EncoderParams(config)
+            params = enc.EncoderParams(enc.EncoderConfig(**header["encoder_config"]))
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise CheckpointHeaderError(f"{path}: bad encoder config ({exc})") from exc
         expected = _manifest(params)
@@ -225,7 +222,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
     params.flat[:] = np.frombuffer(payload, dtype="<f4")
-    return Checkpoint(config, params, header["loss_name"], header["seed"], header["epoch"],
+    return Checkpoint(params, header["loss_name"], header["seed"], header["epoch"],
                       header["tokenizer_hash"])
 
 
@@ -259,8 +256,9 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     scores ``score_cls_batch`` returns."""
     rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
     ids, mask = enc.pad_token_rows(rows)
-    enc._require_cls(ids)
-    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
+    cls_rows = enc._cls_rows(ids)
+    enc._require_cls(ids, cls_rows)
+    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=cls_rows)
     return cls @ ckpt.params.score_w + ckpt.params.score_b
 
 
@@ -469,14 +467,8 @@ def pretrain_mlm(
 
     history = evaluate(0)
     history += _train(params, train_config, train_idx.size, 7203, "mlm", step, evaluate)
-    ckpt = Checkpoint(
-        config=encoder_config,
-        params=params,
-        loss_name="mlm",
-        seed=train_config.seed,
-        epoch=train_config.epochs,
-        tokenizer_hash=tokenizer.content_hash(),
-    )
+    ckpt = Checkpoint(params=params, loss_name="mlm", seed=train_config.seed, epoch=train_config.epochs,
+                      tokenizer_hash=tokenizer.content_hash())
     return ckpt, history
 
 
@@ -511,7 +503,7 @@ def finetune_ltr(
     targets = [ListTarget(np.asarray(g.grades, dtype=np.int64)) for g in dataset.groups]
 
     def snapshot(epoch):
-        return Checkpoint(config, params, loss_name, train_config.seed, epoch, checkpoint_in.tokenizer_hash)
+        return Checkpoint(params, loss_name, train_config.seed, epoch, checkpoint_in.tokenizer_hash)
 
     def step(batch, epoch):
         rows = [row for gi in batch for row in encoded[gi]]
@@ -610,7 +602,7 @@ def distill(
                         "t_pos": t_pos, "t_neg": t_neg})
 
     def snapshot(epoch):
-        return Checkpoint(config, params, "margin_mse", train_config.seed, epoch, teacher.tokenizer_hash)
+        return Checkpoint(params, "margin_mse", train_config.seed, epoch, teacher.tokenizer_hash)
 
     def step(batch, epoch):
         rows = [row for bi in batch for row in encoded[bi]["rows"]]

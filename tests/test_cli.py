@@ -120,6 +120,21 @@ class TestArgumentHandling:
         assert code == 1
         assert "file not found" in err
 
+    @pytest.mark.parametrize("command", ["tokenize-train", "pretrain"])
+    def test_directory_as_input_file_fails_cleanly(self, pipeline, tmp_path, command):
+        """A directory given as ``--data`` or ``--tokenizer`` exited 2 with
+        ``runtime failure: [Errno 21] Is a directory``."""
+        argv = {
+            "tokenize-train": ["tokenize-train", "--data", str(tmp_path)],
+            "pretrain": ["pretrain", "--data", pipeline["data"], "--tokenizer", str(tmp_path)],
+        }[command]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--out", str(out)])
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(err) == [f"error: is a directory: {tmp_path}"]
+        assert not out.exists()
+
     def test_corpus_that_is_not_utf8_fails_cleanly(self, tmp_path):
         """The byte 0xff raised a UnicodeDecodeError traceback."""
         corpus = tmp_path / "corpus.txt"
@@ -218,6 +233,17 @@ class TestSynthData:
         dataset = load_dataset(out)
         assert len(dataset.groups) == 4
         assert all(len(g.docs) == 5 for g in dataset.groups)
+
+    def test_progress_line_names_the_spec(self, tmp_path):
+        """The count and sizes come from the spec; every group is that size."""
+        out = tmp_path / "d.jsonl"
+        code, _, err = run_cli(["synth-data", "--n-queries", "3", "--list-size", "7",
+                                "--query-tokens", "5", "--attribute-vocab", "40", "--out", str(out)])
+        assert code == 0
+        assert err.splitlines()[-1] == (f"[synth-data] wrote 3 queries to {out} "
+                                        "(median list 7, median query tokens 5)")
+        groups = load_dataset(out).groups
+        assert [(len(g.docs), len(g.query_text.split())) for g in groups] == [(7, 5)] * 3
 
 
 class TestPipelineCommands:
@@ -334,7 +360,7 @@ class TestPipelineCommands:
         student = load_checkpoint(pipeline["student"])
         dim = student.config.model_dim + 2
         path = str(tmp_path / "wide.store")
-        save_store(EmbeddingStore(dim=dim, fingerprint=checkpoint_fingerprint(student),
+        save_store(EmbeddingStore(fingerprint=checkpoint_fingerprint(student),
                                   doc_ids=["a", "b"], vectors=np.ones((2, dim))), path)
         code, stdout, err = run_cli([
             "rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],

@@ -15,13 +15,11 @@ import pytest
 from listrank.dataset import (
     ClickRecord,
     Dataset,
-    DatasetStats,
     Document,
     QueryGroup,
     SyntheticSpec,
     attribute_vocabulary,
     corpus_lines,
-    dataset_stats,
     generate_synthetic,
     grade_from_ctr,
     load_dataset,
@@ -484,28 +482,6 @@ class TestDatasetIO:
             load_dataset(path)
         assert str(excinfo.value) == "line 4: query id 'q' repeats line 1"
         assert excinfo.value.line_number == 4
-
-
-class TestDatasetStats:
-    def test_empty_dataset(self):
-        stats = dataset_stats(Dataset([]))
-        assert stats.group_count == 0
-        assert stats.list_len_median is None
-
-    def test_longhand_medians(self):
-        """List lengths 1, 2, 3 have nearest-rank median 2 and p90 3;
-        query token counts 2, 2, 4 have median 2 and p90 4."""
-        dataset = Dataset([
-            QueryGroup("q1", "aa bb", [Document("d1", "x")], [0]),
-            QueryGroup("q2", "cc dd", [Document(f"e{i}", "x") for i in range(2)], [0, 1]),
-            QueryGroup("q3", "a b c d", [Document(f"f{i}", "x") for i in range(3)], [0, 1, 2]),
-        ])
-        stats = dataset_stats(dataset)
-        assert stats.group_count == 3
-        assert stats.list_len_median == 2
-        assert stats.list_len_p90 == 3
-        assert stats.query_len_median == 2
-        assert stats.query_len_p90 == 4
 
 
 class TestSplitDataset:

@@ -33,7 +33,7 @@ from listrank.encoder import (
     score_cls_batch,
     zeros_like_params,
 )
-from listrank.errors import ConfigurationError, ContractError, ValidationError
+from listrank.errors import ConfigurationError, ContractError, EmptyInputError, ValidationError
 from listrank.tokenizer import CLS_ID, PAD_ID, UNMASKED
 
 TINY = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
@@ -120,6 +120,11 @@ class TestPadTokenRows:
         ids, mask = pad_token_rows([[1, 7, 9], [1, 5]])
         np.testing.assert_array_equal(ids, [[1, 7, 9], [1, 5, PAD_ID]])
         np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 1, 0]])
+
+    def test_empty_batch_refused(self):
+        """``max`` of no lengths raised a bare ValueError."""
+        with pytest.raises(EmptyInputError):
+            pad_token_rows([])
 
 
 class TestForward:
@@ -227,6 +232,23 @@ class TestScoreHead:
         ids = np.array([[7, 12]])
         with pytest.raises(ContractError):
             score_cls_batch(params, TINY, ids, np.ones_like(ids))
+
+    def test_non_cls_start_refused_before_the_forward(self, monkeypatch):
+        """The forward ran first, so a batch also holding an out-of-vocabulary
+        id was refused for that id, where ``score_pairs`` names the [CLS]."""
+        calls, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        ids = np.array([[7, TINY.vocab_size]])
+        with pytest.raises(ContractError, match=r"\[CLS\]"):
+            score_cls_batch(init_params(TINY, seed=0), TINY, ids, np.ones_like(ids))
+        assert calls == []
+
+    @pytest.mark.parametrize("head", [score_cls_batch, embed_batch])
+    def test_empty_sequences_refused_by_the_forward(self, head):
+        """The [CLS] rows of ids without a column raised an IndexError."""
+        ids = np.zeros((2, 0), dtype=np.int64)
+        with pytest.raises(ValidationError, match="at least one token"):
+            head(init_params(TINY, seed=0), TINY, ids, ids)
 
     def test_sequence_alone_scores_as_in_a_padded_batch(self):
         params = init_params(TINY, seed=0)

@@ -25,7 +25,7 @@ def write_checkpoint(path, version):
 
 
 def write_store(path, version):
-    save_store(EmbeddingStore(dim=2, fingerprint="f", doc_ids=["a", "b"],
+    save_store(EmbeddingStore(fingerprint="f", doc_ids=["a", "b"],
                               vectors=np.full((2, 2), float(version))), path)
 
 

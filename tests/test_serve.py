@@ -84,7 +84,6 @@ def store(world):
 def tiny_store(n=3, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     return EmbeddingStore(
-        dim=dim,
         fingerprint="feedbeeffeedbeef",
         doc_ids=[f"doc{i}" for i in range(n)],
         vectors=rng.standard_normal((n, dim)),
@@ -124,7 +123,7 @@ class TestEmbeddingStore:
     def test_id_rank_is_str_order_built_on_first_use(self, tmp_path):
         ids = ["b", "a\x00", "a", "é", "Z", "a\x00\x00"]
         path = tmp_path / "x.store"
-        save_store(EmbeddingStore(dim=2, fingerprint="f", doc_ids=ids, vectors=np.zeros((6, 2))), path)
+        save_store(EmbeddingStore(fingerprint="f", doc_ids=ids, vectors=np.zeros((6, 2))), path)
         store = load_store(path)
         assert store._id_rank is None
         rank = store.id_rank()
@@ -132,15 +131,17 @@ class TestEmbeddingStore:
         assert store.id_rank() is rank
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            EmbeddingStore(dim=4, fingerprint="f", doc_ids=["a"], vectors=np.zeros((1, 3)))
+        """Vectors must be one row per id; the width is theirs."""
+        for shape in [(2, 3), (0, 3), (1,), (1, 1, 3)]:
+            with pytest.raises(ValidationError):
+                EmbeddingStore(fingerprint="f", doc_ids=["a"], vectors=np.zeros(shape))
 
     @pytest.mark.parametrize("bad", ["a,b", "c\nd", "e\u2028f", "", 7, None])
     def test_an_id_load_store_refuses_is_refused(self, bad):
         """A store holding such an id could be built and saved, and only
         ``load_store`` refused the file."""
         with pytest.raises(ValidationError) as excinfo:
-            EmbeddingStore(dim=1, fingerprint="f", doc_ids=["a", bad], vectors=np.zeros((2, 1)))
+            EmbeddingStore(fingerprint="f", doc_ids=["a", bad], vectors=np.zeros((2, 1)))
         assert str(excinfo.value) == "store doc ids must be non-empty strings without a comma or a line break"
 
     def test_each_store_path_checks_the_ids_once(self, world, tmp_path, monkeypatch):
@@ -158,7 +159,7 @@ class TestEmbeddingStore:
         """Every repeated id is named, sorted."""
         ids = ["z", "b", "a", "z", "c", "b", "z"]
         with pytest.raises(ValidationError) as excinfo:
-            EmbeddingStore(dim=1, fingerprint="f", doc_ids=ids, vectors=np.zeros((7, 1)))
+            EmbeddingStore(fingerprint="f", doc_ids=ids, vectors=np.zeros((7, 1)))
         assert str(excinfo.value) == "duplicate store doc ids: ['b', 'z']"
 
 
@@ -446,7 +447,7 @@ class TestSortedRanking:
         rng = np.random.default_rng(seed)
         pool = ["a", "é", "b\x00", "b", "日", "Z"] + [f"x{k}" for k in range(200)]
         ids = [pool[k] for k in rng.permutation(len(pool))]
-        store = EmbeddingStore(dim=2, fingerprint="f", doc_ids=ids, vectors=np.zeros((len(ids), 2)))
+        store = EmbeddingStore(fingerprint="f", doc_ids=ids, vectors=np.zeros((len(ids), 2)))
         wanted = [ids[k] for k in rng.choice(len(ids), size=int(rng.integers(1, len(ids))), replace=False)]
         rows, _ = store.gather(wanted)
         scores = rng.integers(0, 3, size=len(wanted)).astype(np.float64)
@@ -534,7 +535,6 @@ class TestRankWithStudent:
     def test_store_of_another_width_rejected(self, world):
         _, tokenizer, _, student, catalog = world
         wide = EmbeddingStore(
-            dim=student.config.model_dim + 1,
             fingerprint=checkpoint_fingerprint(student),
             doc_ids=[d.doc_id for d in catalog],
             vectors=np.zeros((len(catalog), student.config.model_dim + 1)),
@@ -664,7 +664,6 @@ class TestBenchmarkReport:
         report = BenchmarkReport(
             teacher=LatencyStats(mean_ms=10.0, median_ms=9.5, p90_ms=12.25),
             student=LatencyStats(mean_ms=2.0, median_ms=1.5, p90_ms=3.0),
-            speedup=5.0,
         )
         assert report.to_csv() == (
             "system,mean_ms,median_ms,p90_ms,speedup_vs_teacher\n"

@@ -803,6 +803,16 @@ class TestInferenceForwards:
         assert (sum(lab != training.UNMASKED for labels in label_rows for lab in labels) == 1) == (mask_rate == 0.0)
         assert bits_equal(value, training._mlm_loss(params, config, rows, label_rows)[0].value)
 
+    @pytest.mark.parametrize("infer", [
+        lambda ckpt, tokenizer: training.score_pairs(ckpt, tokenizer, "q", []),
+        lambda ckpt, tokenizer: training.embed_texts(ckpt, tokenizer, []),
+    ], ids=["score_pairs", "embed_texts"])
+    def test_empty_batch_refused(self, tiny_world, infer):
+        """Both raised the bare ValueError of ``max`` over no rows."""
+        _, tokenizer, config = tiny_world
+        with pytest.raises(EmptyInputError):
+            infer(init_checkpoint(config, 0, tokenizer.content_hash()), tokenizer)
+
     def test_non_cls_pair_rejected_before_any_layer(self, tiny_world, monkeypatch):
         _, tokenizer, config = tiny_world
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
@@ -836,6 +846,17 @@ class TestDistill:
         tc = TrainConfig(lr=1e-3, epochs=1, batch_size=4, seed=0)
         teacher, _ = finetune_ltr(dataset, ckpt, "listnet", tc, tokenizer)
         return teacher
+
+    def test_every_checkpoint_reads_its_config_from_its_params(self, tiny_world, tmp_path):
+        """The architecture has one owner: a checkpoint's ``config`` is its
+        parameters' config after a load, a fine-tune and a distillation."""
+        dataset, tokenizer, config = tiny_world
+        teacher = self.finetuned_teacher(tiny_world)
+        student, _ = distill(teacher, dataset, TrainConfig(lr=1e-3, epochs=1, batch_size=4), tokenizer)
+        save_checkpoint(student, tmp_path / "s.ckpt")
+        for ckpt in (teacher, student, load_checkpoint(tmp_path / "s.ckpt")):
+            assert ckpt.config is ckpt.params.config
+            assert ckpt.config == config
 
     def test_pair_selection_worked_example(self):
         """Grades (2, 0, 1, 2): gap-2 pairs come first in index order, then
