@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Time student ranking over an embedding store and record it in a BENCH file.
+
+    python3 scripts/bench_rank.py [--src DIR] [--label NAME] [--out FILE]
+
+Three calls of ``serve.rank_with_student`` are timed, each from the call to
+its return (wall time, so the part outside the library's own timed window
+counts too):
+
+- ``full_21000``: the whole of a 21,000-doc store ranked (the store size of
+  the benchmark's ``query_stream`` full-catalog rank);
+- ``top10_100000``: the first 10 rows of a whole 100,000-doc store. Code
+  without a ``k`` argument ranks the whole store and keeps the first 10;
+- ``gather_30``: 30 candidates out of the 21,000-doc store, in request order.
+
+The student is an untrained checkpoint at the default encoder shape (d=64,
+2 layers, FFN 256); the store vectors are seeded float32 normals, under ids
+in the synthetic dataset's ``qNNNNN_dNN`` form and in its order. ``--src``
+names the directory holding the ``listrank`` package to time (default: this
+checkout's ``src``), so two versions can be timed with one script. BLAS
+threads are pinned to one.
+
+For each call the record holds the median and quartiles of the wall time and
+of the library's ``latency_ms`` over clean repetitions after a warmup, and a
+digest of the ranking, which must agree between versions. Without ``--out``
+the record is printed; with it, the record is stored under ``--label`` in
+``FILE`` (other labels are kept).
+"""
+
+import os
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import inspect  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+QUERY = "tademibe bimu tofu kesuna"
+WARMUP = 3
+REPS = 41
+
+
+def _quartiles(values_ms) -> dict:
+    q1, median, q3 = statistics.quantiles(values_ms, n=4, method="inclusive")
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
+
+
+def _store(serve, fingerprint: str, n_docs: int, dim: int):
+    ids = [f"q{k // 30:05d}_d{k % 30:02d}" for k in range(n_docs)]
+    vectors = np.random.default_rng([n_docs, dim]).standard_normal((n_docs, dim)).astype(np.float32)
+    return serve.EmbeddingStore(fingerprint=fingerprint, doc_ids=ids, vectors=vectors)
+
+
+def bench_call(rank, k, native_k: bool) -> dict:
+    """Time ``rank(k)``, or ``rank()`` cut to its first ``k`` rows without ``native_k``."""
+    def call():
+        if native_k:
+            return rank(k)
+        result = rank()
+        result.ranking = result.ranking[:k]
+        return result
+
+    for _ in range(WARMUP):
+        result = call()
+    wall, latency = [], []
+    for _ in range(REPS):
+        t = time.perf_counter()
+        result = call()
+        wall.append((time.perf_counter() - t) * 1000.0)
+        latency.append(result.latency_ms)
+    return {
+        "rows": len(result.ranking),
+        "ranking_digest": hashlib.blake2b(repr(result.ranking).encode(), digest_size=16).hexdigest(),
+        "repetitions": REPS,
+        "wall": _quartiles(wall),
+        "latency": _quartiles(latency),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the listrank package")
+    p.add_argument("--label", default="change", help="key of the record in --out")
+    p.add_argument("--out", type=Path, help="BENCH JSON file to store the record in")
+    args = p.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "listrank" / "__init__.py").is_file():
+        p.error(f"{src} holds no listrank package")
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from checks import environment
+    from listrank import encoder as enc, serve, training
+    from listrank.tokenizer import train_bpe
+
+    tokenizer = train_bpe([QUERY, "bimu kesuna tofu", "tademibe tofu"], 300)
+    config = enc.EncoderConfig(vocab_size=tokenizer.vocab_size)
+    student = training.init_checkpoint(config, seed=0, tokenizer_hash=tokenizer.content_hash())
+    fingerprint = training.checkpoint_fingerprint(student)
+    native_k = "k" in inspect.signature(serve.rank_with_student).parameters
+
+    def ranker(store, candidates):
+        def rank(*k):
+            return serve.rank_with_student(student, store, QUERY, candidates, tokenizer, *k)
+        return rank
+
+    calls = {}
+    store = _store(serve, fingerprint, 21000, config.model_dim)
+    calls["full_21000"] = bench_call(ranker(store, store.doc_ids), None, native_k)
+    picks = np.random.default_rng(30).choice(len(store), size=30, replace=False)
+    calls["gather_30"] = bench_call(ranker(store, [store.doc_ids[i] for i in picks]), None, native_k)
+    del store
+    store = _store(serve, fingerprint, 100000, config.model_dim)
+    calls["top10_100000"] = bench_call(ranker(store, store.doc_ids), 10, native_k)
+
+    record = {
+        "code_digest": hashlib.blake2b(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py"))),
+                                       digest_size=16).hexdigest(),
+        "environment": environment(THREAD_VARS),
+        "native_k": native_k,
+        "calls": calls,
+    }
+    if args.out is None:
+        print(json.dumps(record, indent=1, sort_keys=True))
+        return 0
+    known = json.loads(args.out.read_text()) if args.out.exists() else {}
+    known[args.label] = record
+    args.out.write_text(json.dumps(known, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

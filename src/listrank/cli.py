@@ -331,22 +331,25 @@ def _candidate_docs(dataset: Dataset, wanted):
 def _cmd_rank(resolved):
     if bool(resolved["student"]) == bool(resolved["teacher"]):
         raise ConfigurationError("provide exactly one of --student or --teacher")
+    if resolved["candidates"] == "":
+        raise ConfigurationError("--candidates is empty: name at least one doc id, or omit it to rank every document")
     tokenizer = load_tokenizer(resolved["tokenizer"])
-    wanted = resolved["candidates"].split(",") if resolved["candidates"] else None
+    wanted = resolved["candidates"].split(",") if resolved["candidates"] is not None else None
+    k = resolved["k"]
     if resolved["student"]:
         if not resolved["store"]:
             raise ConfigurationError("--student mode requires --store")
         student = load_checkpoint(resolved["student"])
         store = _load_student_store(resolved["store"], student)
-        candidate_ids = wanted if wanted is not None else list(store.doc_ids)
-        result = rank_with_student(student, store, resolved["query"], candidate_ids, tokenizer)
+        candidates = wanted if wanted is not None else store.doc_ids  # the whole store skips the gather
+        result = rank_with_student(student, store, resolved["query"], candidates, tokenizer, k)
     else:
         if not resolved["data"]:
             raise ConfigurationError("--teacher mode requires --data")
         teacher = load_checkpoint(resolved["teacher"])
-        docs = _candidate_docs(load_dataset(resolved["data"]), wanted)
-        result = rank_with_teacher(teacher, resolved["query"], docs, tokenizer)
-    _progress("rank", f"ranked {len(result.ranking)} candidates in {result.latency_ms:.3f} ms")
+        candidates = _candidate_docs(load_dataset(resolved["data"]), wanted)
+        result = rank_with_teacher(teacher, resolved["query"], candidates, tokenizer, k)
+    _progress("rank", f"ranked {len(candidates)} candidates in {result.latency_ms:.3f} ms")
     out = ["doc_id,score"]
     out.extend(f"{doc_id},{score:.6g}" for doc_id, score in result.ranking)
     sys.stdout.write("\n".join(out) + "\n")
@@ -481,6 +484,7 @@ def _command_table():
                 _Opt("teacher", str, help="teacher checkpoint (needs --data)"),
                 _Opt("data", str, help="dataset holding the candidate documents"),
                 _Opt("candidates", str, help="comma-separated doc ids (default: all)"),
+                _Opt("k", int, help="print only the first k rows (default: all)"),
             ],
         ),
         "bench": (

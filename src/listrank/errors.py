@@ -43,11 +43,25 @@ class ParseError(InvalidInputError):
         self.line_number = line_number
 
 
-class NonFiniteGradientError(ListRankError):
-    """Training aborted because a gradient turned NaN/inf; names the parameter."""
+def _where(epoch: int | None, step: int | None) -> str:
+    return "" if epoch is None else f"epoch {epoch}, step {step}: "
 
-    def __init__(self, param_name: str):
-        super().__init__(f"non-finite gradient in parameter group '{param_name}'")
+
+class NonFiniteGradientError(ListRankError):
+    """Training aborted because a gradient turned NaN/inf; names the parameter
+    group and, raised by the training loop, the epoch and the step."""
+
+    def __init__(self, param_name: str, epoch: int | None = None, step: int | None = None):
+        super().__init__(f"{_where(epoch, step)}non-finite gradient in parameter group '{param_name}'")
+        self.param_name = param_name
+
+
+class NonFiniteParameterError(ListRankError):
+    """Training aborted because an Adam update left a parameter NaN/inf; names
+    the first such group, the epoch and the step."""
+
+    def __init__(self, param_name: str, epoch: int, step: int):
+        super().__init__(f"{_where(epoch, step)}the Adam update made parameter group '{param_name}' non-finite")
         self.param_name = param_name
 
 

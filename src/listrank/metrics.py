@@ -55,10 +55,31 @@ def str_rank(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def score_order(scores: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+def score_order(scores: np.ndarray, id_rank: np.ndarray, k: int | None = None) -> np.ndarray:
     """Indices by descending score, ties by ascending ``id_rank``; the one
-    ranking order of evaluation and serving."""
-    return np.lexsort((id_rank, -scores))
+    ranking order of evaluation and serving. With ``k``, the first ``k``
+    indices of that order only.
+
+    With ``k`` below the list's length, only the indices that score at least
+    the k-th largest score are sorted, ties at the boundary included. Otherwise
+    numpy's unstable sort orders the scores, and then each run of equal scores
+    (NaNs count as equal) is sorted by ``id_rank``.
+    """
+    neg = -scores
+    if k is not None and k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = np.flatnonzero(~(neg > kth))  # NaN compares false: a NaN k-th score keeps every index
+        return keep[np.lexsort((id_rank[keep], neg[keep]))[:k]]
+    order = np.argsort(neg)
+    ranked = neg[order]
+    tie = (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
+    if tie.any():
+        run = np.zeros(len(neg), dtype=bool)
+        run[1:] = tie
+        run[:-1] |= tie
+        tied = order[run]
+        order[run] = tied[np.lexsort((id_rank[tied], ranked[run]))]
+    return order
 
 
 def mean_ndcg(

@@ -64,7 +64,7 @@ class EmbeddingStore:
         self._index = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         if len(self._index) != len(self.doc_ids):
             _refuse_duplicates(self.doc_ids, "store doc ids")
-        self._id_rank = None
+        self._id_tables = None
 
     @property
     def dim(self) -> int:
@@ -88,14 +88,15 @@ class EmbeddingStore:
             ) from None
         return rows, self.vectors[rows]
 
-    def id_rank(self) -> np.ndarray:
-        """Position of each stored doc_id in ascending ``str`` order.
+    def id_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(id_rank, id_array)``: the position of each stored doc_id in
+        ascending ``str`` order, and the ids as an object array.
 
-        Built on first use, so loading a store does not pay for it.
+        Built on first use, so loading a store does not pay for them.
         """
-        if self._id_rank is None:
-            self._id_rank = str_rank(self.doc_ids)
-        return self._id_rank
+        if self._id_tables is None:
+            self._id_tables = str_rank(self.doc_ids), np.array(self.doc_ids, dtype=object)
+        return self._id_tables
 
 
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
@@ -166,13 +167,40 @@ class RankResult:
     latency_ms: float
 
 
-def _sorted_ranking(doc_ids, id_rank, scores):
-    """(doc_id, score) pairs by descending score, ties by ascending doc_id.
+#: Rows upcast to float64 at a time when documents are scored: 512 KiB at the
+#: default width, so the float64 rows stay in cache.
+SCORE_BLOCK = 1024
 
-    ``id_rank[i]`` orders ``doc_ids[i]`` among the candidates by ``str`` order.
+
+def _check_k(k):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
+        raise ConfigurationError(f"rank cutoff k must be a positive integer, got {k!r}")
+
+
+def _scores(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+    """``vectors.astype(np.float64) @ query_vec``, upcast ``SCORE_BLOCK`` rows
+    at a time. The last block takes the remainder, so fewer than
+    ``2 * SCORE_BLOCK`` rows are one product and no block holds fewer than
+    ``SCORE_BLOCK``: BLAS rounds a product of a few rows differently, and
+    blocks this long give the single product's bits (``test_serve``)."""
+    n = len(vectors)
+    scores = np.empty(n)
+    start = 0
+    for end in [*range(SCORE_BLOCK, n - SCORE_BLOCK + 1, SCORE_BLOCK), n]:
+        np.matmul(vectors[start:end].astype(np.float64), query_vec, out=scores[start:end])
+        start = end
+    return scores
+
+
+def _sorted_ranking(doc_ids, id_rank, scores, k=None):
+    """(doc_id, score) pairs by descending score, ties by ascending doc_id;
+    the first ``k`` pairs only, when ``k`` is given.
+
+    ``id_rank[i]`` orders ``doc_ids[i]`` among the candidates by ``str``
+    order. ``doc_ids`` is a sequence or an object array.
     """
-    order = score_order(scores, id_rank)
-    return list(zip(map(doc_ids.__getitem__, order.tolist()), scores[order].tolist()))
+    order = score_order(scores, id_rank, k)
+    return list(zip(np.asarray(doc_ids, dtype=object)[order].tolist(), scores[order].tolist()))
 
 
 def rank_with_student(
@@ -181,11 +209,21 @@ def rank_with_student(
     query: str,
     candidate_ids,
     tokenizer: Tokenizer,
+    k: int | None = None,
 ) -> RankResult:
     """Rank candidates by dot product of the query embedding with stored
-    document vectors. The timed window covers the gather of the candidates'
-    vectors (whose rows also reveal duplicate ids) and their float64 upcast,
-    query encoding, scoring, and the sort; it excludes store loading."""
+    document vectors; with ``k``, return the first ``k`` rows of that ranking.
+
+    A candidate list equal to ``store.doc_ids`` is the whole store: its rows
+    are every row in order and its ids are distinct, so it skips the gather
+    and the duplicate check. Any other list is gathered.
+
+    The timed window covers that choice, the gather of the candidates'
+    vectors (whose rows also reveal duplicate ids), query encoding, the
+    float64 upcast and scoring, the sort (or top-k selection) and building
+    the ``(doc_id, score)`` list. It excludes the input checks, store loading,
+    and building the store's id tables, which its first rank does."""
+    _check_k(k)
     _check_tokenizer(student, tokenizer)
     if store.dim != student.config.model_dim:
         raise ValidationError(
@@ -195,17 +233,20 @@ def rank_with_student(
     candidate_ids = list(candidate_ids)
     if not candidate_ids:
         return RankResult([], 0.0)
+    id_rank, id_array = store.id_tables()
     start = time.perf_counter()
-    try:
-        rows, vectors = store.gather(candidate_ids)
-    except MissingIdError:
-        _refuse_duplicates(candidate_ids, "candidate ids")  # a duplicate is reported before a missing id
-        raise
-    if np.bincount(rows).max() > 1:  # store ids are unique, so a repeated row is a repeated id
-        _refuse_duplicates(candidate_ids, "candidate ids")
-    doc_vecs = vectors.astype(np.float64)
-    scores = doc_vecs @ embed_texts(student, tokenizer, [query])[0]
-    ranking = _sorted_ranking(candidate_ids, store.id_rank()[rows], scores)
+    if candidate_ids == store.doc_ids:  # list equality is O(1) when the lengths differ
+        rows, vectors = slice(None), store.vectors
+    else:
+        try:
+            rows, vectors = store.gather(candidate_ids)
+        except MissingIdError:
+            _refuse_duplicates(candidate_ids, "candidate ids")  # a duplicate is reported before a missing id
+            raise
+        if np.bincount(rows).max() > 1:  # store ids are unique, so a repeated row is a repeated id
+            _refuse_duplicates(candidate_ids, "candidate ids")
+    scores = _scores(vectors, embed_texts(student, tokenizer, [query])[0])
+    ranking = _sorted_ranking(id_array[rows], id_rank[rows], scores, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 
@@ -215,12 +256,15 @@ def rank_with_teacher(
     query: str,
     candidates,
     tokenizer: Tokenizer,
+    k: int | None = None,
 ) -> RankResult:
     """Rank candidate documents with the cross-encoder, run as one padded
-    forward over every (query, document) pair.
+    forward over every (query, document) pair; with ``k``, return the first
+    ``k`` rows of that ranking.
 
     The timed window covers pair encoding, the forward, and the sort.
     """
+    _check_k(k)
     _check_tokenizer(teacher, tokenizer)
     candidates = list(candidates)
     doc_ids = [d.doc_id for d in candidates]
@@ -229,7 +273,7 @@ def rank_with_teacher(
         return RankResult([], 0.0)
     start = time.perf_counter()
     scores = score_pairs(teacher, tokenizer, query, [d.text for d in candidates])
-    ranking = _sorted_ranking(doc_ids, str_rank(doc_ids), scores)
+    ranking = _sorted_ranking(doc_ids, str_rank(doc_ids), scores, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 

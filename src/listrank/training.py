@@ -31,6 +31,7 @@ from .errors import (
     ContractError,
     EmptyInputError,
     NonFiniteGradientError,
+    NonFiniteParameterError,
     ValidationError,
 )
 from .fileio import FrameFormat, digest, read_framed, write_framed
@@ -102,6 +103,11 @@ def init_adam_state(params: enc.EncoderParams) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0)
 
 
+def _first_non_finite(params: enc.EncoderParams) -> str:
+    """Name of the first parameter group holding a NaN or an infinity."""
+    return next(name for name, a in params.named_arrays() if not np.isfinite(a).all())
+
+
 def adam_step(params: enc.EncoderParams, grads: enc.EncoderParams, state: AdamState, config: TrainConfig):
     """One in-place Adam update with bias correction, over the flat vector.
 
@@ -110,8 +116,7 @@ def adam_step(params: enc.EncoderParams, grads: enc.EncoderParams, state: AdamSt
     """
     g = grads.flat
     if not np.isfinite(g).all():
-        first = next(name for name, a in grads.named_arrays() if not np.isfinite(a).all())
-        raise NonFiniteGradientError(first)
+        raise NonFiniteGradientError(_first_non_finite(grads))
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t
@@ -335,6 +340,12 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
     every batch was skipped); ``evaluate(epoch)``'s rows follow it. Returns
     the history rows.
 
+    The parameters are checked after every Adam step: a non-finite gradient or
+    parameter stops the run with one error that names the group, the epoch and
+    the step (its batch's place in the epoch, from 1). numpy's floating-point
+    warnings are off during the steps, so that error is what reports a
+    divergence there; ``evaluate`` runs with them as the caller set them.
+
     As in an inline loop, a step's trace is freed only once the next forward
     has run, and its other arrays as soon as it has finished. Freed with its
     step, the trace's pages go back to the operating system and fault in
@@ -347,17 +358,23 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
     for epoch in range(1, train_config.epochs + 1):
         order = shuffle_rng.permutation(n_items)
         total, weight = 0.0, 0
-        for start in range(0, n_items, train_config.batch_size):
-            forwarded = step(order[start : start + train_config.batch_size], epoch)
-            if forwarded is None:
-                continue
-            trace, finish = forwarded  # frees the previous step's trace
-            grads, losses, batch_weight = finish()
-            del forwarded, finish  # frees this step's other arrays before the next forward
-            adam_step(params, grads, state, train_config)
-            for value in losses:
-                total += value
-            weight += batch_weight
+        with np.errstate(all="ignore"):
+            for batch_no, start in enumerate(range(0, n_items, train_config.batch_size), 1):
+                forwarded = step(order[start : start + train_config.batch_size], epoch)
+                if forwarded is None:
+                    continue
+                trace, finish = forwarded  # frees the previous step's trace
+                grads, losses, batch_weight = finish()
+                del forwarded, finish  # frees this step's other arrays before the next forward
+                try:
+                    adam_step(params, grads, state, train_config)
+                except NonFiniteGradientError as exc:
+                    raise NonFiniteGradientError(exc.param_name, epoch, batch_no) from None
+                if not np.isfinite(params.flat).all():
+                    raise NonFiniteParameterError(_first_non_finite(params), epoch, batch_no)
+                for value in losses:
+                    total += value
+                weight += batch_weight
         history.append(MetricRow(epoch, "train", loss_name, total / weight if weight else 0.0, None))
         history.extend(evaluate(epoch))
     return history

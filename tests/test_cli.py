@@ -14,6 +14,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,47 @@ class TestPipelineCommands:
         assert stdout == ""
         assert error_lines(err) == [f"error: {path}: content hash mismatch"]
 
+    @staticmethod
+    def rank_argv(pipeline, mode):
+        models = {"student": ["--student", pipeline["student"], "--store", pipeline["store"]],
+                  "teacher": ["--teacher", pipeline["model"], "--data", pipeline["data"]]}
+        return ["rank", "--query", "attr1 attr2", "--tokenizer", pipeline["tokenizer"]] + models[mode]
+
+    @pytest.mark.parametrize("mode", ["student", "teacher"])
+    def test_rank_without_candidates_ranks_every_document(self, pipeline, mode):
+        code, stdout, err = run_cli(self.rank_argv(pipeline, mode))
+        assert code == 0
+        every = {d.doc_id for g in load_dataset(pipeline["data"]).groups for d in g.docs}
+        assert sorted(line.split(",")[0] for line in stdout.splitlines()[1:]) == sorted(every)
+        assert f"[rank] ranked {len(every)} candidates in " in err
+
+    @pytest.mark.parametrize("mode", ["student", "teacher"])
+    def test_rank_k_prints_the_first_rows_of_the_full_output(self, pipeline, mode):
+        _, full, _ = run_cli(self.rank_argv(pipeline, mode))
+        lines = full.splitlines()
+        n = len(lines) - 1
+        for k in (1, 2, n - 1, n, n + 5):
+            code, stdout, err = run_cli(self.rank_argv(pipeline, mode) + ["--k", str(k)])
+            assert code == 0
+            assert stdout.splitlines() == lines[: 1 + k]
+            assert f"[rank] ranked {n} candidates in " in err
+
+    @pytest.mark.parametrize("mode", ["student", "teacher"])
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_rank_rejects_a_cutoff_below_one(self, pipeline, mode, k):
+        code, stdout, err = run_cli(self.rank_argv(pipeline, mode) + ["--k", k])
+        assert code == 1 and stdout == ""
+        assert error_lines(err) == [f"error: rank cutoff k must be a positive integer, got {k}"]
+
+    @pytest.mark.parametrize("mode", ["student", "teacher"])
+    def test_rank_refuses_an_empty_candidate_list(self, pipeline, mode):
+        """An empty ``--candidates`` ranked every document, as if the option
+        were absent."""
+        code, stdout, err = run_cli(self.rank_argv(pipeline, mode) + ["--candidates", ""])
+        assert code == 1 and stdout == ""
+        [line] = error_lines(err)
+        assert line.startswith("error: --candidates is empty")
+
     def test_bench_rejects_store_of_another_student(self, pipeline):
         code, stdout, err = run_cli([
             "bench", "--teacher", pipeline["model"], "--student", pipeline["model"],
@@ -631,6 +673,20 @@ def test_non_finite_option_fails_with_one_line(pipeline, tmp_path, command, flag
     assert stdout == ""
     assert error_lines(err) == [f"error: {message}"]
     assert not out.exists()
+
+
+def test_a_diverging_train_stops_in_one_line(pipeline, tmp_path):
+    """``train --lr 1e308`` printed numpy's RuntimeWarnings before a failure
+    line that named no epoch or step."""
+    out = tmp_path / "out.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(_seeded_commands(pipeline, str(out))["train"] + ["--lr", "1e308"])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert all(line.startswith("[train] ") for line in lines[:-1])
+    assert lines[-1] == "runtime failure: epoch 2, step 1: non-finite gradient in parameter group 'tok_emb'"
 
 
 @pytest.mark.parametrize("clicks", ["x", None, [1], 1.7, True])

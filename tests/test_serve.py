@@ -125,10 +125,12 @@ class TestEmbeddingStore:
         path = tmp_path / "x.store"
         save_store(EmbeddingStore(fingerprint="f", doc_ids=ids, vectors=np.zeros((6, 2))), path)
         store = load_store(path)
-        assert store._id_rank is None
-        rank = store.id_rank()
+        assert store._id_tables is None
+        tables = store.id_tables()
+        rank, id_array = tables
         assert [ids[k] for k in np.argsort(rank)] == sorted(ids)
-        assert store.id_rank() is rank
+        assert id_array.dtype == object and id_array.tolist() == ids
+        assert store.id_tables() is tables
 
     def test_shape_mismatch_rejected(self):
         """Vectors must be one row per id; the width is theirs."""
@@ -413,11 +415,16 @@ class TestSortedRanking:
 
     @staticmethod
     def check(doc_ids, scores):
+        """The full ranking, and with ``k`` (every small one, and around
+        the list's middle and end) its first ``k`` rows."""
         scores = np.asarray(scores, dtype=np.float64)
         expected = python_sorted(doc_ids, scores)
         got = _sorted_ranking(doc_ids, str_rank(doc_ids), scores)
         assert same_bytes(got, expected)
         assert [doc_ids[i] for i in score_order(scores, str_rank(doc_ids))] == [d for d, _ in expected]
+        n = len(doc_ids)
+        for k in sorted({*range(1, 11), n // 3 + 1, n // 2 + 1, max(n - 1, 1), n, n + 1, n + 2}):
+            assert same_bytes(_sorted_ranking(doc_ids, str_rank(doc_ids), scores, k), expected[:k])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_lists_with_many_ties(self, seed):
@@ -442,6 +449,21 @@ class TestSortedRanking:
         rng = np.random.default_rng(5)
         self.check(doc_ids, rng.integers(0, 2, size=len(doc_ids)).astype(float))
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 256, 257, 300, 700, 3000])
+    def test_score_order_equals_the_two_key_sort(self, n):
+        """Against ``np.lexsort`` on (-score, id rank), with NaNs, infinities,
+        0.0 and -0.0 among tied runs, for the full order and for ``k``."""
+        rng = np.random.default_rng(n)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.25, 3.0])
+        scores = values[rng.integers(0, len(values), size=n)]
+        distinct = rng.random(n) < 0.3
+        scores[distinct] = rng.standard_normal(int(distinct.sum()))
+        id_rank = rng.permutation(n)
+        want = np.lexsort((id_rank, -scores))
+        assert score_order(scores, id_rank).tolist() == want.tolist()
+        for k in sorted({*range(1, min(n, 300) + 2), n // 2 + 1, n - 1, n, n + 1} - {0}):
+            assert score_order(scores, id_rank, k).tolist() == want[:k].tolist()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_store_subsets_out_of_id_order(self, seed):
         rng = np.random.default_rng(seed)
@@ -451,7 +473,7 @@ class TestSortedRanking:
         wanted = [ids[k] for k in rng.choice(len(ids), size=int(rng.integers(1, len(ids))), replace=False)]
         rows, _ = store.gather(wanted)
         scores = rng.integers(0, 3, size=len(wanted)).astype(np.float64)
-        got = _sorted_ranking(wanted, store.id_rank()[rows], scores)
+        got = _sorted_ranking(wanted, store.id_tables()[0][rows], scores)
         assert same_bytes(got, python_sorted(wanted, scores))
 
 
@@ -499,6 +521,70 @@ class TestRankWithStudent:
         scores = dup_store.vectors.astype(np.float64) @ embed_alone(student, tokenizer, "attr2 attr3")
         assert same_bytes(result.ranking, python_sorted(ids, scores))
         assert len({s for _, s in result.ranking}) <= len(texts)
+
+    @pytest.fixture
+    def exact_store(self, world):
+        """A store whose ids are not in ``str`` order (NUL-suffixed ids
+        included) and whose rows are ``c * e_j`` for a few ``c`` (0 among
+        them) and ``j``: every score is one product, so it has the same bits
+        whatever the rows around it, and most scores are tied."""
+        _, _, _, student, _ = world
+        rng = np.random.default_rng(4)
+        pool = ["b", "b\x00", "a\x00\x00", "a", "a\x00", "é", "Z"] + [f"x{k}" for k in range(593)]
+        ids = [pool[k] for k in rng.permutation(len(pool))]
+        vectors = np.zeros((len(ids), student.config.model_dim), dtype=np.float32)
+        vectors[np.arange(len(ids)), rng.integers(0, 3, size=len(ids))] = rng.choice([-1.0, 0.0, 1.0, 2.0], len(ids))
+        return EmbeddingStore(fingerprint=checkpoint_fingerprint(student), doc_ids=ids, vectors=vectors)
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+        real = EmbeddingStore.gather
+
+        def gather(store, doc_ids):
+            calls.append(len(doc_ids))
+            return real(store, doc_ids)
+
+        monkeypatch.setattr(EmbeddingStore, "gather", gather)
+        return calls
+
+    def test_whole_store_path_equals_the_gather_path(self, world, exact_store, gathers):
+        """The store's own id list (or an equal copy) takes the whole-store
+        path; a permutation of it is gathered. Both give the Python sort, and
+        with every ``k`` its first ``k`` rows."""
+        _, tokenizer, _, student, _ = world
+        ids = exact_store.doc_ids
+        permuted = [ids[k] for k in np.random.default_rng(5).permutation(len(ids))]
+        q_emb = embed_alone(student, tokenizer, "attr2 attr3")
+        expected = python_sorted(ids, exact_store.vectors.astype(np.float64) @ q_emb)
+        assert len({s for _, s in expected}) <= 10
+        for k in (None, 1, 2, 9, len(ids) - 1, len(ids), len(ids) + 7):
+            want = expected[:k]
+            for candidates, n_gathers in ((ids, 0), (list(ids), 0), (permuted, 1)):
+                gathers.clear()
+                result = rank_with_student(student, exact_store, "attr2 attr3", candidates, tokenizer, k)
+                assert same_bytes(result.ranking, want)
+                assert len(gathers) == n_gathers
+
+    @pytest.mark.parametrize("k", [0, -1, 1.0, True, "3"])
+    def test_cutoff_that_is_not_a_positive_integer_rejected(self, world, store, k):
+        _, tokenizer, teacher, student, catalog = world
+        with pytest.raises(ConfigurationError, match="rank cutoff k must be a positive integer"):
+            rank_with_student(student, store, "q", [catalog[0].doc_id], tokenizer, k)
+        with pytest.raises(ConfigurationError, match="rank cutoff k must be a positive integer"):
+            rank_with_teacher(teacher, "q", catalog[:2], tokenizer, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 3 * 1024 + 672, 4 * 1024 + 1])
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_block_upcast_keeps_the_bits_of_one_product(self, n, dim):
+        """``_scores`` upcasts ``SCORE_BLOCK`` rows at a time (the last block
+        takes the remainder) and matches the single product bit for bit."""
+        assert serve.SCORE_BLOCK == 1024
+        rng = np.random.default_rng([n, dim])
+        vectors = (rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))).astype(np.float32)
+        query_vec = rng.standard_normal(dim)
+        want = vectors.astype(np.float64) @ query_vec
+        assert serve._scores(vectors, query_vec).tobytes() == want.tobytes()
 
     def test_empty_candidates_return_empty_result(self, world, store):
         _, tokenizer, _, student, _ = world
@@ -565,6 +651,13 @@ class TestRankWithTeacher:
         scores = make_cross_encoder_scorer(teacher, tokenizer)(group)
         expected = {d.doc_id: float(s).hex() for d, s in zip(group.docs, scores)}
         assert {d: s.hex() for d, s in result.ranking} == expected
+
+    def test_k_keeps_the_first_rows(self, world):
+        dataset, tokenizer, teacher, _, _ = world
+        group = dataset.groups[1]
+        full = rank_with_teacher(teacher, group.query_text, group.docs, tokenizer).ranking
+        for k in (1, 3, len(full), len(full) + 1):
+            assert rank_with_teacher(teacher, group.query_text, group.docs, tokenizer, k).ranking == full[:k]
 
     def test_empty_candidates_return_empty_result(self, world):
         _, tokenizer, teacher, _, _ = world

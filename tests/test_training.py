@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -41,6 +42,7 @@ from listrank.errors import (
     ContractError,
     EmptyInputError,
     NonFiniteGradientError,
+    NonFiniteParameterError,
     ValidationError,
 )
 from listrank.tokenizer import CLS_ID, TokenSequence, train_bpe
@@ -921,6 +923,71 @@ class TestDistill:
         assert train[-1] < train[0]
         assert student.loss_name == "margin_mse"
         assert student.tokenizer_hash == teacher.tokenizer_hash
+
+
+class TestDivergence:
+    """``_train`` stops at the step where a run diverges, naming its epoch,
+    its step and the first non-finite group, with numpy's warnings off in
+    the steps and on in evaluation."""
+
+    CONFIG = EncoderConfig(n_layers=1, n_heads=1, model_dim=4, ffn_dim=4, vocab_size=8, max_len=4)
+
+    def train(self, bad_step, fill, lr):
+        """Two epochs of two steps; step number ``bad_step`` (from 1, over the
+        run) fills its gradient with ``fill(grads)``, the others are zero."""
+        params = init_params(self.CONFIG, seed=0)
+        calls = []
+
+        def step(batch, epoch):
+            calls.append(epoch)
+            grads = zeros_like_params(params)
+            if len(calls) == bad_step:
+                fill(grads)
+            return None, lambda: (grads, [0.0], 1)
+
+        training._train(params, TrainConfig(lr=lr, epochs=2, batch_size=2), 4, 0, "listnet", step, lambda e: [])
+
+    def test_an_overflowing_update_is_named_with_its_epoch_and_step(self):
+        def fill(grads):
+            grads.layers[0].b_ffn2[1] = 10.0  # lr * 10 overflows to inf
+
+        with pytest.raises(NonFiniteParameterError) as excinfo:
+            self.train(3, fill, lr=1e308)
+        assert excinfo.value.param_name == "layer0.b_ffn2"
+        assert str(excinfo.value) == (
+            "epoch 2, step 1: the Adam update made parameter group 'layer0.b_ffn2' non-finite")
+
+    def test_a_non_finite_gradient_is_named_with_its_epoch_and_step(self):
+        def fill(grads):
+            grads.pos_emb[0, 0] = np.inf
+
+        with pytest.raises(NonFiniteGradientError) as excinfo:
+            self.train(4, fill, lr=0.1)
+        assert str(excinfo.value) == "epoch 2, step 2: non-finite gradient in parameter group 'pos_emb'"
+
+    def test_numpy_warnings_stay_off_inside_the_loop(self):
+        def fill(grads):
+            grads.pos_emb[0, 0] = np.float64(1e308) * 10.0  # overflows: numpy would warn
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradientError):
+                self.train(1, fill, lr=0.1)
+
+    def test_evaluation_keeps_numpy_warnings(self):
+        """A diverging evaluation forward still warns: only the steps run
+        with numpy's warnings off."""
+        params = init_params(self.CONFIG, seed=0)
+
+        def step(batch, epoch):
+            return None, lambda: (zeros_like_params(params), [0.0], 1)
+
+        def evaluate(epoch):
+            np.float64(1e308) * 10.0
+            return []
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            training._train(params, TrainConfig(epochs=1, batch_size=2), 4, 0, "listnet", step, evaluate)
 
 
 class TestTraceLifetime:
