@@ -16,7 +16,8 @@ every file, history and ranking, and the float values (history losses, NDCG,
 ranking scores). ``tests/test_parity.py`` compares the digests exactly on a
 matching stamp and the floats within ``RTOL``/``ATOL`` on any stamp.
 ``--write`` replaces the digests of this stamp, keeps those of other stamps,
-and replaces the floats.
+and replaces the floats; on stderr it names every digest of this stamp that
+changed and every float list that moved outside the tolerance.
 """
 
 import os
@@ -33,6 +34,8 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -125,6 +128,24 @@ def merged(current: dict, known: dict) -> dict:
     return {"rtol": RTOL, "atol": ATOL, "values": current["values"], "digests": entries}
 
 
+def changes(current: dict, known: dict) -> list:
+    """One line per digest of ``current``'s stamp that differs from ``known``
+    and per float list of ``current`` outside ``known``'s tolerance."""
+    same = [e["digests"] for e in known.get("digests", []) if e["environment"] == current["environment"]]
+    if not same:
+        lines = ["digests: this environment had no entry; one is added"]
+    else:
+        old, new = same[0], current["digests"]
+        lines = [f"digest changed: {k}" for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+    old_values, rtol, atol = known.get("values", {}), known.get("rtol", RTOL), known.get("atol", ATOL)
+    for name in sorted(old_values.keys() | current["values"].keys()):
+        was, now = old_values.get(name), current["values"].get(name)
+        same_length = was is not None and now is not None and len(was) == len(now)
+        if not (same_length and np.allclose(now, was, rtol=rtol, atol=atol, equal_nan=True)):
+            lines.append(f"values changed: {name}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--write", action="store_true", help=f"fold the record into {RECORD.relative_to(ROOT)}")
@@ -134,6 +155,8 @@ def main(argv=None) -> int:
     if args.write:
         known = json.loads(RECORD.read_text()) if RECORD.exists() else {}
         RECORD.write_text(json.dumps(merged(current, known), indent=1, sort_keys=True) + "\n")
+        for line in changes(current, known) or ["nothing changed"]:
+            print(f"parity: {line}", file=sys.stderr)
     else:
         print(json.dumps(current, sort_keys=True))
     return 0

@@ -34,7 +34,7 @@ from .dataset import (  # noqa: E402
     load_dataset,
     save_dataset,
 )
-from .encoder import POOLINGS, EncoderConfig  # noqa: E402
+from .encoder import EncoderConfig  # noqa: E402
 from .errors import ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError  # noqa: E402
 from .metrics import mean_ndcg, metrics_to_csv, MetricRow  # noqa: E402
 from .serve import (  # noqa: E402
@@ -141,6 +141,10 @@ def _resolve(args, opts):
             resolved[o.name] = o.default
         if o.required and resolved[o.name] is None:
             raise ConfigurationError(f"missing required option {o.flag}")
+    if resolved.get("init"):  # the checkpoint fixes the shape, so an encoder option would go unused
+        for o in _ENCODER_OPTS:
+            if getattr(args, o.name) is not None or o.name in file_cfg:
+                raise ConfigurationError(f"{o.flag} cannot be combined with --init, whose checkpoint sets the shape")
     return resolved
 
 
@@ -170,11 +174,9 @@ _ENCODER_FLAGS = (
     ("dim", "model_dim", "model width"),
     ("ffn_dim", "ffn_dim", "feed-forward width"),
     ("max_len", "max_len", "maximum sequence length"),
-    ("pooling", "pooling", "embedding pooling"),
 )
 _ENCODER_OPTS = [
-    _Opt(flag, type(getattr(EncoderConfig, name)), getattr(EncoderConfig, name), help=text,
-         choices=POOLINGS if name == "pooling" else None)
+    _Opt(flag, int, getattr(EncoderConfig, name), help=text)
     for flag, name, text in _ENCODER_FLAGS
 ]
 

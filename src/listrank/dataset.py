@@ -138,6 +138,10 @@ def grade_from_ctr(records: list[ClickRecord], min_impressions: int) -> list[int
 
 # -- synthetic data ---------------------------------------------------------
 
+#: Largest spec: the words are drawn until that many are distinct (70² + 70³ + 70⁴ exist), and all docs stay in memory.
+_MAX_ATTRIBUTE_VOCAB = 100_000
+_MAX_DOCS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -155,6 +159,8 @@ class SyntheticSpec:
             raise ValidationError(f"n_queries must be >= 1, got {self.n_queries}")
         if self.list_size < 1:
             raise ValidationError(f"list_size must be >= 1, got {self.list_size}")
+        if self.n_queries * self.list_size > _MAX_DOCS:
+            raise ValidationError(f"n_queries * list_size must be at most {_MAX_DOCS} documents")
         if self.query_token_count < 1:
             raise ValidationError("query_token_count must be >= 1")
         if self.attribute_vocab_size < 2 * self.query_token_count:
@@ -162,6 +168,8 @@ class SyntheticSpec:
                 "attribute_vocab_size must be at least twice query_token_count "
                 "so every facet has a non-matching alternative"
             )
+        if self.attribute_vocab_size > _MAX_ATTRIBUTE_VOCAB:
+            raise ValidationError(f"attribute_vocab_size must be at most {_MAX_ATTRIBUTE_VOCAB}")
         if not 0 <= self.noise_std < math.inf:
             raise ValidationError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if self.seed < 0:

@@ -44,7 +44,6 @@ LN_EPS = 1e-5
 INIT_STD = 0.02
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-POOLINGS = ("cls", "mean")
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,11 @@ class EncoderConfig:
     ffn_dim: int = 256
     vocab_size: int = 2000
     max_len: int = 64
-    pooling: str = "cls"
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(value) is not (str if f.name == "pooling" else int):
+            if type(value) is not int:
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n_layers < 0:
             raise ConfigurationError("n_layers must be >= 0")
@@ -73,8 +71,6 @@ class EncoderConfig:
             raise ConfigurationError(
                 f"model_dim {self.model_dim} is not divisible by n_heads {self.n_heads}"
             )
-        if self.pooling not in POOLINGS:
-            raise ConfigurationError(f"pooling must be 'cls' or 'mean', got {self.pooling!r}")
 
     @property
     def head_dim(self) -> int:
@@ -265,7 +261,6 @@ class ForwardTrace:
     when the rows were picked after a full last layer, else None."""
 
     ids: np.ndarray
-    attention_mask: np.ndarray
     hidden: np.ndarray
     picked: np.ndarray = None
     layers: list = field(default_factory=list)
@@ -336,7 +331,7 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     scale = 1.0 / math.sqrt(config.head_dim)
 
     trace = ForwardTrace(
-        ids=ids, attention_mask=attention_mask, hidden=None, params_id=id(params)
+        ids=ids, hidden=None, params_id=id(params)
     ) if rows is None or _keep_trace else None
     # a product with one row per matrix takes BLAS's matrix-vector path, which
     # rounds differently, so the gather needs two rows, two positions and a layer
@@ -461,25 +456,19 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
 def _cls_rows(ids) -> np.ndarray:
     """The ``rows`` mask of ``forward_batch`` that selects each sequence's
     first position (all False unless ``ids`` is 2-D with a column, which the
-    forward refuses)."""
-    rows = np.zeros(np.shape(ids), dtype=bool)
+    forward refuses); a first token other than [CLS] is refused before any forward."""
+    ids = np.asarray(ids)
+    rows = np.zeros(ids.shape, dtype=bool)
     if rows.ndim == 2 and rows.shape[1] > 0:
+        if np.any(ids[:, 0] != CLS_ID):
+            raise ContractError("scoring and embedding require sequences that start with the [CLS] token")
         rows[:, 0] = True
     return rows
 
 
-def _require_cls(ids, rows: np.ndarray):
-    """Refuse a batch whose ``_cls_rows`` do not all hold [CLS]; run before
-    the forward, so a refused batch costs nothing."""
-    if np.any(np.asarray(ids)[rows] != CLS_ID):
-        raise ContractError("scoring requires sequences that start with the [CLS] token")
-
-
 def score_cls_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
     """Scalar relevance score per sequence from the first-token state."""
-    rows = _cls_rows(ids)
-    _require_cls(ids, rows)
-    cls, trace = forward_batch(params, config, ids, attention_mask, rows=rows, _keep_trace=True)
+    cls, trace = embed_batch(params, config, ids, attention_mask)
     return cls @ params.score_w + params.score_b, trace
 
 
@@ -494,22 +483,12 @@ def score_cls_backward(params: EncoderParams, config: EncoderConfig, trace: Forw
 
 
 def embed_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask):
-    """One embedding vector per sequence (first-token state, or masked mean)."""
-    if config.pooling == "cls":
-        return forward_batch(params, config, ids, attention_mask, rows=_cls_rows(ids), _keep_trace=True)
-    hidden, trace = forward_batch(params, config, ids, attention_mask)
-    m = trace.attention_mask[:, :, None].astype(np.float64)
-    return (hidden * m).sum(axis=1) / m.sum(axis=1), trace
+    """One embedding vector per sequence: its first-token ([CLS]) state."""
+    return forward_batch(params, config, ids, attention_mask, rows=_cls_rows(ids), _keep_trace=True)
 
 
 def embed_backward(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_emb) -> EncoderParams:
-    d_emb = np.asarray(d_emb, dtype=np.float64)
-    if d_emb.shape != (trace.ids.shape[0], config.model_dim):
-        raise ContractError("one upstream gradient row per sequence is required")
-    if config.pooling == "cls":
-        return backward_batch(params, config, trace, d_emb)
-    m = trace.attention_mask[:, :, None].astype(np.float64)
-    return backward_batch(params, config, trace, d_emb[:, None, :] * (m / m.sum(axis=1, keepdims=True)))
+    return backward_batch(params, config, trace, d_emb)
 
 
 def mlm_logits_batch(params: EncoderParams, states) -> np.ndarray:

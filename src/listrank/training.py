@@ -47,7 +47,7 @@ from .losses import (
 from .metrics import MetricRow, mean_ndcg
 from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
-CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 2, CheckpointHeaderError, CheckpointVersionError,
+CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 3, CheckpointHeaderError, CheckpointVersionError,
                           CheckpointTruncatedError, CheckpointIntegrityError)
 
 
@@ -260,11 +260,7 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     one padded inference forward over the [CLS] states; bit for bit the
     scores ``score_cls_batch`` returns."""
     rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
-    ids, mask = enc.pad_token_rows(rows)
-    cls_rows = enc._cls_rows(ids)
-    enc._require_cls(ids, cls_rows)
-    cls = enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=cls_rows)
-    return cls @ ckpt.params.score_w + ckpt.params.score_b
+    return _embed_rows(ckpt, rows) @ ckpt.params.score_w + ckpt.params.score_b
 
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
@@ -274,13 +270,10 @@ def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
 
 
 def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:
-    """Bi-encoder embeddings of token id rows, padded into one batch. With
-    CLS pooling the forward is an inference forward over the [CLS] states;
-    mean pooling reads every position and runs the full forward."""
+    """[CLS] states of token id rows, padded into one batch and run as one
+    inference forward over the [CLS] rows."""
     ids, mask = enc.pad_token_rows(rows)
-    if ckpt.config.pooling == "cls":
-        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
-    return enc.embed_batch(ckpt.params, ckpt.config, ids, mask)[0]
+    return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
 
 
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):

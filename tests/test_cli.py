@@ -675,6 +675,57 @@ def test_non_finite_option_fails_with_one_line(pipeline, tmp_path, command, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--attribute-vocab", "100000000", "attribute_vocab_size must be at most 100000"),
+    ("--list-size", "100000000000", "n_queries * list_size must be at most 1000000 documents"),
+])
+def test_synthetic_sizes_past_the_bounds_fail_with_one_line(tmp_path, flag, value, message):
+    """The vocabulary draw never ended; the documents filled the memory."""
+    out = tmp_path / "d.jsonl"
+    code, stdout, err = run_cli(["synth-data", "--n-queries", "1", "--list-size", "1", "--out", str(out),
+                                 flag, value])
+    assert code == 1 and stdout == "" and not out.exists()
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("[synth-data] config ")
+    assert lines[1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, key, value", [("--dim", "dim", 32), ("--layers", "layers", 1),
+                                              ("--max-len", "max_len", 16)])
+def test_train_refuses_an_encoder_option_with_init(pipeline, tmp_path, source, flag, key, value):
+    """The checkpoint fixes the shape: ``--init m.ckpt --dim 32`` exited 0
+    and trained m.ckpt's width while the config echo said 32."""
+    out = tmp_path / "out.ckpt"
+    argv = _seeded_commands(pipeline, str(out))["train"] + ["--init", pipeline["model"]]
+    if source == "flag":
+        argv += [flag, str(value)]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        argv += ["--config", str(config)]
+    code, stdout, err = run_cli(argv)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.splitlines() == [f"error: {flag} cannot be combined with --init, whose checkpoint sets the shape"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_pooling_is_no_longer_an_option(pipeline, tmp_path, source):
+    """Every embedding is the [CLS] state; ``--pooling`` and its config key are gone."""
+    out = tmp_path / "out.ckpt"
+    argv = _seeded_commands(pipeline, str(out))["train"]
+    if source == "flag":
+        argv += ["--pooling", "mean"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pooling": "mean"}))
+        argv += ["--config", str(config)]
+    code, stdout, err = run_cli(argv)
+    assert code == 1 and stdout == "" and not out.exists()
+    expected = "unrecognized arguments: --pooling mean" if source == "flag" else "unknown config keys: ['pooling']"
+    assert err.splitlines() == [f"error: {expected}"]
+
+
 def test_a_diverging_train_stops_in_one_line(pipeline, tmp_path):
     """``train --lr 1e308`` printed numpy's RuntimeWarnings before a failure
     line that named no epoch or step."""

@@ -212,6 +212,23 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError, match="noise_std must be non-negative and finite"):
             SyntheticSpec(n_queries=1, noise_std=noise_std)
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(attribute_vocab_size=100_001), "attribute_vocab_size must be at most 100000"),
+        (dict(attribute_vocab_size=100_000_000), "attribute_vocab_size must be at most 100000"),
+        (dict(n_queries=1, list_size=1_000_001), "n_queries * list_size must be at most 1000000 documents"),
+        (dict(n_queries=1_001, list_size=1_000), "n_queries * list_size must be at most 1000000 documents"),
+        (dict(n_queries=1, list_size=100_000_000_000), "n_queries * list_size must be at most 1000000 documents"),
+    ], ids=["vocab-past-by-one", "vocab-1e8", "list-past-by-one", "product-past", "list-1e11"])
+    def test_rejects_sizes_past_the_bounds(self, sizes, message):
+        """Only 70² + 70³ + 70⁴ attribute words exist, so the vocabulary draw
+        of 10⁸ words never ended; 10¹¹ documents filled the memory."""
+        with pytest.raises(ValidationError) as info:
+            SyntheticSpec(**{"n_queries": 1, "list_size": 1, **sizes})
+        assert str(info.value) == message
+
+    def test_accepts_sizes_at_the_bounds(self):
+        SyntheticSpec(n_queries=1_000, list_size=1_000, attribute_vocab_size=100_000)
+
 
 class TestAttributeVocabulary:
     def test_deterministic_for_same_shape(self):

@@ -2,7 +2,7 @@
 
 The heavyweight parameter-space gradient sweep lives in the acceptance
 suite; here the focus is structural: masking exactness, determinism,
-pooling arithmetic, head wiring, and cheap gradient spot checks.
+the [CLS] read path, head wiring, and cheap gradient spot checks.
 """
 
 import math
@@ -62,18 +62,13 @@ class TestEncoderConfig:
         with pytest.raises(ConfigurationError):
             EncoderConfig(n_heads=3, model_dim=64)
 
-    def test_unknown_pooling_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EncoderConfig(pooling="max")
-
     @pytest.mark.parametrize("field, value", [
         ("n_layers", 2.5), ("n_layers", True), ("vocab_size", True), ("vocab_size", 2000.0),
-        ("n_heads", "4"), ("model_dim", np.int64(64)), ("ffn_dim", None), ("pooling", None),
+        ("n_heads", "4"), ("model_dim", np.int64(64)), ("ffn_dim", None),
     ])
     def test_mistyped_field_rejected(self, field, value):
-        """A size that is not an ``int`` (``bool`` included) or a pooling that
-        is not a ``str`` is a configuration error, not a ``TypeError`` later
-        in ``init_params``."""
+        """A size that is not an ``int`` (``bool`` included) is a
+        configuration error, not a ``TypeError`` later in ``init_params``."""
         with pytest.raises(ConfigurationError, match=field):
             EncoderConfig(**{field: value})
 
@@ -81,7 +76,7 @@ class TestEncoderConfig:
         assert EncoderConfig(n_heads=4, model_dim=64).head_dim == 16
 
     def test_to_dict_roundtrips(self):
-        config = EncoderConfig(n_layers=3, pooling="mean")
+        config = EncoderConfig(n_layers=3)
         assert EncoderConfig(**config.to_dict()) == config
 
 
@@ -235,12 +230,14 @@ class TestScoreHead:
 
     def test_non_cls_start_refused_before_the_forward(self, monkeypatch):
         """The forward ran first, so a batch also holding an out-of-vocabulary
-        id was refused for that id, where ``score_pairs`` names the [CLS]."""
+        id was refused for that id, where ``score_pairs`` names the [CLS];
+        ``embed_batch`` read any first token."""
         calls, forward = [], encoder.forward_batch
         monkeypatch.setattr(encoder, "forward_batch", lambda *a, **k: calls.append(1) or forward(*a, **k))
         ids = np.array([[7, TINY.vocab_size]])
-        with pytest.raises(ContractError, match=r"\[CLS\]"):
-            score_cls_batch(init_params(TINY, seed=0), TINY, ids, np.ones_like(ids))
+        for head in (score_cls_batch, embed_batch):
+            with pytest.raises(ContractError, match=r"\[CLS\]"):
+                head(init_params(TINY, seed=0), TINY, ids, np.ones_like(ids))
         assert calls == []
 
     @pytest.mark.parametrize("head", [score_cls_batch, embed_batch])
@@ -266,25 +263,12 @@ class TestPooling:
         emb, _ = embed_batch(params, TINY, ids, mask)
         np.testing.assert_array_equal(emb, hidden[:, 0, :])
 
-    def test_mean_pooling_by_hand(self):
-        config = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16,
-                               vocab_size=20, max_len=5, pooling="mean")
-        params = init_params(config, seed=0)
-        ids, mask = tiny_batch()
-        hidden, _ = forward_batch(params, config, ids, mask)
-        emb, _ = embed_batch(params, config, ids, mask)
-        for row in range(ids.shape[0]):
-            real = mask[row] == 1
-            np.testing.assert_allclose(emb[row], hidden[row][real].mean(axis=0), rtol=1e-12)
-
     def test_sequence_alone_embeds_as_in_a_padded_batch(self):
-        for pooling in ("cls", "mean"):
-            config = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16,
-                                   vocab_size=20, max_len=5, pooling=pooling)
-            params = init_params(config, seed=0)
-            batched, _ = embed_batch(params, config, *tiny_batch())
-            alone = each_row_alone(lambda ids, mask: embed_batch(params, config, ids, mask)[0])
-            np.testing.assert_allclose(np.concatenate(alone), batched, rtol=0, atol=1e-12, err_msg=pooling)
+        config = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
+        params = init_params(config, seed=0)
+        batched, _ = embed_batch(params, config, *tiny_batch())
+        alone = each_row_alone(lambda ids, mask: embed_batch(params, config, ids, mask)[0])
+        np.testing.assert_allclose(np.concatenate(alone), batched, rtol=0, atol=1e-12)
 
 
 class TestMlmHead:

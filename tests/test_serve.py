@@ -6,7 +6,6 @@ directly through the encoder API, so the serving paths are checked
 against independent arithmetic rather than against themselves.
 """
 
-import dataclasses
 import os
 import random
 import struct
@@ -278,29 +277,23 @@ class TestEmbeddingChunks:
         for doc, vector in zip(catalog, store.vectors):
             np.testing.assert_array_equal(vector, embed_alone(student, tokenizer, doc.text).astype(np.float32))
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
-    def test_uniform_lengths_match_one_batch_bit_for_bit(self, world, wide, monkeypatch, pooling):
+    def test_uniform_lengths_match_one_batch_bit_for_bit(self, world, wide, monkeypatch):
         _, tokenizer, _, _, _ = world
-        student = init_checkpoint(dataclasses.replace(wide.config, pooling=pooling), seed=2,
-                                  tokenizer_hash=tokenizer.content_hash())
         catalog = [Document(f"u{i:04d}", f"attr{i % 7} attr{i % 5}") for i in range(400)]
         chunks = record_chunks(monkeypatch)
-        store = precompute_embeddings(student, catalog, tokenizer)
-        one_batch = training.embed_texts(student, tokenizer, [d.text for d in catalog])
+        store = precompute_embeddings(wide, catalog, tokenizer)
+        one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
         assert len(chunks) == 10  # 400 docs of 12 tokens in chunks of 42
         np.testing.assert_array_equal(np.concatenate(chunks), one_batch)
         np.testing.assert_array_equal(store.vectors, one_batch.astype(np.float32))
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
-    def test_mixed_lengths_match_one_batch_up_to_rounding(self, world, wide, monkeypatch, pooling):
+    def test_mixed_lengths_match_one_batch_up_to_rounding(self, world, wide, monkeypatch):
         """Padding to another length changes the order of the softmax sums."""
         _, tokenizer, _, _, _ = world
-        student = init_checkpoint(dataclasses.replace(wide.config, pooling=pooling), seed=2,
-                                  tokenizer_hash=tokenizer.content_hash())
         catalog = self.mixed_catalog(300)
         chunks = record_chunks(monkeypatch)
-        precompute_embeddings(student, catalog, tokenizer)
-        one_batch = training.embed_texts(student, tokenizer, [d.text for d in catalog])
+        precompute_embeddings(wide, catalog, tokenizer)
+        one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
         assert len(chunks) > 1
         np.testing.assert_allclose(np.concatenate(chunks), one_batch, rtol=0, atol=1e-12)
 

@@ -315,7 +315,8 @@ class TestCheckpointFiles:
 
     @pytest.mark.parametrize("field, value", [("n_layers", 1.5), ("n_heads", 3), ("pooling", "max")])
     def test_bad_encoder_config_raises_header_error(self, tmp_path, field, value):
-        """A crafted config with a valid hash is a header error, never a raw exception."""
+        """A crafted config with a valid hash is a header error, never a raw
+        exception; a ``pooling`` key, which version 2 wrote, is unknown."""
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         rewrite_header(path, lambda h: dict(h, encoder_config=dict(h["encoder_config"], **{field: value})))
@@ -361,14 +362,16 @@ class TestCheckpointFiles:
             load_checkpoint(path)
 
     def test_version_1_file_is_refused_by_name(self, tmp_path):
-        """Version 1 files, whose hash covered the payload only, are refused."""
-        def downgrade(b):
-            b[8:12] = struct.pack("<I", 1)
+        """Version 1 files, whose hash covered the payload only, and version 2
+        files, whose encoder config named a pooling, are refused."""
+        for version in (1, 2):
+            def downgrade(b):
+                b[8:12] = struct.pack("<I", version)
 
-        path = self.corrupt(tmp_path, downgrade)
-        with pytest.raises(CheckpointVersionError) as info:
-            load_checkpoint(path)
-        assert "unsupported checkpoint version 1 (reader supports 2)" in str(info.value)
+            path = self.corrupt(tmp_path, downgrade)
+            with pytest.raises(CheckpointVersionError) as info:
+                load_checkpoint(path)
+            assert f"unsupported checkpoint version {version} (reader supports 3)" in str(info.value)
 
 
 class TestCheckpointManifest:
@@ -766,13 +769,10 @@ class TestInferenceForwards:
         expected, _ = score_cls_batch(ckpt.params, config, ids, mask)
         assert bits_equal(training.score_pairs(ckpt, tokenizer, group.query_text, texts), expected)
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("n_texts", [1, 2, 9])
-    def test_embed_texts_equals_embed_batch(self, tiny_world, monkeypatch, pooling, n_texts):
-        """CLS pooling reads the selected rows; mean pooling keeps the full
-        forward with its trace."""
+    def test_embed_texts_equals_embed_batch(self, tiny_world, monkeypatch, n_texts):
+        """The inference forward reads the [CLS] rows and keeps no trace."""
         dataset, tokenizer, config = tiny_world
-        config = dataclasses.replace(config, pooling=pooling)
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
         group = dataset.groups[3]
         texts = ([group.query_text] + [d.text for d in group.docs])[:n_texts]
@@ -781,7 +781,7 @@ class TestInferenceForwards:
         kwargs, forward = [], encoder.forward_batch
         monkeypatch.setattr(encoder, "forward_batch", lambda *a, **kw: kwargs.append(kw) or forward(*a, **kw))
         assert bits_equal(training.embed_texts(ckpt, tokenizer, texts), expected)
-        assert [set(kw) for kw in kwargs] == [{"rows"} if pooling == "cls" else set()]
+        assert [set(kw) for kw in kwargs] == [{"rows"}]
 
     def test_embed_texts_of_one_token_texts(self, tiny_world):
         """Empty texts encode to ``[CLS]`` alone: the batch has length one."""
