@@ -326,7 +326,7 @@ def _candidate_docs(dataset: Dataset, wanted):
         return list(by_id.values())
     missing = sorted(set(wanted) - set(by_id))
     if missing:
-        raise MissingIdError(f"doc ids not in the dataset: {', '.join(missing)}", missing)
+        raise MissingIdError(f"doc ids not in the dataset: {', '.join(missing)}")
     return [by_id[d] for d in wanted]
 
 
@@ -539,6 +539,9 @@ def main(argv=None) -> int:
         return 1
     except (ListRankError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation; Python's own carries no message
+        print(f"runtime failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

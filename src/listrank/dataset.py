@@ -92,9 +92,6 @@ class Dataset:
     def __post_init__(self):
         _refuse_duplicates([group.query_id for group in self.groups], "query ids")
 
-    def __len__(self) -> int:
-        return len(self.groups)
-
 
 def _refuse_duplicates(ids, what: str) -> None:
     """Refuse ``ids`` if any repeats, naming every repeated id, sorted."""

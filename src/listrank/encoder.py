@@ -31,7 +31,7 @@ so a text can embed to other bits in a batch padded to another length.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,9 +75,6 @@ class EncoderConfig:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.n_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def param_layout(config: EncoderConfig) -> list:

@@ -26,72 +26,28 @@ class ContractError(InvalidInputError):
 
 
 class MissingIdError(InvalidInputError):
-    """One or more referenced ids could not be resolved."""
-
-    def __init__(self, message: str, missing_ids: list[str]):
-        super().__init__(message)
-        self.missing_ids = missing_ids
+    """One or more referenced ids could not be resolved; the message names them."""
 
 
 class ParseError(InvalidInputError):
-    """A file could not be parsed; carries the 1-based line number when known."""
+    """A file could not be parsed; the message starts with ``line N: `` when
+    the line is known."""
 
     def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
 
 
-def _where(epoch: int | None, step: int | None) -> str:
-    return "" if epoch is None else f"epoch {epoch}, step {step}: "
-
-
-class NonFiniteGradientError(ListRankError):
-    """Training aborted because a gradient turned NaN/inf; names the parameter
-    group and, raised by the training loop, the epoch and the step."""
-
-    def __init__(self, param_name: str, epoch: int | None = None, step: int | None = None):
-        super().__init__(f"{_where(epoch, step)}non-finite gradient in parameter group '{param_name}'")
-        self.param_name = param_name
-
-
-class NonFiniteParameterError(ListRankError):
-    """Training aborted because an Adam update left a parameter NaN/inf; names
-    the first such group, the epoch and the step."""
-
-    def __init__(self, param_name: str, epoch: int, step: int):
-        super().__init__(f"{_where(epoch, step)}the Adam update made parameter group '{param_name}' non-finite")
-        self.param_name = param_name
+class NonFiniteError(ListRankError):
+    """Training diverged: a gradient or a parameter turned NaN/inf. The
+    message names the parameter group and, raised by the training loop, the
+    epoch and the step."""
 
 
 class CheckpointError(InvalidInputError):
-    """Base class for checkpoint file problems."""
-
-
-class CheckpointHeaderError(CheckpointError):
-    """Magic string or header block is corrupt/unreadable."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """The file's format version is not supported by this reader."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """The file is shorter or longer than its header implies."""
-
-
-class CheckpointIntegrityError(CheckpointError):
-    """The stored content hash does not match the payload."""
+    """A checkpoint file is unreadable; the message names the failure (bad
+    magic, version, truncation, length, hash or header field)."""
 
 
 class StoreError(InvalidInputError):
-    """Base class for embedding-store file problems."""
-
-
-class StoreFormatError(StoreError):
-    """Magic/version/layout of the store file is invalid."""
-
-
-class StoreIntegrityError(StoreError):
-    """The store's content hash does not match its bytes."""
+    """An embedding-store file is unreadable or belongs to another checkpoint;
+    the message names the failure."""

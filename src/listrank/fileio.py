@@ -47,15 +47,13 @@ def atomic_write(path, data: bytes) -> None:
 @dataclass(frozen=True)
 class FrameFormat:
     """One framed file format: its name in messages, magic, the one version
-    this reader accepts, and the error raised for each kind of failure."""
+    this reader accepts, and the error raised for every failure, whose
+    message names it."""
 
     kind: str
     magic: bytes
     version: int
-    header_error: type
-    version_error: type
-    truncated_error: type
-    integrity_error: type
+    error: type
 
 
 def write_framed(path, fmt: FrameFormat, header: dict, payload) -> None:
@@ -75,23 +73,22 @@ def read_framed(path, fmt: FrameFormat, payload_bytes) -> tuple[dict, memoryview
         blob = fh.read()
     start = len(fmt.magic) + _PREFIX.size
     if len(blob) < start or blob[: len(fmt.magic)] != fmt.magic:
-        raise fmt.header_error(f"{path}: not a {fmt.kind} file (bad magic)")
+        raise fmt.error(f"{path}: not a {fmt.kind} file (bad magic)")
     version, header_len = _PREFIX.unpack_from(blob, len(fmt.magic))
     if version != fmt.version:
-        raise fmt.version_error(f"{path}: unsupported {fmt.kind} version {version} "
-                                f"(reader supports {fmt.version})")
+        raise fmt.error(f"{path}: unsupported {fmt.kind} version {version} (reader supports {fmt.version})")
     if len(blob) < start + header_len:
-        raise fmt.truncated_error(f"{path}: header truncated")
+        raise fmt.error(f"{path}: header truncated")
     try:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise fmt.header_error(f"{path}: header is not valid JSON ({exc})") from exc
+        raise fmt.error(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
-        raise fmt.header_error(f"{path}: header is not a JSON object")
+        raise fmt.error(f"{path}: header is not a JSON object")
     start += header_len
     end = start + payload_bytes(header)
     if len(blob) != end + DIGEST_BYTES:
-        raise fmt.truncated_error(f"{path}: {len(blob)} bytes, the header implies {end + DIGEST_BYTES}")
+        raise fmt.error(f"{path}: {len(blob)} bytes, the header implies {end + DIGEST_BYTES}")
     if digest(memoryview(blob)[:end]) != blob[end:]:
-        raise fmt.integrity_error(f"{path}: content hash mismatch")
+        raise fmt.error(f"{path}: content hash mismatch")
     return header, memoryview(blob)[start:end]

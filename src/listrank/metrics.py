@@ -83,7 +83,7 @@ def score_order(scores: np.ndarray, id_rank: np.ndarray, k: int | None = None) -
 
 
 def mean_ndcg(
-    dataset: "Dataset | Iterable[QueryGroup]",
+    dataset: "Dataset",
     scorer: Callable[["QueryGroup"], Sequence[float]],
     k: int | None = None,
 ) -> float:
@@ -93,12 +93,10 @@ def mean_ndcg(
     """
     if k is not None and k <= 0:
         raise ConfigurationError(f"NDCG cutoff k must be positive, got {k}")
-    groups = dataset.groups if hasattr(dataset, "groups") else list(dataset)
-    if not groups:
+    if not dataset.groups:
         raise EmptyInputError("cannot evaluate mean NDCG over an empty dataset")
     total = 0.0
-    count = 0
-    for group in groups:
+    for group in dataset.groups:
         scores = np.asarray(scorer(group), dtype=np.float64)
         if scores.shape != (len(group.docs),):
             raise ConfigurationError(
@@ -106,8 +104,7 @@ def mean_ndcg(
             )
         order = score_order(scores, str_rank([d.doc_id for d in group.docs]))
         total += ndcg_at_k([group.grades[i] for i in order.tolist()], k)
-        count += 1
-    return total / count
+    return total / len(dataset.groups)
 
 
 def perplexity(mean_mlm_loss: float) -> float:

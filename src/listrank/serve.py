@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _refuse_duplicates, valid_doc_ids
-from .errors import (
-    ConfigurationError,
-    EmptyInputError,
-    MissingIdError,
-    StoreFormatError,
-    StoreIntegrityError,
-    ValidationError,
-)
+from .errors import ConfigurationError, EmptyInputError, MissingIdError, StoreError, ValidationError
 from .fileio import FrameFormat, read_framed, write_framed
 from .metrics import nearest_rank_percentile, score_order, str_rank
 from .tokenizer import Tokenizer
@@ -39,8 +32,7 @@ from .training import (
     score_pairs,
 )
 
-STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreFormatError, StoreFormatError, StoreFormatError,
-                           StoreIntegrityError)
+STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreError)
 
 
 @dataclass
@@ -74,18 +66,13 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
-
     def gather(self, doc_ids) -> tuple[np.ndarray, np.ndarray]:
         """Store rows of a sequence of ids and their vectors, in request order."""
         try:
             rows = np.fromiter(map(self._index.__getitem__, doc_ids), dtype=np.intp, count=len(doc_ids))
         except KeyError:
             missing = sorted({d for d in doc_ids if d not in self._index})
-            raise MissingIdError(
-                f"doc ids missing from the store: {', '.join(missing)}", missing
-            ) from None
+            raise MissingIdError(f"doc ids missing from the store: {', '.join(missing)}") from None
         return rows, self.vectors[rows]
 
     def id_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +131,7 @@ def load_store(path: str) -> EmbeddingStore:
     def payload_bytes(header):
         dim, fingerprint, doc_ids = (header.get(k) for k in ("dim", "fingerprint", "doc_ids"))
         if not (type(dim) is int and dim >= 0 and isinstance(fingerprint, str) and isinstance(doc_ids, list)):
-            raise StoreFormatError(f"{path}: header needs an integer dim, a fingerprint and a doc id list")
+            raise StoreError(f"{path}: header needs an integer dim, a fingerprint and a doc id list")
         return 4 * dim * len(doc_ids)
 
     header, payload = read_framed(path, STORE_FORMAT, payload_bytes)
@@ -153,7 +140,7 @@ def load_store(path: str) -> EmbeddingStore:
     try:
         return EmbeddingStore(fingerprint=header["fingerprint"], doc_ids=doc_ids, vectors=vectors)
     except ValidationError as exc:
-        raise StoreFormatError(f"{path}: header needs valid doc ids: {exc}") from None
+        raise StoreError(f"{path}: header needs valid doc ids: {exc}") from None
 
 
 # -- ranking ----------------------------------------------------------------
@@ -181,8 +168,17 @@ def _scores(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec``, upcast ``SCORE_BLOCK`` rows
     at a time. The last block takes the remainder, so fewer than
     ``2 * SCORE_BLOCK`` rows are one product and no block holds fewer than
-    ``SCORE_BLOCK``: BLAS rounds a product of a few rows differently, and
-    blocks this long give the single product's bits (``test_serve``)."""
+    ``SCORE_BLOCK``.
+
+    The blocks give the single product's bits (``test_serve``) because of
+    how the product rounds. BLAS's matrix-vector kernel scores the last
+    ``len % 4`` rows of a product on a separate path, and numpy scores a
+    one-row product with its own dot; every other row gets the same bits in
+    any product (OpenBLAS 0.3.31, Haswell, one thread). ``SCORE_BLOCK`` is a
+    multiple of 4, so only the last block has such a tail, and it is the
+    whole product's tail. A gathered candidate list has a tail of its own:
+    its last ``len % 4`` scores can differ in their low bits from the same
+    documents' scores in a whole-store rank."""
     n = len(vectors)
     scores = np.empty(n)
     start = 0
@@ -216,13 +212,14 @@ def rank_with_student(
 
     A candidate list equal to ``store.doc_ids`` is the whole store: its rows
     are every row in order and its ids are distinct, so it skips the gather
-    and the duplicate check. Any other list is gathered.
+    and the duplicate check. Any other list is checked for duplicate ids,
+    which are reported before missing ones, and then gathered.
 
-    The timed window covers that choice, the gather of the candidates'
-    vectors (whose rows also reveal duplicate ids), query encoding, the
-    float64 upcast and scoring, the sort (or top-k selection) and building
-    the ``(doc_id, score)`` list. It excludes the input checks, store loading,
-    and building the store's id tables, which its first rank does."""
+    The timed window covers that choice, the duplicate check and the gather
+    of the candidates' vectors, query encoding, the float64 upcast and
+    scoring, the sort (or top-k selection) and building the ``(doc_id,
+    score)`` list. It excludes the input checks, store loading, and building
+    the store's id tables, which its first rank does."""
     _check_k(k)
     _check_tokenizer(student, tokenizer)
     if store.dim != student.config.model_dim:
@@ -238,13 +235,8 @@ def rank_with_student(
     if candidate_ids == store.doc_ids:  # list equality is O(1) when the lengths differ
         rows, vectors = slice(None), store.vectors
     else:
-        try:
-            rows, vectors = store.gather(candidate_ids)
-        except MissingIdError:
-            _refuse_duplicates(candidate_ids, "candidate ids")  # a duplicate is reported before a missing id
-            raise
-        if np.bincount(rows).max() > 1:  # store ids are unique, so a repeated row is a repeated id
-            _refuse_duplicates(candidate_ids, "candidate ids")
+        _refuse_duplicates(candidate_ids, "candidate ids")
+        rows, vectors = store.gather(candidate_ids)
     scores = _scores(vectors, embed_texts(student, tokenizer, [query])[0])
     ranking = _sorted_ranking(id_array[rows], id_rank[rows], scores, k)
     latency_ms = (time.perf_counter() - start) * 1000.0

@@ -69,9 +69,6 @@ class TokenSequence:
 
     ids: list[int]
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 @dataclass
 class Tokenizer:

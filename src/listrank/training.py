@@ -14,7 +14,8 @@ detected on load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -22,18 +23,7 @@ import numpy as np
 
 from . import encoder as enc
 from .dataset import Dataset, QueryGroup
-from .errors import (
-    CheckpointHeaderError,
-    CheckpointIntegrityError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
-    ConfigurationError,
-    ContractError,
-    EmptyInputError,
-    NonFiniteGradientError,
-    NonFiniteParameterError,
-    ValidationError,
-)
+from .errors import CheckpointError, ConfigurationError, ContractError, EmptyInputError, NonFiniteError, ValidationError
 from .fileio import FrameFormat, digest, read_framed, write_framed
 from .losses import (
     ListTarget,
@@ -47,8 +37,7 @@ from .losses import (
 from .metrics import MetricRow, mean_ndcg
 from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
-CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 3, CheckpointHeaderError, CheckpointVersionError,
-                          CheckpointTruncatedError, CheckpointIntegrityError)
+CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 3, CheckpointError)
 
 
 @dataclass(frozen=True)
@@ -116,7 +105,7 @@ def adam_step(params: enc.EncoderParams, grads: enc.EncoderParams, state: AdamSt
     """
     g = grads.flat
     if not np.isfinite(g).all():
-        raise NonFiniteGradientError(_first_non_finite(grads))
+        raise NonFiniteError(f"non-finite gradient in parameter group '{_first_non_finite(grads)}'")
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t
@@ -155,12 +144,14 @@ def init_checkpoint(config: enc.EncoderConfig, seed: int, tokenizer_hash: str) -
                       tokenizer_hash=tokenizer_hash)
 
 
-def _manifest(params: enc.EncoderParams) -> list:
-    """Name, shape, byte offset and byte size of every array in the payload."""
+def _manifest(config: enc.EncoderConfig) -> list:
+    """Name, shape, byte offset and byte size of every array in the payload,
+    from ``param_layout`` alone, so no array is allocated."""
     manifest, offset = [], 0
-    for name, a in params.named_arrays():
-        manifest.append({"name": name, "shape": list(a.shape), "offset": offset, "size": 4 * a.size})
-        offset += 4 * a.size
+    for name, shape in enc.param_layout(config):
+        size = 4 * math.prod(shape)
+        manifest.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
+        offset += size
     return manifest
 
 
@@ -178,12 +169,12 @@ def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Write config, training metadata and manifest, then the float32 payload."""
     header = {
-        "encoder_config": ckpt.config.to_dict(),
+        "encoder_config": asdict(ckpt.config),
         "loss_name": ckpt.loss_name,
         "seed": ckpt.seed,
         "epoch": ckpt.epoch,
         "tokenizer_hash": ckpt.tokenizer_hash,
-        "manifest": _manifest(ckpt.params),
+        "manifest": _manifest(ckpt.config),
     }
     write_framed(path, CKPT_FORMAT, header, _payload(ckpt.params))
 
@@ -193,10 +184,10 @@ def _check_manifest(path: str, manifest, expected: list) -> None:
     compare as JSON, so 0.0 or false never pass for the integer 0, and any
     missing, extra, reordered, resized, overlapping or gapped entry is found."""
     if not isinstance(manifest, list):
-        raise CheckpointHeaderError(f"{path}: manifest is not a list")
+        raise CheckpointError(f"{path}: manifest is not a list")
     for i, (got, want) in enumerate(zip_longest(manifest, expected)):
         if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
-            raise CheckpointHeaderError(
+            raise CheckpointError(
                 f"{path}: manifest entry {i} is {got!r}, the encoder config implies {want!r}"
             )
 
@@ -204,29 +195,30 @@ def _check_manifest(path: str, manifest, expected: list) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, verifying magic, version, structure, and hash.
 
-    Parameters come back as float64 copies of the stored float32 values.
+    Parameters come back as float64 copies of the stored float32 values. The
+    payload is sized from the header's shapes, and the parameters are built
+    only once its length and hash check out, so no header can ask for an
+    allocation its file does not hold.
     """
-    params = None
 
     def payload_bytes(header):
-        nonlocal params
         for key in ("encoder_config", "loss_name", "seed", "epoch", "tokenizer_hash", "manifest"):
             if key not in header:
-                raise CheckpointHeaderError(f"{path}: header missing field {key!r}")
+                raise CheckpointError(f"{path}: header missing field {key!r}")
         for key, kind in (("loss_name", str), ("seed", int), ("epoch", int), ("tokenizer_hash", str)):
             if type(header[key]) is not kind:
-                raise CheckpointHeaderError(f"{path}: header field {key!r} must be {kind.__name__}, "
-                                            f"got {header[key]!r}")
+                raise CheckpointError(f"{path}: header field {key!r} must be {kind.__name__}, "
+                                      f"got {header[key]!r}")
         try:
-            params = enc.EncoderParams(enc.EncoderConfig(**header["encoder_config"]))
+            expected = _manifest(enc.EncoderConfig(**header["encoder_config"]))
         except (TypeError, ValueError, ConfigurationError) as exc:
-            raise CheckpointHeaderError(f"{path}: bad encoder config ({exc})") from exc
-        expected = _manifest(params)
+            raise CheckpointError(f"{path}: bad encoder config ({exc})") from exc
         _check_manifest(path, header["manifest"], expected)
         return sum(entry["size"] for entry in expected)
 
     header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
-    params.flat[:] = np.frombuffer(payload, dtype="<f4")
+    params = enc.EncoderParams(enc.EncoderConfig(**header["encoder_config"]),
+                               np.frombuffer(payload, dtype="<f4").astype(np.float64))
     return Checkpoint(params, header["loss_name"], header["seed"], header["epoch"],
                       header["tokenizer_hash"])
 
@@ -361,10 +353,11 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
                 del forwarded, finish  # frees this step's other arrays before the next forward
                 try:
                     adam_step(params, grads, state, train_config)
-                except NonFiniteGradientError as exc:
-                    raise NonFiniteGradientError(exc.param_name, epoch, batch_no) from None
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"epoch {epoch}, step {batch_no}: {exc}") from None
                 if not np.isfinite(params.flat).all():
-                    raise NonFiniteParameterError(_first_non_finite(params), epoch, batch_no)
+                    raise NonFiniteError(f"epoch {epoch}, step {batch_no}: the Adam update made parameter group "
+                                         f"'{_first_non_finite(params)}' non-finite")
                 for value in losses:
                     total += value
                 weight += batch_weight

@@ -780,7 +780,26 @@ def test_invalid_input_families_are_the_eight_that_exit_1():
         errors.ConfigurationError, errors.ValidationError, errors.ParseError, errors.MissingIdError,
         errors.EmptyInputError, errors.ContractError, errors.CheckpointError, errors.StoreError,
     }
-    assert errors.NonFiniteGradientError.__bases__ == (errors.ListRankError,)
+    assert errors.NonFiniteError.__bases__ == (errors.ListRankError,)
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 358. GiB for an array with shape (3000000000, 16) and data type float64"),
+     "runtime failure: Unable to allocate 358. GiB for an array with shape (3000000000, 16) and data type float64"),
+    (MemoryError(), "runtime failure: out of memory"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_runtime_failure_line(monkeypatch, exc, line):
+    """A shape the machine cannot hold (``pretrain --max-len 1000000000``)
+    ended in a numpy allocation traceback."""
+
+    def fail(resolved):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_pretrain", fail)
+    code, stdout, err = run_cli(["pretrain", "--tokenizer", "t", "--corpus", "c", "--out", "o"])
+    assert code == 2
+    assert stdout == ""
+    assert error_lines(err) == [line]
 
 
 @pytest.mark.parametrize("vocab, merges", [([1, 2], [1]), ({"a": 5}, []), ({"a": "x"}, [])],

@@ -75,10 +75,6 @@ class TestEncoderConfig:
     def test_head_dim(self):
         assert EncoderConfig(n_heads=4, model_dim=64).head_dim == 16
 
-    def test_to_dict_roundtrips(self):
-        config = EncoderConfig(n_layers=3)
-        assert EncoderConfig(**config.to_dict()) == config
-
 
 class TestInitParams:
     def test_same_seed_is_bit_identical(self):

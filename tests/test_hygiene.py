@@ -9,9 +9,16 @@ another top-level statement of ``src/listrank``, a file under ``perfbench/``
 or ``scripts/``, or the acceptance tests reads it as a name or an attribute
 or imports it by name. The other tests do not count: a name only they reach
 is code that nothing needs.
+
+The same holds for the members of a public class: every public method,
+property, class-body name (dataclass fields among them) and ``self.x``
+attribute must be read outside its own definition, as an attribute load or
+as a keyword argument, by the same readers. Members are matched by name
+alone, whatever the type of the object read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,6 +105,54 @@ def unused_public_names(modules: dict, outside: list) -> list:
                   and not any(name in uses for _, other, uses in statements if other is not node))
 
 
+def _member_reads(tree) -> Counter:
+    """How often ``tree`` loads each name as an attribute or passes it as a keyword."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            reads[node.arg] += 1
+    return reads
+
+
+def _members(cls):
+    """``(name, definition)`` of every member of class ``cls``: a method or
+    property with its own node, a class-body name or a ``self.x`` attribute
+    with None, since its definition stores the name and reads nothing."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        else:
+            yield from ((name, None) for name in _bound_names(node))
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr, None
+
+
+def unread_members(modules: dict, outside: list) -> list:
+    """``(module, "Class.member")`` of every public member of a public
+    top-level class in ``modules`` (name to source) that neither those
+    modules outside the member's own definition nor the ``outside`` sources
+    read."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    reads = sum((_member_reads(tree) for tree in [*trees.values(), *map(ast.parse, outside)]), Counter())
+    return sorted({(module, f"{cls.name}.{name}") for module, tree in trees.items() for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                   for name, definition in _members(cls) if not name.startswith("_")
+                   and reads[name] <= (_member_reads(definition)[name] if definition else 0)})
+
+
+def _readers() -> tuple[dict, list]:
+    """The ``src/listrank`` modules (name to source), and the sources outside
+    them whose reads count: ``perfbench/``, ``scripts/`` and the acceptance tests."""
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    outside = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]]
+    return modules, outside
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_referenced(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -109,10 +164,36 @@ def test_every_private_top_level_name_is_referenced(path):
 
 
 def test_every_public_top_level_name_is_used():
-    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    outside = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
-               + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]]
-    assert unused_public_names(modules, outside) == []
+    assert unused_public_names(*_readers()) == []
+
+
+def test_every_public_class_member_is_read():
+    assert unread_members(*_readers()) == []
+
+
+def test_checker_finds_class_members_only_their_own_definition_reads():
+    modules = {
+        "a.py": (
+            "class Box:\n"
+            "    size: int\n"
+            "    label: str = ''\n"
+            "    LIMIT = 3\n"
+            "    def __init__(self, n):\n"
+            "        self.count = n\n"
+            "        self._cache = None\n"
+            "    def walk(self, n):\n"
+            "        return self.walk(n - 1) if n else self.size\n"
+            "    @property\n"
+            "    def area(self):\n"
+            "        return self.count\n"
+            "    def _helper(self): pass\n"
+            "class _Hidden:\n"
+            "    unread = 1\n"
+        ),
+        "b.py": "from .a import Box\ndef build():\n    return Box(label='x').area\n",
+    }
+    assert unread_members(modules, []) == [("a.py", "Box.LIMIT"), ("a.py", "Box.walk")]
+    assert unread_members(modules, ["box.walk(2)\n", "print(Box.LIMIT)\n"]) == []
 
 
 def test_checker_finds_public_names_only_their_own_definition_uses():

@@ -138,21 +138,16 @@ class TestMeanNdcg:
         reversed_ndcg = (0.0 + 3.0 / math.log2(3.0)) / 3.0
         np.testing.assert_allclose(value, (1.0 + reversed_ndcg) / 2.0, rtol=1e-12)
 
-    def test_accepts_a_plain_iterable_of_groups(self):
-        groups = [make_group("q1", [0, 4])]
-        value = mean_ndcg(groups, lambda g: [0.0, 1.0])
-        assert value == 1.0
-
     def test_equal_scores_fall_back_to_doc_id_order(self):
         """With tied scores the ascending doc_id decides, making
         evaluation reproducible."""
         group = make_group("q", [0, 3], doc_ids=["b", "a"])
-        value = mean_ndcg([group], lambda g: [5.0, 5.0])
+        value = mean_ndcg(Dataset(groups=[group]), lambda g: [5.0, 5.0])
         assert value == 1.0
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyInputError):
-            mean_ndcg([], lambda g: [])
+            mean_ndcg(Dataset(groups=[]), lambda g: [])
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_invalid_cutoff_is_refused_before_any_scoring(self, k):
@@ -163,7 +158,7 @@ class TestMeanNdcg:
             return [0.0] * len(group.docs)
 
         with pytest.raises(ConfigurationError, match=f"NDCG cutoff k must be positive, got {k}"):
-            mean_ndcg([make_group("q1", [1, 2]), make_group("q2", [0, 1])], scorer, k=k)
+            mean_ndcg(Dataset(groups=[make_group("q1", [1, 2]), make_group("q2", [0, 1])]), scorer, k=k)
         assert calls == []
 
     def test_wrong_scorer_arity_raises(self):

@@ -27,8 +27,7 @@ from listrank.errors import (
     ContractError,
     EmptyInputError,
     MissingIdError,
-    StoreFormatError,
-    StoreIntegrityError,
+    StoreError,
     ValidationError,
 )
 from listrank.serve import (
@@ -93,20 +92,16 @@ class TestEmbeddingStore:
     def test_vectors_are_float32(self):
         assert tiny_store().vectors.dtype == np.float32
 
-    def test_len_and_contains(self):
-        store = tiny_store(n=3)
-        assert len(store) == 3
-        assert "doc1" in store
-        assert "doc9" not in store
+    def test_len_counts_the_ids(self):
+        assert len(tiny_store(n=3)) == 3
 
     def test_vector_lookup(self):
         store = tiny_store(n=3)
         np.testing.assert_array_equal(store.gather(["doc2"])[1][0], store.vectors[2])
 
     def test_vector_missing_id_raises(self):
-        with pytest.raises(MissingIdError) as excinfo:
+        with pytest.raises(MissingIdError, match="^doc ids missing from the store: ghost$"):
             tiny_store().gather(["ghost"])
-        assert excinfo.value.missing_ids == ["ghost"]
 
     def test_gather_preserves_request_order(self):
         store = tiny_store(n=4)
@@ -115,9 +110,8 @@ class TestEmbeddingStore:
         np.testing.assert_array_equal(got, store.vectors[[2, 0, 2]])
 
     def test_gather_reports_missing_ids_sorted(self):
-        with pytest.raises(MissingIdError) as excinfo:
+        with pytest.raises(MissingIdError, match="^doc ids missing from the store: abba, zed$"):
             tiny_store().gather(["doc0", "zed", "abba"])
-        assert excinfo.value.missing_ids == ["abba", "zed"]
 
     def test_id_rank_is_str_order_built_on_first_use(self, tmp_path):
         ids = ["b", "a\x00", "a", "é", "Z", "a\x00\x00"]
@@ -322,7 +316,7 @@ class TestStoreFiles:
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(StoreError, match=r"not a store file \(bad magic\)$"):
             load_store(path)
 
     def test_unsupported_version_raises_format_error(self, tmp_path):
@@ -333,23 +327,22 @@ class TestStoreFiles:
             blob = bytearray(path.read_bytes())
             struct.pack_into("<I", blob, 8, version)
             path.write_bytes(bytes(blob))
-            with pytest.raises(StoreFormatError) as excinfo:
+            with pytest.raises(StoreError, match=fr"unsupported store version {version} \(reader supports 3\)$"):
                 load_store(path)
-            assert f"unsupported store version {version}" in str(excinfo.value)
 
     def test_truncated_payload_raises_format_error(self, tmp_path):
         path = tmp_path / "x.store"
         save_store(tiny_store(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(StoreError, match=f"{len(blob) - 10} bytes, the header implies {len(blob)}$"):
             load_store(path)
 
     def test_trailing_bytes_raise_format_error(self, tmp_path):
         path = tmp_path / "x.store"
         save_store(tiny_store(), path)
         path.write_bytes(path.read_bytes() + b"trailing")
-        with pytest.raises(StoreFormatError, match="the header implies"):
+        with pytest.raises(StoreError, match="the header implies"):
             load_store(path)
 
     def test_flipped_payload_byte_raises_integrity_error(self, tmp_path):
@@ -358,7 +351,7 @@ class TestStoreFiles:
         blob = bytearray(path.read_bytes())
         blob[-12] ^= 0xFF  # inside the vector payload, before the digest
         path.write_bytes(bytes(blob))
-        with pytest.raises(StoreIntegrityError):
+        with pytest.raises(StoreError, match="content hash mismatch$"):
             load_store(path)
 
     @pytest.mark.parametrize("old, new", [(b"doc1", b"doc9"), (b"feedbeef", b"feedbeee")])
@@ -368,7 +361,7 @@ class TestStoreFiles:
         save_store(tiny_store(), path)
         blob = path.read_bytes()
         path.write_bytes(blob.replace(old, new, 1))
-        with pytest.raises(StoreIntegrityError):
+        with pytest.raises(StoreError, match="content hash mismatch$"):
             load_store(path)
 
     @pytest.mark.parametrize("field, value", [("dim", "4"), ("dim", True), ("fingerprint", 7),
@@ -379,14 +372,14 @@ class TestStoreFiles:
         path = tmp_path / "x.store"
         save_store(tiny_store(), path)
         rewrite_header(path, lambda header: dict(header, **{field: value}))
-        with pytest.raises(StoreFormatError, match="header needs"):
+        with pytest.raises(StoreError, match="header needs"):
             load_store(path)
 
     def test_repeated_id_raises_format_error(self, tmp_path):
         path = tmp_path / "x.store"
         save_store(tiny_store(), path)
         rewrite_header(path, lambda header: dict(header, doc_ids=["doc0", "doc2", "doc2"]))
-        with pytest.raises(StoreFormatError) as excinfo:
+        with pytest.raises(StoreError, match="header needs valid doc ids") as excinfo:
             load_store(path)
         assert str(excinfo.value) == f"{path}: header needs valid doc ids: duplicate store doc ids: ['doc2']"
 

@@ -49,11 +49,6 @@ class TestSpecialTokens:
         assert min(tok.token_to_id.values()) == N_SPECIAL
 
 
-class TestTokenSequence:
-    def test_len(self):
-        assert len(TokenSequence(ids=[1, 2, 3])) == 3
-
-
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",
@@ -91,12 +86,12 @@ class TestEncodePair:
         q_ids = tok.encode("red shoes").ids
         max_len = len(q_ids) + 2 + 3
         seq = tok.encode_pair("red shoes", "a very long document " * 10, max_len)
-        assert len(seq) == max_len
+        assert len(seq.ids) == max_len
         assert seq.ids[: len(q_ids) + 2] == [CLS_ID] + q_ids + [SEP_ID]
 
     def test_oversized_query_is_truncated_too(self, tok):
         seq = tok.encode_pair("word " * 50, "doc", max_len=10)
-        assert len(seq) <= 10
+        assert len(seq.ids) <= 10
         assert seq.ids[0] == CLS_ID
 
     def test_max_len_under_four_raises(self, tok):
@@ -112,7 +107,7 @@ class TestEncodeSingle:
 
     def test_truncates_to_max_len(self, tok):
         seq = tok.encode_single("running " * 30, max_len=8)
-        assert len(seq) == 8
+        assert len(seq.ids) == 8
 
     def test_max_len_one_is_just_cls(self, tok):
         assert tok.encode_single("anything", max_len=1).ids == [CLS_ID]
@@ -291,7 +286,7 @@ class TestMaskForMlm:
         seq = self.seq_with_specials(tok)
         masked, labels = mask_for_mlm(seq, rate=0.0, seed=1)
         assert masked.ids == seq.ids
-        assert labels == [UNMASKED] * len(seq)
+        assert labels == [UNMASKED] * len(seq.ids)
 
     def test_rate_one_masks_every_text_token(self, tok):
         seq = self.seq_with_specials(tok)
@@ -307,7 +302,7 @@ class TestMaskForMlm:
     def test_labels_carry_original_ids_at_masked_positions(self, tok):
         seq = self.seq_with_specials(tok)
         masked, labels = mask_for_mlm(seq, rate=0.5, seed=3)
-        for pos in range(len(seq)):
+        for pos in range(len(seq.ids)):
             if labels[pos] != UNMASKED:
                 assert masked.ids[pos] == MASK_ID
                 assert labels[pos] == seq.ids[pos]

@@ -34,15 +34,11 @@ from listrank.encoder import (
     zeros_like_params,
 )
 from listrank.errors import (
-    CheckpointHeaderError,
-    CheckpointIntegrityError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
+    CheckpointError,
     ConfigurationError,
     ContractError,
     EmptyInputError,
-    NonFiniteGradientError,
-    NonFiniteParameterError,
+    NonFiniteError,
     ValidationError,
 )
 from listrank.tokenizer import CLS_ID, TokenSequence, train_bpe
@@ -176,9 +172,8 @@ class TestAdamStep:
         grads = zeros_like_params(params)
         grads.pos_emb[1, 2] = np.nan
         state = init_adam_state(params)
-        with pytest.raises(NonFiniteGradientError) as excinfo:
+        with pytest.raises(NonFiniteError, match="^non-finite gradient in parameter group 'pos_emb'$"):
             adam_step(params, grads, state, TrainConfig(lr=0.1))
-        assert "pos_emb" in str(excinfo.value)
         assert state.step == 0
         for (name, a), (_, b) in zip(params.named_arrays(), snapshot.named_arrays()):
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -193,10 +188,8 @@ class TestAdamStep:
         adam_step(params, grads, state, TrainConfig(lr=0.1))
         before = params.flat.copy(), state.m.copy(), state.v.copy()
         grads.layers[1].b_ffn2[2] = np.nan
-        with pytest.raises(NonFiniteGradientError) as excinfo:
+        with pytest.raises(NonFiniteError, match=r"^non-finite gradient in parameter group 'layer1\.b_ffn2'$"):
             adam_step(params, grads, state, TrainConfig(lr=0.1))
-        assert excinfo.value.param_name == "layer1.b_ffn2"
-        assert str(excinfo.value) == str(NonFiniteGradientError("layer1.b_ffn2"))
         assert state.step == 1
         for got, want in zip((params.flat, state.m, state.v), before):
             np.testing.assert_array_equal(got, want)
@@ -286,7 +279,7 @@ class TestCheckpointFiles:
 
     def test_bad_magic_raises_header_error(self, tmp_path):
         path = self.corrupt(tmp_path, lambda b: b.__setitem__(0, b[0] ^ 0xFF))
-        with pytest.raises(CheckpointHeaderError):
+        with pytest.raises(CheckpointError, match=r"not a checkpoint file \(bad magic\)$"):
             load_checkpoint(path)
 
     def test_unsupported_version_raises_version_error(self, tmp_path):
@@ -294,7 +287,7 @@ class TestCheckpointFiles:
             b[8:12] = struct.pack("<I", 99)
 
         path = self.corrupt(tmp_path, bump)
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 99 \(reader supports 3\)$"):
             load_checkpoint(path)
 
     def test_truncation_raises_truncated_error(self, tmp_path):
@@ -302,7 +295,7 @@ class TestCheckpointFiles:
         save_checkpoint(self.fresh(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(CheckpointError, match=f"{len(blob) // 2} bytes, the header implies {len(blob)}$"):
             load_checkpoint(path)
 
     def test_header_corruption_raises_header_error(self, tmp_path):
@@ -310,7 +303,7 @@ class TestCheckpointFiles:
             b[20] = 0xFF  # inside the JSON header region
 
         path = self.corrupt(tmp_path, garble)
-        with pytest.raises(CheckpointHeaderError):
+        with pytest.raises(CheckpointError, match="header is not valid JSON"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [("n_layers", 1.5), ("n_heads", 3), ("pooling", "max")])
@@ -320,7 +313,7 @@ class TestCheckpointFiles:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         rewrite_header(path, lambda h: dict(h, encoder_config=dict(h["encoder_config"], **{field: value})))
-        with pytest.raises(CheckpointHeaderError, match="bad encoder config"):
+        with pytest.raises(CheckpointError, match="bad encoder config"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [("loss_name", 1), ("seed", "0"), ("seed", True), ("epoch", "x"),
@@ -330,7 +323,7 @@ class TestCheckpointFiles:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         rewrite_header(path, lambda h: dict(h, **{field: value}))
-        with pytest.raises(CheckpointHeaderError, match=f"header field '{field}' must be"):
+        with pytest.raises(CheckpointError, match=f"header field '{field}' must be"):
             load_checkpoint(path)
 
     def test_payload_corruption_raises_integrity_error(self, tmp_path):
@@ -338,7 +331,7 @@ class TestCheckpointFiles:
             b[-12] ^= 0xFF  # inside the parameter payload, before the 8-byte hash
 
         path = self.corrupt(tmp_path, flip)
-        with pytest.raises(CheckpointIntegrityError):
+        with pytest.raises(CheckpointError, match="content hash mismatch$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old, new", [(b'"loss_name":"listnet"', b'"loss_name":"listmle"'),
@@ -351,14 +344,39 @@ class TestCheckpointFiles:
         blob = path.read_bytes()
         assert old in blob
         path.write_bytes(blob.replace(old, new, 1))
-        with pytest.raises(CheckpointIntegrityError):
+        with pytest.raises(CheckpointError, match="content hash mismatch$"):
             load_checkpoint(path)
 
     def test_trailing_bytes_raise_truncated_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(CheckpointTruncatedError, match="the header implies"):
+        with pytest.raises(CheckpointError, match="the header implies"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("with_manifest, message", [(False, "manifest entry 1 is"), (True, "the header implies")])
+    def test_shape_past_the_address_space_is_refused_without_allocating(self, tmp_path, with_manifest, message):
+        """A re-sealed header that asks for ``max_len`` 10**15 (64 PB of
+        float64 position embeddings) is refused by its manifest or by the
+        file's length; the parameters were built before those checks and
+        failed with a numpy allocation error."""
+        max_len = 10**15
+
+        def grow(header):
+            header["encoder_config"]["max_len"] = max_len
+            if with_manifest:
+                pos = header["manifest"][1]
+                extra = 4 * (max_len - pos["shape"][0]) * pos["shape"][1]
+                pos["shape"][0] = max_len
+                pos["size"] += extra
+                for entry in header["manifest"][2:]:
+                    entry["offset"] += extra
+            return header
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        rewrite_header(path, grow)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_version_1_file_is_refused_by_name(self, tmp_path):
@@ -369,9 +387,9 @@ class TestCheckpointFiles:
                 b[8:12] = struct.pack("<I", version)
 
             path = self.corrupt(tmp_path, downgrade)
-            with pytest.raises(CheckpointVersionError) as info:
+            message = fr"unsupported checkpoint version {version} \(reader supports 3\)$"
+            with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(path)
-            assert f"unsupported checkpoint version {version} (reader supports 3)" in str(info.value)
 
 
 class TestCheckpointManifest:
@@ -391,9 +409,9 @@ class TestCheckpointManifest:
         return path
 
     def assert_rejected(self, path, phrase):
-        with pytest.raises(CheckpointHeaderError) as info:
+        with pytest.raises(CheckpointError, match=phrase) as info:
             load_checkpoint(path)
-        assert phrase in str(info.value) and "\n" not in str(info.value)
+        assert "\n" not in str(info.value)
 
     def test_unedited_manifest_loads(self, tmp_path):
         path = self.rewrite(tmp_path, lambda m: m)
@@ -405,7 +423,7 @@ class TestCheckpointManifest:
         params = init_params(self.CONFIG, seed=4)
         start = params.flat.__array_interface__["data"][0]
         end = 0
-        for entry, (name, a) in zip(_manifest(params), params.named_arrays(), strict=True):
+        for entry, (name, a) in zip(_manifest(params.config), params.named_arrays(), strict=True):
             value_offset = (a.__array_interface__["data"][0] - start) // 8
             assert entry == {"name": name, "shape": list(a.shape), "offset": 4 * value_offset, "size": 4 * a.size}
             assert value_offset == end, name
@@ -951,9 +969,8 @@ class TestDivergence:
         def fill(grads):
             grads.layers[0].b_ffn2[1] = 10.0  # lr * 10 overflows to inf
 
-        with pytest.raises(NonFiniteParameterError) as excinfo:
+        with pytest.raises(NonFiniteError, match="the Adam update made parameter group") as excinfo:
             self.train(3, fill, lr=1e308)
-        assert excinfo.value.param_name == "layer0.b_ffn2"
         assert str(excinfo.value) == (
             "epoch 2, step 1: the Adam update made parameter group 'layer0.b_ffn2' non-finite")
 
@@ -961,7 +978,7 @@ class TestDivergence:
         def fill(grads):
             grads.pos_emb[0, 0] = np.inf
 
-        with pytest.raises(NonFiniteGradientError) as excinfo:
+        with pytest.raises(NonFiniteError, match="non-finite gradient") as excinfo:
             self.train(4, fill, lr=0.1)
         assert str(excinfo.value) == "epoch 2, step 2: non-finite gradient in parameter group 'pos_emb'"
 
@@ -971,7 +988,7 @@ class TestDivergence:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteGradientError):
+            with pytest.raises(NonFiniteError, match="^epoch 1, step 1: non-finite gradient in parameter group 'pos_emb'"):
                 self.train(1, fill, lr=0.1)
 
     def test_evaluation_keeps_numpy_warnings(self):
