@@ -1,30 +1,33 @@
 #!/usr/bin/env python3
-"""Time student ranking over an embedding store and record it in a BENCH file.
+"""Time student and teacher ranking and record it in a BENCH file.
 
     python3 scripts/bench_rank.py [--src DIR] [--label NAME] [--out FILE]
 
-Three calls of ``serve.rank_with_student`` are timed, each from the call to
-its return (wall time, so the part outside the library's own timed window
-counts too):
+Three calls of ``serve.rank_with_student`` and one of
+``serve.rank_with_teacher`` are timed, each from the call to its return (wall
+time, so the part outside the library's own timed window counts too):
 
 - ``full_21000``: the whole of a 21,000-doc store ranked (the store size of
   the benchmark's ``query_stream`` full-catalog rank);
 - ``top10_100000``: the first 10 rows of a whole 100,000-doc store. Code
   without a ``k`` argument ranks the whole store and keeps the first 10;
-- ``gather_30``: 30 candidates out of the 21,000-doc store, in request order.
+- ``gather_30``: 30 candidates out of the 21,000-doc store, in request order;
+- ``teacher_30``: the cross-encoder over 30 candidates whose pairs with the
+  query are 8 to 13 tokens long (10 on average), the serving shape of a
+  teacher rank.
 
-The student is an untrained checkpoint at the default encoder shape (d=64,
-2 layers, FFN 256); the store vectors are seeded float32 normals, under ids
-in the synthetic dataset's ``qNNNNN_dNN`` form and in its order. ``--src``
-names the directory holding the ``listrank`` package to time (default: this
-checkout's ``src``), so two versions can be timed with one script. BLAS
-threads are pinned to one.
+The student and the teacher are untrained checkpoints at the default encoder
+shape (d=64, 2 layers, FFN 256); the store vectors are seeded float32
+normals, under ids in the synthetic dataset's ``qNNNNN_dNN`` form and in its
+order. ``--src`` names the directory holding the ``listrank`` package to
+time (default: this checkout's ``src``), so two versions can be timed with
+one script. BLAS threads are pinned to one.
 
 For each call the record holds the median and quartiles of the wall time and
 of the library's ``latency_ms`` over clean repetitions after a warmup, and a
-digest of the ranking, which must agree between versions. Without ``--out``
-the record is printed; with it, the record is stored under ``--label`` in
-``FILE`` (other labels are kept).
+digest of the ranking, which must agree between versions that compute the
+same scores. Without ``--out`` the record is printed; with it, the record is
+stored under ``--label`` in ``FILE`` (other labels are kept).
 """
 
 import os
@@ -47,6 +50,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 QUERY = "tademibe bimu tofu kesuna"
+WORDS = QUERY.split()
 WARMUP = 3
 REPS = 41
 
@@ -100,6 +104,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from checks import environment
     from listrank import encoder as enc, serve, training
+    from listrank.dataset import Document
     from listrank.tokenizer import train_bpe
 
     tokenizer = train_bpe([QUERY, "bimu kesuna tofu", "tademibe tofu"], 300)
@@ -121,6 +126,13 @@ def main(argv=None) -> int:
     del store
     store = _store(serve, fingerprint, 100000, config.model_dim)
     calls["top10_100000"] = bench_call(ranker(store, store.doc_ids), 10, native_k)
+    del store
+
+    teacher = training.init_checkpoint(config, seed=1, tokenizer_hash=tokenizer.content_hash())
+    rng = np.random.default_rng(10)
+    docs = [Document(f"d{i:02d}", " ".join(rng.choice(WORDS, size=rng.integers(1, 5)))) for i in range(30)]
+    calls["teacher_30"] = bench_call(lambda *k: serve.rank_with_teacher(teacher, QUERY, docs, tokenizer, *k),
+                                     None, native_k)
 
     record = {
         "code_digest": hashlib.blake2b(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py"))),

@@ -4,10 +4,12 @@ A training forward records every intermediate needed for the exact
 gradient (a ForwardTrace), so ``backward_batch`` can return analytically
 correct parameter gradients without any autodiff framework. Every head reads
 only some positions of the last layer (the first token, or the masked ones),
-so its forward passes those ``rows``: the last layer runs past its attention
-only on them, with the same bits for those positions, and the training
-backward of that part runs on them alone. Inference keeps no trace. All math
-happens in float64. Architecture: learned
+so its forward passes those ``rows``: the last layer computes keys and values
+for every position, but queries, attention and everything after them only
+for those rows, and the training backward of that part runs on them alone.
+The states agree with the full forward's to within rounding (about one ulp),
+and inference, which keeps no trace, gives the same bits as the heads'
+training forwards. All math happens in float64. Architecture: learned
 token and position embeddings, post-norm residual blocks (multi-head
 attention then a GELU feed-forward), a linear scoring head over the
 first-token state, and a masked-token head that shares the token embedding
@@ -231,10 +233,13 @@ def _layer_norm_backward(d_out, x_hat, inv_std, scale):
 @dataclass
 class _LayerTrace:
     """One layer's cached arrays. With ``rows`` (the gathered last layer),
-    ``x_in`` and the attention arrays cover every position and the arrays
-    from ``ctx`` on cover only the selected rows, ``[n_rows, ...]``."""
+    ``x_in``, ``k`` and ``v`` cover every position, ``q`` and ``probs`` the
+    query ``slots`` (``[batch, heads, width, ...]``; ``[n_rows, heads, 1,
+    ...]`` for the [CLS] heads) and the arrays from ``ctx`` on the selected
+    rows only, ``[n_rows, ...]``."""
 
     rows: np.ndarray
+    slots: np.ndarray
     x_in: np.ndarray
     q: np.ndarray
     k: np.ndarray
@@ -298,20 +303,24 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
 
     ``rows``, a boolean ``[batch, length]`` mask of the positions the caller
     reads, returns only those states, ``hidden[rows]`` as ``[n_rows,
-    model_dim]`` in row-major order. The last layer's attention still runs
-    over every position (all keys and values are read), but its
-    out-projection, residuals, layer norms and feed-forward run on the
-    selected rows alone. Every row's arithmetic is the same as in the full
-    forward, so the states are bit for bit ``hidden[rows]``. With fewer than
-    two rows selected, sequences of length one or no layers, the last layer
-    runs in full and the rows are picked afterwards.
+    model_dim]`` in row-major order. The last layer still projects keys and
+    values for every position, but queries only for the selected rows, which
+    attend over their own sequence's keys: each sequence gets as many query
+    slots as the sequence with the most selected rows has (one for the
+    [CLS] heads), its rows fill its first slots, and an empty slot's output
+    is dropped. The out-projection, residuals, layer norms and feed-forward
+    then run on the selected rows alone. Those products have other shapes
+    than the full forward's, so the states equal ``hidden[rows]`` only to
+    within rounding (about one ulp of the largest state). With fewer than two
+    rows selected, sequences of length one or no layers, the last layer runs
+    in full and the rows are picked afterwards.
 
     A forward with ``rows`` is an inference forward and returns the states
     alone, keeping no trace. The heads' training forwards (``score_cls_batch``,
     ``embed_batch`` and the masked-token loss) pass ``rows`` with the private
-    ``_keep_trace=True`` and get ``(states, trace)``; that trace keeps the
-    gathered layer's attention inputs for every position and the rest of that
-    layer for the selected rows only.
+    ``_keep_trace=True`` and get ``(states, trace)``, with the same bits as
+    the inference forward; that trace keeps the gathered layer's input for
+    every position and the rest of that layer for the selected rows only.
     """
     ids = np.asarray(ids, dtype=np.int64)
     attention_mask = np.asarray(attention_mask, dtype=np.int64)
@@ -330,14 +339,22 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     trace = ForwardTrace(
         ids=ids, hidden=None, params_id=id(params)
     ) if rows is None or _keep_trace else None
-    # a product with one row per matrix takes BLAS's matrix-vector path, which
-    # rounds differently, so the gather needs two rows, two positions and a layer
+    # one selected row or one position gains nothing from the gather, and the
+    # full last layer keeps their values (a student's one-query forward)
     gather = rows is not None and len(params.layers) > 0 and l >= 2 and np.count_nonzero(rows) >= 2
     gather_at = len(params.layers) - 1 if gather else None
+    slots = _slots(rows) if gather else None
     for i, layer in enumerate(params.layers):
-        q = _split_heads(_affine(x, layer.w_q, layer.b_q), config.n_heads)
         k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
         v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
+        x_in = x if trace is not None else None  # without a trace the gather frees the full x
+        gathered = i == gather_at
+        if gathered:  # the read rows' queries, in their sequences' slots
+            x = x[rows]
+            q = _scatter(_affine(x, layer.w_q, layer.b_q), slots)
+        else:
+            q = _affine(x, layer.w_q, layer.b_q)
+        q = _split_heads(q, config.n_heads)
         logits = np.matmul(q, k.swapaxes(-1, -2))
         logits *= scale
         logits += key_bias
@@ -345,9 +362,8 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         probs = np.exp(logits, out=logits)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(probs, v))
-        x_in = x if trace is not None else None  # without a trace the gather frees the full x
-        if i == gather_at:
-            ctx, x = ctx[rows], x[rows]
+        if gathered:
+            ctx = ctx[slots]
         r1 = _affine(ctx, layer.w_o, layer.b_o)
         r1 += x
         h1, x_hat1, inv_std1 = _layer_norm(r1, layer.ln1_scale, layer.ln1_offset)
@@ -360,7 +376,7 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         if trace is not None:
             trace.layers.append(
                 _LayerTrace(
-                    rows=rows if i == gather_at else None,
+                    rows=rows if gathered else None, slots=slots if gathered else None,
                     x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                     x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
                     ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
@@ -378,11 +394,21 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
 
 
 def _scatter(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``[n_rows, dim]`` values of the selected ``rows`` placed in zeros
-    shaped ``[batch, length, dim]``."""
+    """``[n_rows, dim]`` values of the selected ``rows`` (a boolean mask,
+    such as ``[batch, length]``) placed in zeros shaped ``rows.shape +
+    (dim,)``."""
     out = np.zeros(rows.shape + values.shape[-1:])
     out[rows] = values
     return out
+
+
+def _slots(rows: np.ndarray) -> np.ndarray:
+    """Query slots of the gathered last layer: a boolean ``[batch, width]``
+    mask, ``width`` the most rows one sequence has selected, whose sequence
+    ``s`` has its first ``count(rows[s])`` slots True. The True slots in
+    row-major order take the selected rows in row-major order."""
+    counts = np.count_nonzero(rows, axis=1)
+    return np.arange(counts.max()) < counts[:, None]
 
 
 def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardTrace, d_hidden) -> EncoderParams:
@@ -390,11 +416,11 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
 
     ``d_hidden`` is shaped like the states the forward returned: ``[batch,
     length, model_dim]``, or ``[n_rows, model_dim]`` after a forward with
-    ``rows``. There the gathered last layer's backward from its second layer
-    norm down to its out-projection runs on the selected rows only (every
-    other position's gradient is exactly zero), and the gradients of its
-    context and residual are scattered to every position for the attention
-    backward and the earlier layers.
+    ``rows``. There the gathered last layer's backward runs on the selected
+    rows and their query slots only (every other position's gradient of
+    those is exactly zero, and an empty slot's is zero), and the rows'
+    residual and query-input gradients are placed at their positions for the
+    key and value backward and the earlier layers.
     """
     if trace.params_id != id(params):
         raise ContractError("trace was produced by different parameters")
@@ -423,9 +449,7 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         )
         # r1 = x_in + ctx @ w_o + b_o
         d_ctx = _affine_backward(lt.ctx, d_r1, layer.w_o, g.w_o, g.b_o)
-        if lt.rows is not None:
-            d_ctx, d_r1 = _scatter(d_ctx, lt.rows), _scatter(d_r1, lt.rows)
-        d_ctx = _split_heads(d_ctx, config.n_heads)
+        d_ctx = _split_heads(d_ctx if lt.rows is None else _scatter(d_ctx, lt.slots), config.n_heads)
 
         d_v = np.matmul(lt.probs.swapaxes(-1, -2), d_ctx)
         # softmax backward in place: d_logits = probs * (d_probs - sum(d_probs * probs))
@@ -437,8 +461,13 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_k = np.matmul(d_logits.swapaxes(-1, -2), lt.q)
         d_k *= scale
 
-        d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
-        d_x += _affine_backward(lt.x_in, _merge_heads(d_q), layer.w_q, g.w_q, g.b_q)
+        d_q = _merge_heads(d_q)
+        if lt.rows is None:
+            d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
+            d_x += _affine_backward(lt.x_in, d_q, layer.w_q, g.w_q, g.b_q)
+        else:
+            d_r1 += _affine_backward(lt.x_in[lt.rows], d_q[lt.slots], layer.w_q, g.w_q, g.b_q)
+            d_x = _scatter(d_r1, lt.rows)
         d_x += _affine_backward(lt.x_in, _merge_heads(d_k), layer.w_k, g.w_k, g.b_k)
         d_x += _affine_backward(lt.x_in, _merge_heads(d_v), layer.w_v, g.w_v, g.b_v)
 

@@ -141,17 +141,21 @@ class Tokenizer:
 
     def encode_pair(self, query: str, doc_text: str, max_len: int) -> TokenSequence:
         """[CLS] query-ids [SEP] doc-ids, truncated doc-first to max_len."""
+        return TokenSequence(ids=self.encode_pairs(query, [doc_text], max_len)[0])
+
+    def encode_pairs(self, query: str, doc_texts, max_len: int) -> list[list[int]]:
+        """``encode_pair``'s id row for ``query`` with each of ``doc_texts``,
+        encoding the query once: ``[CLS] query-ids [SEP] doc-ids`` in at most
+        ``max_len`` ids. The doc is cut first, to the room the query leaves;
+        a query that alone exceeds ``max_len - 2`` ids is cut to that, and
+        its rows hold no doc ids."""
         if max_len < 4:
             raise ConfigurationError(f"max_len must be >= 4 for pair encoding, got {max_len}")
         q_ids = self.encode(query).ids
-        d_ids = self.encode(doc_text).ids
         budget = max_len - 2
-        if len(q_ids) + len(d_ids) > budget:
-            d_ids = d_ids[: max(0, budget - len(q_ids))]
-        if len(q_ids) + len(d_ids) > budget:
-            q_ids = q_ids[:budget]
-        ids = [CLS_ID] + q_ids + [SEP_ID] + d_ids
-        return TokenSequence(ids=ids)
+        head = [CLS_ID] + q_ids[:budget] + [SEP_ID]
+        room = max(0, budget - len(q_ids))
+        return [head + self.encode(text).ids[:room] for text in doc_texts]
 
     def encode_single(self, text: str, max_len: int) -> TokenSequence:
         """[CLS] text-ids, truncated to max_len; the bi-encoder input layout."""

@@ -251,7 +251,7 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     """Cross-encoder scores of ``query`` paired with each of ``texts``, run as
     one padded inference forward over the [CLS] states; bit for bit the
     scores ``score_cls_batch`` returns."""
-    rows = [tokenizer.encode_pair(query, text, ckpt.config.max_len).ids for text in texts]
+    rows = tokenizer.encode_pairs(query, texts, ckpt.config.max_len)
     return _embed_rows(ckpt, rows) @ ckpt.params.score_w + ckpt.params.score_b
 
 
@@ -384,7 +384,7 @@ def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_
     """Masked-token loss of the id ``rows`` against ``label_rows`` (see
     ``_mlm_batch``). Returns ``(loss, states, trace)``: ``states``, the hidden
     states of the masked positions in row-major order, are what the head
-    scored, and the forward ran the last layer past attention on them alone."""
+    scored, and the forward ran the last layer from its queries on them alone."""
     ids, mask, labels, masked = _mlm_batch(rows, label_rows)
     states, trace = enc.forward_batch(params, config, ids, mask, rows=masked, _keep_trace=True)
     loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
@@ -501,7 +501,7 @@ def finetune_ltr(
 
     config = checkpoint_in.config
     params = checkpoint_in.params.copy()
-    encoded = [[tokenizer.encode_pair(g.query_text, d.text, config.max_len).ids for d in g.docs]
+    encoded = [tokenizer.encode_pairs(g.query_text, [d.text for d in g.docs], config.max_len)
                for g in dataset.groups]
     targets = [ListTarget(np.asarray(g.grades, dtype=np.int64)) for g in dataset.groups]
 

@@ -97,6 +97,37 @@ class TestEncodePair:
     def test_max_len_under_four_raises(self, tok):
         with pytest.raises(ConfigurationError):
             tok.encode_pair("q", "d", max_len=3)
+        with pytest.raises(ConfigurationError):
+            tok.encode_pairs("q", ["d"], max_len=3)
+
+
+def _pair_reference(tok, query, doc_text, max_len):
+    """The pair layout written out per pair: both texts encoded, the doc cut
+    first, then the query if it alone exceeds the budget."""
+    q_ids, d_ids = tok.encode(query).ids, tok.encode(doc_text).ids
+    budget = max_len - 2
+    if len(q_ids) + len(d_ids) > budget:
+        d_ids = d_ids[: max(0, budget - len(q_ids))]
+    if len(q_ids) + len(d_ids) > budget:
+        q_ids = q_ids[:budget]
+    return [CLS_ID] + q_ids + [SEP_ID] + d_ids
+
+
+class TestEncodePairs:
+    DOCS = ["red running shoes", "", "a very long document " * 10, "blue walking shoes for the trail"]
+
+    @pytest.mark.parametrize("query", ["red shoes", "", "word " * 50], ids=["short", "empty", "past-budget"])
+    def test_rows_equal_the_pair_layout_of_each_doc(self, tok, query):
+        for max_len in range(4, 65):
+            want = [_pair_reference(tok, query, doc, max_len) for doc in self.DOCS]
+            assert tok.encode_pairs(query, self.DOCS, max_len) == want
+            assert [tok.encode_pair(query, doc, max_len).ids for doc in self.DOCS] == want
+
+    def test_query_is_encoded_once(self, tok, monkeypatch):
+        texts, encode = [], tok.encode
+        monkeypatch.setattr(tok, "encode", lambda text: texts.append(text) or encode(text))
+        tok.encode_pairs("red shoes", self.DOCS, 16)
+        assert texts == ["red shoes"] + self.DOCS
 
 
 class TestEncodeSingle:

@@ -838,7 +838,7 @@ class TestInferenceForwards:
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
         calls, affine = [], encoder._affine
         monkeypatch.setattr(encoder, "_affine", lambda *a: calls.append(1) or affine(*a))
-        monkeypatch.setattr(tokenizer, "encode_pair", lambda *a: TokenSequence(ids=[7, 8, 9]))
+        monkeypatch.setattr(tokenizer, "encode_pairs", lambda query, texts, max_len: [[7, 8, 9] for _ in texts])
         with pytest.raises(ContractError, match=r"\[CLS\]"):
             training.score_pairs(ckpt, tokenizer, "q", ["a", "b"])
         assert calls == []
@@ -850,7 +850,8 @@ class TestInferenceForwards:
         calls, affine = [], encoder._affine
         monkeypatch.setattr(encoder, "_affine", lambda *a: calls.append(1) or affine(*a))
         if bad == "out_of_vocab":
-            monkeypatch.setattr(tokenizer, "encode_pair", lambda *a: TokenSequence(ids=[CLS_ID, config.vocab_size]))
+            monkeypatch.setattr(tokenizer, "encode_pairs",
+                                lambda query, texts, max_len: [[CLS_ID, config.vocab_size] for _ in texts])
         else:
             pad = encoder.pad_token_rows
             monkeypatch.setattr(encoder, "pad_token_rows", lambda rows: (pad(rows)[0], 2 * pad(rows)[1]))
