@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time student and teacher ranking and record it in a BENCH file.
+"""Time student and teacher ranking and the store build, and record them in a BENCH file.
 
     python3 scripts/bench_rank.py [--src DIR] [--label NAME] [--out FILE]
 
@@ -16,18 +16,27 @@ time, so the part outside the library's own timed window counts too):
   query are 8 to 13 tokens long (10 on average), the serving shape of a
   teacher rank.
 
+One call of ``serve.precompute_embeddings`` is timed the same way:
+
+- ``build_10500``: the store build for the 10,500 documents of a 350-query
+  ``generate_synthetic`` catalog (the catalog size of the benchmark's
+  ``catalog_index`` store build), with a tokenizer trained on that catalog.
+
 The student and the teacher are untrained checkpoints at the default encoder
-shape (d=64, 2 layers, FFN 256); the store vectors are seeded float32
+shape (d=64, 2 layers, FFN 256); the ranked store vectors are seeded float32
 normals, under ids in the synthetic dataset's ``qNNNNN_dNN`` form and in its
 order. ``--src`` names the directory holding the ``listrank`` package to
 time (default: this checkout's ``src``), so two versions can be timed with
 one script. BLAS threads are pinned to one.
 
-For each call the record holds the median and quartiles of the wall time and
-of the library's ``latency_ms`` over clean repetitions after a warmup, and a
-digest of the ranking, which must agree between versions that compute the
-same scores. Without ``--out`` the record is printed; with it, the record is
-stored under ``--label`` in ``FILE`` (other labels are kept).
+For each rank call the record holds the median and quartiles of the wall
+time and of the library's ``latency_ms`` over clean repetitions after a
+warmup, and a digest of the ranking, which must agree between versions that
+compute the same scores. The build holds the wall time, its document and
+distinct text counts, and a digest of the store vectors, which must agree
+between versions that embed the same bytes. Without ``--out`` the record is
+printed; with it, the record is stored under ``--label`` in ``FILE`` (other
+labels are kept).
 """
 
 import os
@@ -53,6 +62,7 @@ QUERY = "tademibe bimu tofu kesuna"
 WORDS = QUERY.split()
 WARMUP = 3
 REPS = 41
+BUILD_REPS = 11
 
 
 def _quartiles(values_ms) -> dict:
@@ -66,6 +76,24 @@ def _store(serve, fingerprint: str, n_docs: int, dim: int):
     return serve.EmbeddingStore(fingerprint=fingerprint, doc_ids=ids, vectors=vectors)
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _timed(call, reps: int, read):
+    """Run ``call`` ``WARMUP`` times, then ``reps`` times timed; returns the
+    wall times in ms, ``read`` of each timed result, and the last result."""
+    for _ in range(WARMUP):
+        call()
+    wall, reads = [], []
+    for _ in range(reps):
+        t = time.perf_counter()
+        result = call()
+        wall.append((time.perf_counter() - t) * 1000.0)
+        reads.append(read(result))
+    return wall, reads, result
+
+
 def bench_call(rank, k, native_k: bool) -> dict:
     """Time ``rank(k)``, or ``rank()`` cut to its first ``k`` rows without ``native_k``."""
     def call():
@@ -75,20 +103,25 @@ def bench_call(rank, k, native_k: bool) -> dict:
         result.ranking = result.ranking[:k]
         return result
 
-    for _ in range(WARMUP):
-        result = call()
-    wall, latency = [], []
-    for _ in range(REPS):
-        t = time.perf_counter()
-        result = call()
-        wall.append((time.perf_counter() - t) * 1000.0)
-        latency.append(result.latency_ms)
+    wall, latency, result = _timed(call, REPS, lambda r: r.latency_ms)
     return {
         "rows": len(result.ranking),
-        "ranking_digest": hashlib.blake2b(repr(result.ranking).encode(), digest_size=16).hexdigest(),
+        "ranking_digest": _digest(repr(result.ranking).encode()),
         "repetitions": REPS,
         "wall": _quartiles(wall),
         "latency": _quartiles(latency),
+    }
+
+
+def bench_build(build, docs) -> dict:
+    """Time ``build(docs)``, a store build."""
+    wall, _, store = _timed(lambda: build(docs), BUILD_REPS, lambda s: None)
+    return {
+        "rows": len(store),
+        "texts": len({d.text for d in docs}),
+        "store_digest": _digest(store.vectors.tobytes()),
+        "repetitions": BUILD_REPS,
+        "wall": _quartiles(wall),
     }
 
 
@@ -104,7 +137,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from checks import environment
     from listrank import encoder as enc, serve, training
-    from listrank.dataset import Document
+    from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
     from listrank.tokenizer import train_bpe
 
     tokenizer = train_bpe([QUERY, "bimu kesuna tofu", "tademibe tofu"], 300)
@@ -134,9 +167,15 @@ def main(argv=None) -> int:
     calls["teacher_30"] = bench_call(lambda *k: serve.rank_with_teacher(teacher, QUERY, docs, tokenizer, *k),
                                      None, native_k)
 
+    catalog = generate_synthetic(SyntheticSpec(n_queries=350))
+    catalog_tokenizer = train_bpe(corpus_lines(catalog), 1200)
+    indexer = training.init_checkpoint(enc.EncoderConfig(vocab_size=catalog_tokenizer.vocab_size), seed=0,
+                                       tokenizer_hash=catalog_tokenizer.content_hash())
+    calls["build_10500"] = bench_build(lambda docs: serve.precompute_embeddings(indexer, docs, catalog_tokenizer),
+                                       [d for g in catalog.groups for d in g.docs])
+
     record = {
-        "code_digest": hashlib.blake2b(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py"))),
-                                       digest_size=16).hexdigest(),
+        "code_digest": _digest(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py")))),
         "environment": environment(THREAD_VARS),
         "native_k": native_k,
         "calls": calls,

@@ -297,9 +297,11 @@ def _cmd_distill(resolved):
     save_checkpoint(student, resolved["out"])
     _progress("distill", f"saved student checkpoint to {resolved['out']}")
     if resolved["store_out"]:
-        store = precompute_embeddings(student, _candidate_docs(dataset, None), tokenizer)
+        docs = _candidate_docs(dataset, None)
+        store = precompute_embeddings(student, docs, tokenizer)
         save_store(store, resolved["store_out"])
-        _progress("distill", f"saved {len(store)} embeddings to {resolved['store_out']}")
+        texts = len({d.text for d in docs})
+        _progress("distill", f"saved {len(store)} embeddings of {texts} distinct texts to {resolved['store_out']}")
     sys.stdout.write(metrics_to_csv(history))
     return 0
 

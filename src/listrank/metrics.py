@@ -74,11 +74,17 @@ def score_order(scores: np.ndarray, id_rank: np.ndarray, k: int | None = None) -
     ranked = neg[order]
     tie = (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
     if tie.any():
-        run = np.zeros(len(neg), dtype=bool)
-        run[1:] = tie
+        follows = np.zeros(len(neg), dtype=bool)
+        follows[1:] = tie
+        run = follows.copy()
         run[:-1] |= tie
         tied = order[run]
-        order[run] = tied[np.lexsort((id_rank[tied], ranked[run]))]
+        ids = id_rank[tied]
+        # One integer key: run number, then id rank. id_rank may hold ranks
+        # within a longer list (a store's, for gathered rows), so the run
+        # number is scaled past the largest id rank, not past len(scores).
+        key = (~follows[run]).cumsum() * (int(ids.max()) + 1) + ids
+        order[run] = tied[key.argsort(kind="stable")]
     return order
 
 

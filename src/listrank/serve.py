@@ -89,9 +89,11 @@ class EmbeddingStore:
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
     """Embed every catalog document with the student encoder (float32).
 
-    The catalog is tokenized once and embedded in order, in chunks cut before
-    the doc that would take ``docs × longest row`` past a padded-token budget;
-    a chunk holds at least one doc."""
+    Each distinct text is tokenized and embedded once, in first-occurrence
+    order, in chunks cut before the text that would take ``texts × longest
+    row`` past a padded-token budget; a chunk holds at least one text. Every
+    document gets its text's row, so documents with identical texts get
+    identical store bytes."""
     _check_tokenizer(student, tokenizer)
     catalog = list(catalog)
     if not catalog:
@@ -99,7 +101,10 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     config = student.config
     store = EmbeddingStore(fingerprint=checkpoint_fingerprint(student), doc_ids=[d.doc_id for d in catalog],
                            vectors=np.empty((len(catalog), config.model_dim), dtype=np.float32))
-    rows = [tokenizer.encode_single(d.text, config.max_len).ids for d in catalog]
+    text_rows = {}
+    doc_rows = [text_rows.setdefault(d.text, len(text_rows)) for d in catalog]
+    rows = [tokenizer.encode_single(text, config.max_len).ids for text in text_rows]
+    vectors = np.empty((len(rows), config.model_dim), dtype=np.float32)
     # The budget keeps a chunk's widest float64 activation (the feed-forward's,
     # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
     # arrays are freed before the next forward; glibc hands the memory of
@@ -113,9 +118,10 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     for end, n in enumerate(map(len, rows)):
         longest = max(longest, n)
         if end > start and (end + 1 - start) * longest > budget:
-            store.vectors[start:end] = _embed_rows(student, rows[start:end])
+            vectors[start:end] = _embed_rows(student, rows[start:end])
             start, longest = end, n
-    store.vectors[start:] = _embed_rows(student, rows[start:])
+    vectors[start:] = _embed_rows(student, rows[start:])
+    np.take(vectors, doc_rows, axis=0, out=store.vectors, mode="clip")  # "raise" would copy through a buffer
     return store
 
 

@@ -262,6 +262,22 @@ class TestPipelineCommands:
         assert len(lines) == 5  # 2 epochs x (train + eval)
         assert lines[1].startswith("1,train,ranknet,")
 
+    def test_distill_store_out_names_distinct_texts_on_stderr_only(self, pipeline, tmp_path):
+        """The progress line counts the store's docs and their distinct
+        texts; stdout is the same as without ``--store-out``."""
+        store = str(tmp_path / "docs.store")
+        argv = ["distill", "--teacher", pipeline["model"], "--data", pipeline["data"],
+                "--tokenizer", pipeline["tokenizer"], "--out", str(tmp_path / "s.ckpt"),
+                "--epochs", "1", "--lr", "0.001", "--batch-size", "4"]
+        code_a, out_a, _ = run_cli(argv)
+        code_b, out_b, err = run_cli([*argv, "--store-out", store])
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        docs = [d for g in load_dataset(pipeline["data"]).groups for d in g.docs]
+        n_docs, n_texts = len({d.doc_id for d in docs}), len({d.text for d in docs})
+        assert n_texts < n_docs == len(load_store(store))
+        assert f"[distill] saved {n_docs} embeddings of {n_texts} distinct texts to {store}\n" in err
+
     def test_eval_is_repeatable_and_reports_one_row(self, pipeline):
         argv = ["eval", "--model", pipeline["model"],
                 "--tokenizer", pipeline["tokenizer"], "--data", pipeline["data"]]

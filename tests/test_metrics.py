@@ -119,6 +119,34 @@ class TestOrderByScores:
     def test_empty_input(self):
         assert score_order(np.array([]), np.arange(0)).tolist() == []
 
+    @staticmethod
+    def lexsort_tie_fix(scores, id_rank):
+        """The full order as numpy's unstable sort of the scores, then each
+        tied run sorted by a ``lexsort`` on (score, id rank)."""
+        neg = -scores
+        order = np.argsort(neg)
+        ranked = neg[order]
+        tie = (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
+        run = np.zeros(len(neg), dtype=bool)
+        run[1:] = tie
+        run[:-1] |= tie
+        tied = order[run]
+        order[run] = tied[np.lexsort((id_rank[tied], ranked[run]))]
+        return order
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_runs_match_the_lexsort_formulation(self, seed):
+        """Random lists with ties, NaN, ±0.0 and ±inf; the id ranks are those
+        of a subset of a longer list, as a gathered store rank passes them."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.25])
+        scores = values[rng.integers(0, len(values), size=n)]
+        distinct = rng.random(n) < rng.random()
+        scores[distinct] = rng.standard_normal(int(distinct.sum()))
+        id_rank = rng.choice(3 * n, size=n, replace=False)
+        assert score_order(scores, id_rank).tolist() == self.lexsort_tie_fix(scores, id_rank).tolist()
+
 
 class TestMeanNdcg:
     """Dataset-level evaluation under a scoring callable."""

@@ -214,9 +214,27 @@ def record_chunks(monkeypatch):
     return chunks
 
 
+def record_forwards(monkeypatch):
+    """Wrap ``encoder.forward_batch``; returns the list of the token id
+    shapes it is called with."""
+    shapes, forward = [], encoder.forward_batch
+    monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
+                        or forward(p, c, ids, *a, **kw))
+    return shapes
+
+
+def distinct_texts(catalog):
+    """The catalog's texts once each in first-occurrence order, and each
+    doc's position among them."""
+    texts = {}
+    doc_rows = [texts.setdefault(d.text, len(texts)) for d in catalog]
+    return list(texts), doc_rows
+
+
 class TestEmbeddingChunks:
-    """The store build tokenizes the catalog once and embeds it in order, in
-    chunks of at most ``(1 << 20) // (8 * ffn_dim)`` padded tokens."""
+    """The store build tokenizes and embeds each distinct catalog text once,
+    in first-occurrence order, in chunks of at most ``(1 << 20) // (8 *
+    ffn_dim)`` padded tokens."""
 
     @pytest.fixture(scope="class")
     def wide(self, world):
@@ -235,26 +253,25 @@ class TestEmbeddingChunks:
     @pytest.mark.parametrize("catalog, batches", [
         (mixed_catalog(300), None),
         ([Document(f"l{i:02d}", " ".join(f"attr{i % 9} attr{k}" for k in range(40))) for i in range(20)],
-         [8, 8, 4]),
+         [8, 1]),
     ], ids=["mixed", "64-token"])
     def test_every_forward_stays_within_the_budget(self, world, wide, monkeypatch, catalog, batches):
-        """Each chunk is cut just before the doc that would take it past the
+        """Each chunk is cut just before the text that would take it past the
         budget, so it is as large as the budget allows."""
         _, tokenizer, _, _, _ = world
         budget = (1 << 20) // (8 * wide.config.ffn_dim)
-        shapes, forward = [], encoder.forward_batch
-        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
-                            or forward(p, c, ids, *a, **kw))
+        shapes = record_forwards(monkeypatch)
         precompute_embeddings(wide, catalog, tokenizer)
-        lengths = [len(tokenizer.encode_single(d.text, wide.config.max_len).ids) for d in catalog]
-        assert budget == 512 and max(lengths) > 12
-        assert sum(b for b, _ in shapes) == len(catalog)
+        texts, _ = distinct_texts(catalog)
+        lengths = [len(tokenizer.encode_single(text, wide.config.max_len).ids) for text in texts]
+        assert budget == 512 and max(lengths) > 12 and len(texts) < len(catalog)
+        assert sum(b for b, _ in shapes) == len(texts)
         start = 0
         for b, length in shapes:
             assert b * length <= budget
             assert length == max(lengths[start:start + b])
             start += b
-            if start < len(catalog):
+            if start < len(texts):
                 assert (b + 1) * max(length, lengths[start]) > budget
         if batches is not None:
             assert shapes == [(b, 64) for b in batches]
@@ -273,12 +290,13 @@ class TestEmbeddingChunks:
 
     def test_uniform_lengths_match_one_batch_bit_for_bit(self, world, wide, monkeypatch):
         _, tokenizer, _, _, _ = world
-        catalog = [Document(f"u{i:04d}", f"attr{i % 7} attr{i % 5}") for i in range(400)]
+        catalog = [Document(f"u{i:04d}", f"attr{i % 7} attr{i % 5} attr{i % 3}") for i in range(400)]
         chunks = record_chunks(monkeypatch)
         store = precompute_embeddings(wide, catalog, tokenizer)
+        _, doc_rows = distinct_texts(catalog)
         one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
-        assert len(chunks) == 10  # 400 docs of 12 tokens in chunks of 42
-        np.testing.assert_array_equal(np.concatenate(chunks), one_batch)
+        assert [len(emb) for emb in chunks] == [28, 28, 28, 21]  # 105 texts of 18 tokens
+        np.testing.assert_array_equal(np.concatenate(chunks)[doc_rows], one_batch)
         np.testing.assert_array_equal(store.vectors, one_batch.astype(np.float32))
 
     def test_mixed_lengths_match_one_batch_up_to_rounding(self, world, wide, monkeypatch):
@@ -287,9 +305,52 @@ class TestEmbeddingChunks:
         catalog = self.mixed_catalog(300)
         chunks = record_chunks(monkeypatch)
         precompute_embeddings(wide, catalog, tokenizer)
+        _, doc_rows = distinct_texts(catalog)
         one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
         assert len(chunks) > 1
-        np.testing.assert_allclose(np.concatenate(chunks), one_batch, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate(chunks)[doc_rows], one_batch, rtol=0, atol=1e-12)
+
+    def test_repeats_across_chunks_are_embedded_once(self, world, wide, monkeypatch):
+        """A text repeated next to its first occurrence or many chunks after
+        it is tokenized once and goes through exactly one forward, and every
+        repeat gets its first occurrence's float32 row."""
+        _, tokenizer, _, _, _ = world
+        pool, _ = distinct_texts(self.mixed_catalog(150))
+        texts = pool + pool[::-1] + pool[:5]
+        catalog = [Document(f"r{i:04d}", text) for i, text in enumerate(texts)]
+        encoded, encode = [], tokenizer.encode_single
+        monkeypatch.setattr(tokenizer, "encode_single", lambda text, *a: encoded.append(text) or encode(text, *a))
+        forwarded, embed_rows = [], serve._embed_rows
+        monkeypatch.setattr(serve, "_embed_rows", lambda ckpt, rows: forwarded.append(rows) or embed_rows(ckpt, rows))
+        store = precompute_embeddings(wide, catalog, tokenizer)
+        assert encoded == pool
+        assert len(forwarded) > 1
+        assert [tuple(row) for rows in forwarded for row in rows] == [tuple(encode(t, 64).ids) for t in pool]
+        first = {}
+        for i, doc in enumerate(catalog):
+            assert store.vectors[i].tobytes() == store.vectors[first.setdefault(doc.text, i)].tobytes()
+        assert len(first) == len(pool) < len(catalog)
+
+    def test_a_catalog_without_repeats_is_embedded_in_doc_order(self, world, wide, monkeypatch):
+        """Without repeats the distinct texts are the docs: the forwards and
+        the bytes are those of chunks cut over the catalog in order."""
+        _, tokenizer, _, _, _ = world
+        texts, _ = distinct_texts(self.mixed_catalog(300))
+        catalog = [Document(f"n{i:04d}", text) for i, text in enumerate(texts)]
+        rows = [tokenizer.encode_single(text, 64).ids for text in texts]
+        cuts, start, longest = [], 0, 0
+        for end, row in enumerate(rows):
+            longest = max(longest, len(row))
+            if end > start and (end + 1 - start) * longest > 512:
+                cuts.append((start, end))
+                start, longest = end, len(row)
+        cuts.append((start, len(rows)))
+        want = np.concatenate([training._embed_rows(wide, rows[a:b]) for a, b in cuts]).astype(np.float32)
+        shapes = record_forwards(monkeypatch)
+        store = precompute_embeddings(wide, catalog, tokenizer)
+        assert len(cuts) > 1
+        assert shapes == [(b - a, max(map(len, rows[a:b]))) for a, b in cuts]
+        assert store.vectors.tobytes() == want.tobytes()
 
 
 class TestStoreFiles:
