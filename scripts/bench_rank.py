@@ -21,6 +21,8 @@ One call of ``serve.precompute_embeddings`` is timed the same way:
 - ``build_10500``: the store build for the 10,500 documents of a 350-query
   ``generate_synthetic`` catalog (the catalog size of the benchmark's
   ``catalog_index`` store build), with a tokenizer trained on that catalog.
+  It runs after the rank calls have freed their stores, so it times builds
+  that take few page faults, not a fresh process's first build.
 
 The student and the teacher are untrained checkpoints at the default encoder
 shape (d=64, 2 layers, FFN 256); the ranked store vectors are seeded float32

@@ -232,13 +232,12 @@ def _layer_norm_backward(d_out, x_hat, inv_std, scale):
 
 @dataclass
 class _LayerTrace:
-    """One layer's cached arrays. With ``rows`` (the gathered last layer),
-    ``x_in``, ``k`` and ``v`` cover every position, ``q`` and ``probs`` the
-    query ``slots`` (``[batch, heads, width, ...]``; ``[n_rows, heads, 1,
-    ...]`` for the [CLS] heads) and the arrays from ``ctx`` on the selected
-    rows only, ``[n_rows, ...]``."""
+    """One layer's cached arrays, over every position. The gathered last
+    layer is the one whose query ``slots`` are set: there ``x_in``, ``k`` and
+    ``v`` cover every position, ``q`` and ``probs`` the slots (``[batch,
+    heads, width, ...]``) and the arrays from ``ctx`` on the trace's ``rows``
+    only, ``[n_rows, ...]``."""
 
-    rows: np.ndarray
     slots: np.ndarray
     x_in: np.ndarray
     q: np.ndarray
@@ -259,12 +258,13 @@ class _LayerTrace:
 @dataclass
 class ForwardTrace:
     """Cached intermediates from one forward pass; consumed by backward.
-    ``hidden`` is what the forward returned; ``picked`` is the ``rows`` mask
-    when the rows were picked after a full last layer, else None."""
+    ``hidden`` is what the forward returned and ``rows`` the caller's mask
+    (None for a full forward). Without layers the rows were picked from the
+    embedding sum."""
 
     ids: np.ndarray
     hidden: np.ndarray
-    picked: np.ndarray = None
+    rows: np.ndarray = None
     layers: list = field(default_factory=list)
     params_id: int = 0
 
@@ -282,6 +282,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _check_batch_inputs(config: EncoderConfig, ids: np.ndarray, attention_mask: np.ndarray):
     if ids.ndim != 2 or attention_mask.shape != ids.shape:
         raise ValidationError("ids and attention_mask must be matching 2-D arrays")
+    if ids.shape[0] == 0:
+        raise EmptyInputError("a batch needs at least one row of token ids")
     if ids.shape[1] > config.max_len:
         raise ValidationError(
             f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}"
@@ -311,9 +313,9 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     is dropped. The out-projection, residuals, layer norms and feed-forward
     then run on the selected rows alone. Those products have other shapes
     than the full forward's, so the states equal ``hidden[rows]`` only to
-    within rounding (about one ulp of the largest state). With fewer than two
-    rows selected, sequences of length one or no layers, the last layer runs
-    in full and the rows are picked afterwards.
+    within rounding (about one ulp of the largest state). One selected row,
+    sequences of length one and an empty selection take the same path; an
+    encoder with no layers picks the rows from the embedding sum.
 
     A forward with ``rows`` is an inference forward and returns the states
     alone, keeping no trace. The heads' training forwards (``score_cls_batch``,
@@ -339,16 +341,12 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     trace = ForwardTrace(
         ids=ids, hidden=None, params_id=id(params)
     ) if rows is None or _keep_trace else None
-    # one selected row or one position gains nothing from the gather, and the
-    # full last layer keeps their values (a student's one-query forward)
-    gather = rows is not None and len(params.layers) > 0 and l >= 2 and np.count_nonzero(rows) >= 2
-    gather_at = len(params.layers) - 1 if gather else None
-    slots = _slots(rows) if gather else None
+    slots = None if rows is None else _slots(rows)
     for i, layer in enumerate(params.layers):
         k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
         v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
         x_in = x if trace is not None else None  # without a trace the gather frees the full x
-        gathered = i == gather_at
+        gathered = slots is not None and i == len(params.layers) - 1
         if gathered:  # the read rows' queries, in their sequences' slots
             x = x[rows]
             q = _scatter(_affine(x, layer.w_q, layer.b_q), slots)
@@ -376,7 +374,7 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
         if trace is not None:
             trace.layers.append(
                 _LayerTrace(
-                    rows=rows if gathered else None, slots=slots if gathered else None,
+                    slots=slots if gathered else None,
                     x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                     x_hat1=x_hat1, inv_std1=inv_std1, h1=h1,
                     ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf2=ffn_cdf2,
@@ -384,12 +382,11 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
                 )
             )
         x = x_next
-    picked = rows if rows is not None and not gather else None
-    if picked is not None:
-        x = x[picked]
+    if rows is not None and not params.layers:  # no layer to gather in
+        x = x[rows]
     if trace is None:
         return x
-    trace.hidden, trace.picked = x, picked
+    trace.hidden, trace.rows = x, rows
     return x, trace
 
 
@@ -420,7 +417,8 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
     rows and their query slots only (every other position's gradient of
     those is exactly zero, and an empty slot's is zero), and the rows'
     residual and query-input gradients are placed at their positions for the
-    key and value backward and the earlier layers.
+    key and value backward and the earlier layers. Without layers,
+    ``d_hidden`` is placed at the rows' positions of the embedding sum.
     """
     if trace.params_id != id(params):
         raise ContractError("trace was produced by different parameters")
@@ -433,7 +431,7 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
     scale = 1.0 / math.sqrt(config.head_dim)
     l = trace.ids.shape[1]
 
-    d_x = d_hidden if trace.picked is None else _scatter(d_hidden, trace.picked)
+    d_x = _scatter(d_hidden, trace.rows) if trace.rows is not None and not trace.layers else d_hidden
     for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers), reversed(grads.layers)):
         d_r2, g.ln2_scale[:], g.ln2_offset[:] = _layer_norm_backward(
             d_x, lt.x_hat2, lt.inv_std2, layer.ln2_scale
@@ -449,7 +447,7 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         )
         # r1 = x_in + ctx @ w_o + b_o
         d_ctx = _affine_backward(lt.ctx, d_r1, layer.w_o, g.w_o, g.b_o)
-        d_ctx = _split_heads(d_ctx if lt.rows is None else _scatter(d_ctx, lt.slots), config.n_heads)
+        d_ctx = _split_heads(d_ctx if lt.slots is None else _scatter(d_ctx, lt.slots), config.n_heads)
 
         d_v = np.matmul(lt.probs.swapaxes(-1, -2), d_ctx)
         # softmax backward in place: d_logits = probs * (d_probs - sum(d_probs * probs))
@@ -462,12 +460,12 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_k *= scale
 
         d_q = _merge_heads(d_q)
-        if lt.rows is None:
+        if lt.slots is None:
             d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
             d_x += _affine_backward(lt.x_in, d_q, layer.w_q, g.w_q, g.b_q)
         else:
-            d_r1 += _affine_backward(lt.x_in[lt.rows], d_q[lt.slots], layer.w_q, g.w_q, g.b_q)
-            d_x = _scatter(d_r1, lt.rows)
+            d_r1 += _affine_backward(lt.x_in[trace.rows], d_q[lt.slots], layer.w_q, g.w_q, g.b_q)
+            d_x = _scatter(d_r1, trace.rows)
         d_x += _affine_backward(lt.x_in, _merge_heads(d_k), layer.w_k, g.w_k, g.b_k)
         d_x += _affine_backward(lt.x_in, _merge_heads(d_v), layer.w_v, g.w_v, g.b_v)
 

@@ -96,8 +96,6 @@ def ranknet_loss(scores, target: ListTarget) -> LossOutput:
     scores = _checked_scores(scores, target)
     grad = np.zeros_like(scores)
     valid = np.flatnonzero(target.valid_mask == 1)
-    if valid.size < 2:
-        return LossOutput(0.0, grad)
     g = target.grades[valid].astype(np.float64)
     s = scores[valid]
     m_idx, n_idx = np.nonzero(g[:, None] > g[None, :])

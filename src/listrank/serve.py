@@ -112,7 +112,9 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     # then faults its memory in afresh. At 10,500 docs of 5 tokens (2-core
     # x86-64, one BLAS thread), a repeated build took 109k minor faults and
     # 1.04 s with chunks of 256 docs, 0-900 faults and 0.71-0.87 s at budgets
-    # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens.
+    # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens. The
+    # 0-900 holds only once the process has freed a large array; in a fresh
+    # process a build at 512 tokens takes 122k-125k faults.
     budget = (1 << 20) // (8 * config.ffn_dim)
     start, longest = 0, 0
     for end, n in enumerate(map(len, rows)):

@@ -189,6 +189,14 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward_batch(params, TINY, ids, np.ones_like(ids))
 
+    @pytest.mark.parametrize("head", [forward_batch, embed_batch, score_cls_batch], ids=lambda f: f.__name__)
+    def test_empty_batch_refused(self, head):
+        """``ids.min()`` of a batch with no rows raised numpy's bare ValueError."""
+        params = init_params(TINY, seed=0)
+        ids = np.zeros((0, 3), dtype=np.int64)
+        with pytest.raises(EmptyInputError, match="a batch needs at least one row of token ids"):
+            head(params, TINY, ids, np.ones_like(ids))
+
     def test_masked_first_position_rejected(self):
         params = init_params(TINY, seed=0)
         ids = np.array([[CLS_ID, 7]])
@@ -577,9 +585,9 @@ class TestTrainingRows:
     runs the last layer from its queries on those rows alone. The gradients
     equal the full path's to within 1e-12 of the largest one: the products
     have other shapes and the weight-gradient products sum over fewer rows,
-    so they may round differently. The batches with one selected row or
-    length one take the fallback, which scatters ``d_hidden`` before a full
-    backward."""
+    so they may round differently. Batches with one selected row or length
+    one take the same gathered path; without layers, ``d_hidden`` is
+    scattered onto the embedding sum."""
 
     SHAPES = [(1, 7), (2, 6), (3, 12), (30, 10), (240, 10), (4, 1)]
 
@@ -652,7 +660,7 @@ class TestTrainingRows:
             return training._mlm_loss(params, config, lines, labels)[0].value
 
         loss, states, trace = training._mlm_loss(params, config, lines, labels)
-        assert len(states) == 6 and isinstance(trace.layers[-1].rows, np.ndarray)
+        assert len(states) == 6 and trace.layers[-1].slots is not None and trace.rows.sum() == 6
         grads = backward_batch(params, config, trace, loss.grad @ params.tok_emb)
         grads.tok_emb += loss.grad.T @ states
         grads.mlm_bias += loss.grad.sum(axis=0)
@@ -701,9 +709,9 @@ class TestInferenceEqualsTraining:
             _, states, trace = training._mlm_loss(params, config, *_mlm_lines(ids, mask, rows, seed=batch))
             assert bits_equal(forward_batch(params, config, ids, mask, rows=rows), states)
         n_rows = np.count_nonzero(rows)
-        gathered = n_layers > 0 and length > 1 and n_rows > 1
-        assert [lt.rows is not None for lt in trace.layers] == [False] * (n_layers - 1) + [gathered] * (n_layers > 0)
-        if gathered:  # one query slot per read row of the sequence with the most
+        assert np.array_equal(trace.rows, rows)
+        assert [lt.slots is not None for lt in trace.layers] == [False] * (n_layers - 1) + [True] * (n_layers > 0)
+        if n_layers > 0:  # one query slot per read row of the sequence with the most
             width = rows.sum(axis=1).max()  # 1 for the [CLS] heads
             assert trace.layers[-1].probs.shape == (batch, config.n_heads, width, length)
             assert trace.layers[-1].ctx.shape == (n_rows, config.model_dim)

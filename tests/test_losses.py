@@ -110,9 +110,12 @@ class TestRanknetLoss:
         np.testing.assert_array_equal(out.grad, [0.0, 0.0])
 
     def test_single_doc_contributes_zero(self):
-        out = ranknet_loss(np.array([0.3]), ListTarget(np.array([4])))
-        assert out.value == 0.0
-        np.testing.assert_array_equal(out.grad, [0.0])
+        """One document, or a list whose every slot is padded, has no pair."""
+        for scores, target in [(np.array([0.3]), ListTarget(np.array([4]))),
+                               (np.array([0.3, -1.0]), ListTarget([1, 2], [0, 0]))]:
+            out = ranknet_loss(scores, target)
+            assert out.value == 0.0
+            np.testing.assert_array_equal(out.grad, np.zeros_like(scores))
 
     def test_saturated_pair_vanishes(self):
         """Once the right document is far ahead the pair stops pulling."""
