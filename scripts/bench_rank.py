@@ -3,7 +3,7 @@
 
     python3 scripts/bench_rank.py [--src DIR] [--label NAME] [--out FILE]
 
-Three calls of ``serve.rank_with_student`` and one of
+Three calls of ``serve.rank_with_student`` and two of
 ``serve.rank_with_teacher`` are timed, each from the call to its return (wall
 time, so the part outside the library's own timed window counts too):
 
@@ -14,7 +14,10 @@ time, so the part outside the library's own timed window counts too):
 - ``gather_30``: 30 candidates out of the 21,000-doc store, in request order;
 - ``teacher_30``: the cross-encoder over 30 candidates whose pairs with the
   query are 8 to 13 tokens long (10 on average), the serving shape of a
-  teacher rank.
+  teacher rank. They hold 22 distinct texts;
+- ``teacher_30_repeats``: the cross-encoder over 30 candidates with 25
+  distinct texts of the same kind, five of them listed twice, the mix of a
+  30-document query group of the benchmark's ``query_stream``.
 
 One call of ``serve.precompute_embeddings`` is timed the same way:
 
@@ -37,8 +40,13 @@ warmup, and a digest of the ranking, which must agree between versions that
 compute the same scores. The build holds the wall time, its document and
 distinct text counts, and a digest of the store vectors, which must agree
 between versions that embed the same bytes. Without ``--out`` the record is
-printed; with it, the record is stored under ``--label`` in ``FILE`` (other
-labels are kept).
+printed. With it, the record is appended to the runs kept under ``--label``
+in ``FILE`` (other labels are kept), and ``across_runs`` is recomputed: for
+each call, the median and range over the runs of their wall and latency
+medians, and every digest seen. Each run is one process, and the same code's
+medians can differ by 2x between processes on a shared machine, so compare
+versions by runs taken in alternating order, not by one run each. The
+``across_runs`` of every label is then printed.
 """
 
 import os
@@ -127,6 +135,36 @@ def bench_build(build, docs) -> dict:
     }
 
 
+def _texts_with_repeats(rng, n_distinct: int, n_repeats: int) -> list:
+    """``n_distinct`` distinct texts of 1 to 4 of ``WORDS``, plus
+    ``n_repeats`` of them listed a second time, in a shuffled order."""
+    distinct = {}
+    while len(distinct) < n_distinct:
+        distinct.setdefault(" ".join(rng.choice(WORDS, size=rng.integers(1, 5))), None)
+    texts = list(distinct)
+    texts += [texts[i] for i in rng.choice(n_distinct, size=n_repeats, replace=False)]
+    return [texts[i] for i in rng.permutation(len(texts))]
+
+
+def _spread(values) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def across_runs(runs) -> dict:
+    """Per call: the median and range of the runs' wall and latency medians,
+    and the sorted distinct ranking or store digests the runs recorded."""
+    summary = {}
+    for name in runs[-1]["calls"]:
+        done = [run["calls"][name] for run in runs if name in run["calls"]]
+        summary[name] = {
+            "wall_median_ms": _spread([call["wall"]["median_ms"] for call in done]),
+            "digests": sorted({call.get("ranking_digest", call.get("store_digest")) for call in done}),
+        }
+        if all("latency" in call for call in done):
+            summary[name]["latency_median_ms"] = _spread([call["latency"]["median_ms"] for call in done])
+    return summary
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the listrank package")
@@ -165,9 +203,12 @@ def main(argv=None) -> int:
 
     teacher = training.init_checkpoint(config, seed=1, tokenizer_hash=tokenizer.content_hash())
     rng = np.random.default_rng(10)
-    docs = [Document(f"d{i:02d}", " ".join(rng.choice(WORDS, size=rng.integers(1, 5)))) for i in range(30)]
-    calls["teacher_30"] = bench_call(lambda *k: serve.rank_with_teacher(teacher, QUERY, docs, tokenizer, *k),
-                                     None, native_k)
+    texts = [" ".join(rng.choice(WORDS, size=rng.integers(1, 5))) for _ in range(30)]
+    repeats = _texts_with_repeats(np.random.default_rng(25), 25, 5)
+    for name, listed in (("teacher_30", texts), ("teacher_30_repeats", repeats)):
+        docs = [Document(f"d{i:02d}", text) for i, text in enumerate(listed)]
+        calls[name] = bench_call(lambda *k, docs=docs: serve.rank_with_teacher(teacher, QUERY, docs, tokenizer, *k),
+                                 None, native_k)
 
     catalog = generate_synthetic(SyntheticSpec(n_queries=350))
     catalog_tokenizer = train_bpe(corpus_lines(catalog), 1200)
@@ -186,8 +227,14 @@ def main(argv=None) -> int:
         print(json.dumps(record, indent=1, sort_keys=True))
         return 0
     known = json.loads(args.out.read_text()) if args.out.exists() else {}
-    known[args.label] = record
+    runs = known.get(args.label, {}).get("runs", []) + [record]
+    known[args.label] = {"runs": runs, "across_runs": across_runs(runs)}
     args.out.write_text(json.dumps(known, indent=1, sort_keys=True) + "\n")
+    for label, kept in sorted(known.items()):
+        for name, summary in sorted(kept["across_runs"].items()):
+            wall = summary["wall_median_ms"]
+            print(f"{label:>8} {name:<20} {len(kept['runs'])} runs: wall median {wall['median']:.4g} ms "
+                  f"[{wall['min']:.4g}, {wall['max']:.4g}], digests {', '.join(summary['digests'])}")
     return 0
 
 

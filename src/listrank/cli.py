@@ -26,6 +26,9 @@ import json  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
 from .dataset import (  # noqa: E402
     Dataset,
     SyntheticSpec,
@@ -380,6 +383,12 @@ def _cmd_bench(resolved):
         seed=resolved["seed"],
         warmup=resolved["warmup"],
     )
+    for name, stats in (("teacher", report.teacher), ("student", report.student)):
+        _progress("bench", f"{name}: p10 {stats.p10_ms:.3f} ms, p50 {stats.median_ms:.3f} ms, "
+                           f"p90 {stats.p90_ms:.3f} ms, IQR {stats.iqr_ms:.3f} ms, "
+                           f"{stats.per_second:.1f} queries/s")
+    _progress("bench", f"environment: BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}, numpy {np.__version__}, "
+                       f"scipy {scipy.__version__}, CPUs {os.cpu_count()}")
     _progress("bench", f"speedup x{report.speedup:.2f} over {resolved['n_queries']} queries")
     sys.stdout.write(report.to_csv())
     return 0

@@ -1,10 +1,11 @@
 """Serving paths and latency measurement.
 
-The teacher serves a query by running the cross-encoder once per candidate
-document. The student embeds documents ahead of time into an EmbeddingStore
-(float32 on disk), so serving a query costs one encoder forward for the
-query plus dot products against precomputed vectors. ``benchmark_latency``
-runs both systems over the identical workload and reports the speedup.
+The teacher serves a query by running the cross-encoder once per distinct
+candidate text. The student embeds documents ahead of time into an
+EmbeddingStore (float32 on disk), so serving a query costs one encoder
+forward for the query plus dot products against precomputed vectors.
+``benchmark_latency`` runs both systems over the identical workload, query
+by query, and reports the speedup.
 
 Store files use the shared ``fileio`` frame: a JSON header with the width,
 the fingerprint of the checkpoint that built the vectors and the doc id
@@ -27,6 +28,7 @@ from .training import (
     Checkpoint,
     _check_tokenizer,
     _embed_rows,
+    _first_occurrences,
     checkpoint_fingerprint,
     embed_texts,
     score_pairs,
@@ -90,10 +92,11 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     """Embed every catalog document with the student encoder (float32).
 
     Each distinct text is tokenized and embedded once, in first-occurrence
-    order, in chunks cut before the text that would take ``texts × longest
-    row`` past a padded-token budget; a chunk holds at least one text. Every
-    document gets its text's row, so documents with identical texts get
-    identical store bytes."""
+    order (the rule of ``score_pairs`` and ``embed_texts``), in chunks cut
+    before the text that would take ``texts × longest row`` past a
+    padded-token budget; a chunk holds at least one text. Every document gets
+    its text's row, so documents with identical texts get identical store
+    bytes."""
     _check_tokenizer(student, tokenizer)
     catalog = list(catalog)
     if not catalog:
@@ -101,9 +104,8 @@ def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) ->
     config = student.config
     store = EmbeddingStore(fingerprint=checkpoint_fingerprint(student), doc_ids=[d.doc_id for d in catalog],
                            vectors=np.empty((len(catalog), config.model_dim), dtype=np.float32))
-    text_rows = {}
-    doc_rows = [text_rows.setdefault(d.text, len(text_rows)) for d in catalog]
-    rows = [tokenizer.encode_single(text, config.max_len).ids for text in text_rows]
+    texts, doc_rows = _first_occurrences(d.text for d in catalog)
+    rows = [tokenizer.encode_single(text, config.max_len).ids for text in texts]
     vectors = np.empty((len(rows), config.model_dim), dtype=np.float32)
     # The budget keeps a chunk's widest float64 activation (the feed-forward's,
     # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
@@ -259,8 +261,9 @@ def rank_with_teacher(
     k: int | None = None,
 ) -> RankResult:
     """Rank candidate documents with the cross-encoder, run as one padded
-    forward over every (query, document) pair; with ``k``, return the first
-    ``k`` rows of that ranking.
+    forward over the query's pair with each distinct candidate text
+    (``score_pairs``); with ``k``, return the first ``k`` rows of that
+    ranking. Candidates with identical texts share one [CLS] state.
 
     The timed window covers pair encoding, the forward, and the sort.
     """
@@ -283,9 +286,18 @@ def rank_with_teacher(
 
 @dataclass
 class LatencyStats:
+    """Per-query latency of one system; percentiles are nearest-rank."""
+
     mean_ms: float
     median_ms: float
     p90_ms: float
+    p10_ms: float
+    iqr_ms: float
+
+    @property
+    def per_second(self) -> float:
+        """Queries per second at the mean latency."""
+        return 1000.0 / self.mean_ms
 
 
 @dataclass
@@ -315,6 +327,8 @@ def _stats(latencies) -> LatencyStats:
         mean_ms=float(np.mean(latencies)),
         median_ms=nearest_rank_percentile(latencies, 50.0),
         p90_ms=nearest_rank_percentile(latencies, 90.0),
+        p10_ms=nearest_rank_percentile(latencies, 10.0),
+        iqr_ms=nearest_rank_percentile(latencies, 75.0) - nearest_rank_percentile(latencies, 25.0),
     )
 
 
@@ -346,7 +360,13 @@ def benchmark_latency(
 ) -> BenchmarkReport:
     """Measure per-query latency of both systems over the same workload.
 
-    The first ``warmup`` queries are run but excluded from statistics.
+    The systems take turns query by query, teacher first, so a drift of the
+    host's speed or a pause reaches both alike. In its turn each system ranks
+    the query twice and only the second rank is timed, so that no timed rank
+    directly follows the other system's: a student rank timed right after a
+    teacher rank took 14-55% longer than in a loop of student ranks (2-core
+    x86-64), a cost that a server running one model does not pay. The first
+    ``warmup`` queries are run but excluded from statistics.
     """
     if n_queries < 30:
         raise ConfigurationError("n_queries must be >= 30 for stable statistics")
@@ -358,15 +378,15 @@ def benchmark_latency(
         raise ConfigurationError(f"warmup must be non-negative, got {warmup}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
-    teacher_ms = []
+    teacher_ms, student_ms = [], []
     for i, (query, docs) in enumerate(workload):
-        result = rank_with_teacher(teacher, query, docs, tokenizer)
+        candidate_ids = [d.doc_id for d in docs]
+        rank_with_teacher(teacher, query, docs, tokenizer)
+        teacher_result = rank_with_teacher(teacher, query, docs, tokenizer)
+        rank_with_student(student, store, query, candidate_ids, tokenizer)
+        student_result = rank_with_student(student, store, query, candidate_ids, tokenizer)
         if i >= warmup:
-            teacher_ms.append(result.latency_ms)
-    student_ms = []
-    for i, (query, docs) in enumerate(workload):
-        result = rank_with_student(student, store, query, [d.doc_id for d in docs], tokenizer)
-        if i >= warmup:
-            student_ms.append(result.latency_ms)
+            teacher_ms.append(teacher_result.latency_ms)
+            student_ms.append(student_result.latency_ms)
 
     return BenchmarkReport(teacher=_stats(teacher_ms), student=_stats(student_ms))

@@ -247,18 +247,38 @@ def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
         )
 
 
+def _first_occurrences(items) -> tuple[list, np.ndarray]:
+    """The distinct ``items`` in first-occurrence order, and each item's
+    index among them: ``distinct[index[i]] == items[i]``. The one rule by
+    which every inference forward runs each distinct text once."""
+    positions = {}
+    index = [positions.setdefault(item, len(positions)) for item in items]
+    return list(positions), np.asarray(index, dtype=np.intp)
+
+
 def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np.ndarray:
-    """Cross-encoder scores of ``query`` paired with each of ``texts``, run as
-    one padded inference forward over the [CLS] states; bit for bit the
-    scores ``score_cls_batch`` returns."""
-    rows = tokenizer.encode_pairs(query, texts, ckpt.config.max_len)
-    return _embed_rows(ckpt, rows) @ ckpt.params.score_w + ckpt.params.score_b
+    """Cross-encoder scores of ``query`` paired with each of ``texts``.
+
+    Each distinct text is paired with the query and encoded once, in
+    first-occurrence order, and the pairs run as one padded inference
+    forward: bit for bit the [CLS] states ``score_cls_batch`` computes over
+    the distinct rows. Every text gets its text's state before the score
+    head, one product over all of ``texts`` (BLAS rounds its last ``len % 4``
+    rows on a path of their own). A forward of every pair gives the same
+    states within rounding."""
+    distinct, index = _first_occurrences(texts)
+    rows = tokenizer.encode_pairs(query, distinct, ckpt.config.max_len)
+    return _embed_rows(ckpt, rows)[index] @ ckpt.params.score_w + ckpt.params.score_b
 
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
-    """Bi-encoder embeddings of ``texts``, run as one padded batch; bit for
-    bit the embeddings ``embed_batch`` returns."""
-    return _embed_rows(ckpt, [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts])
+    """Bi-encoder embeddings of ``texts``: each distinct text is encoded
+    once, in first-occurrence order, the distinct rows run as one padded
+    batch, and every text gets its text's row. Bit for bit the embeddings
+    ``embed_batch`` returns over the distinct rows, expanded to one per text;
+    a batch of every text gives the same rows within rounding."""
+    distinct, index = _first_occurrences(texts)
+    return _embed_rows(ckpt, [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in distinct])[index]
 
 
 def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -455,7 +456,9 @@ class TestPipelineCommands:
         assert line.startswith("error: ") and "built by checkpoint" in line
 
     def test_bench_writes_latency_csv(self, pipeline):
-        code, stdout, _ = run_cli([
+        """The CSV goes to stdout; the spread of each system's latencies and
+        the environment go to stderr."""
+        code, stdout, stderr = run_cli([
             "bench", "--teacher", pipeline["model"], "--student", pipeline["student"],
             "--tokenizer", pipeline["tokenizer"], "--data", pipeline["data"],
             "--store", pipeline["store"], "--n-queries", "30", "--list-size", "4",
@@ -467,6 +470,10 @@ class TestPipelineCommands:
         assert len(lines) == 3
         assert lines[1].startswith("teacher,") and lines[1].endswith(",1")
         assert lines[2].startswith("student,")
+        spread = r"p10 \S+ ms, p50 \S+ ms, p90 \S+ ms, IQR \S+ ms, \S+ queries/s"
+        assert re.search(rf"^\[bench\] teacher: {spread}$", stderr, re.M)
+        assert re.search(rf"^\[bench\] student: {spread}$", stderr, re.M)
+        assert re.search(r"^\[bench\] environment: BLAS threads 1, numpy \S+, scipy \S+, CPUs \d+$", stderr, re.M)
 
 
 class TestSharedDocuments:

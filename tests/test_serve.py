@@ -699,6 +699,28 @@ class TestRankWithTeacher:
         expected = {d.doc_id: float(s).hex() for d, s in zip(group.docs, scores)}
         assert {d: s.hex() for d, s in result.ranking} == expected
 
+    def test_repeated_texts_run_once_and_share_a_score(self, world, monkeypatch):
+        """One forward holds the query's pair with each distinct text once, in
+        first-occurrence order; candidates with one text get its first
+        occurrence's score bit for bit (8 rows leave no ``len % 4`` tail for
+        BLAS to score apart), and a forward of every pair agrees within
+        rounding."""
+        _, tokenizer, teacher, _, catalog = world
+        query, config = "attr2 attr9", teacher.config
+        pool = list(dict.fromkeys(d.text for d in catalog))[:4]
+        texts = [pool[i] for i in (0, 1, 0, 2, 3, 1, 0, 2)]
+        docs = [Document(f"r{i}", text) for i, text in enumerate(texts)]
+        shapes = record_forwards(monkeypatch)
+        scores = dict(rank_with_teacher(teacher, query, docs, tokenizer).ranking)
+        pairs = [tokenizer.encode_pair(query, text, config.max_len).ids for text in pool]
+        assert shapes == [(4, max(map(len, pairs)))]
+        for doc in docs:
+            assert scores[doc.doc_id].hex() == scores[f"r{texts.index(doc.text)}"].hex()
+        ids, mask = pad_token_rows([tokenizer.encode_pair(query, text, config.max_len).ids for text in texts])
+        full, trace = score_cls_batch(teacher.params, config, ids, mask)
+        bound = 1e-12 * np.abs(trace.hidden).max() * np.abs(teacher.params.score_w).sum()
+        assert max(abs(scores[d.doc_id] - s) for d, s in zip(docs, full)) <= bound
+
     def test_k_keeps_the_first_rows(self, world):
         dataset, tokenizer, teacher, _, _ = world
         group = dataset.groups[1]
@@ -778,9 +800,35 @@ class TestBenchmarkLatency:
         )
         for stats in (report.teacher, report.student):
             assert stats.mean_ms > 0.0
-            assert stats.median_ms > 0.0
-            assert stats.p90_ms >= stats.median_ms
+            assert 0.0 < stats.p10_ms <= stats.median_ms <= stats.p90_ms
+            assert 0.0 <= stats.iqr_ms <= stats.p90_ms - stats.p10_ms
+            assert stats.per_second == 1000.0 / stats.mean_ms
         assert report.speedup == pytest.approx(report.teacher.mean_ms / report.student.mean_ms)
+
+    def test_systems_alternate_over_one_workload(self, world, store, monkeypatch):
+        """The teacher and then the student take each query in turn, so the
+        two see the same drift; each ranks it twice and the second rank is
+        timed, and only the timed queries count."""
+        dataset, tokenizer, teacher, student, _ = world
+        calls, latency = [], iter(range(1, 1000))
+
+        def timed(name):
+            def rank(checkpoint, *args):
+                query = args[1] if name == "student" else args[0]
+                calls.append((name, query))
+                return RankResult([], float(next(latency)))
+            return rank
+
+        monkeypatch.setattr(serve, "rank_with_teacher", timed("teacher"))
+        monkeypatch.setattr(serve, "rank_with_student", timed("student"))
+        report = benchmark_latency(teacher, student, store, dataset, tokenizer,
+                                   n_queries=30, list_size=4, seed=0, warmup=2)
+        queries = [q for q, _ in benchmark_workload(dataset, n_queries=30, list_size=4, seed=0, warmup=2)]
+        assert calls == [(name, q) for q in queries for name in ("teacher", "teacher", "student", "student")]
+        # timed latencies 10, 14, ..., 126 for the teacher and 12, 16, ..., 128 for the student
+        assert (report.teacher.mean_ms, report.student.mean_ms) == (68.0, 70.0)
+        assert (report.teacher.p10_ms, report.teacher.median_ms, report.teacher.p90_ms) == (18.0, 66.0, 114.0)
+        assert report.teacher.iqr_ms == 98.0 - 38.0
 
     def test_too_few_queries_rejected(self, world, store):
         dataset, tokenizer, teacher, student, _ = world
@@ -802,8 +850,8 @@ class TestBenchmarkLatency:
 class TestBenchmarkReport:
     def test_csv_layout_is_exact(self):
         report = BenchmarkReport(
-            teacher=LatencyStats(mean_ms=10.0, median_ms=9.5, p90_ms=12.25),
-            student=LatencyStats(mean_ms=2.0, median_ms=1.5, p90_ms=3.0),
+            teacher=LatencyStats(mean_ms=10.0, median_ms=9.5, p90_ms=12.25, p10_ms=8.0, iqr_ms=2.0),
+            student=LatencyStats(mean_ms=2.0, median_ms=1.5, p90_ms=3.0, p10_ms=1.0, iqr_ms=0.5),
         )
         assert report.to_csv() == (
             "system,mean_ms,median_ms,p90_ms,speedup_vs_teacher\n"

@@ -802,12 +802,13 @@ class TestInferenceForwards:
         assert [set(kw) for kw in kwargs] == [{"rows"}]
 
     def test_embed_texts_of_one_token_texts(self, tiny_world):
-        """Empty texts encode to ``[CLS]`` alone: the batch has length one."""
+        """Empty texts encode to ``[CLS]`` alone: the batch has length one,
+        and the three equal texts run as its one row."""
         _, tokenizer, config = tiny_world
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
-        ids, mask = pad_token_rows([[CLS_ID]] * 3)
+        ids, mask = pad_token_rows([[CLS_ID]])
         expected, _ = encoder.embed_batch(ckpt.params, config, ids, mask)
-        assert bits_equal(training.embed_texts(ckpt, tokenizer, ["", "", ""]), expected)
+        assert bits_equal(training.embed_texts(ckpt, tokenizer, ["", "", ""]), expected[[0, 0, 0]])
 
     @pytest.mark.parametrize("mask_rate", [0.0, 0.3])
     def test_evaluate_mlm_equals_mlm_loss(self, tiny_world, monkeypatch, mask_rate):
@@ -858,6 +859,102 @@ class TestInferenceForwards:
         with pytest.raises(ValidationError, match="out" if bad == "out_of_vocab" else "0 or 1"):
             training.score_pairs(ckpt, tokenizer, "q", ["a", "b"])
         assert calls == []
+
+
+class TestDistinctTexts:
+    """``score_pairs`` and ``embed_texts`` encode and forward each distinct
+    text once, in first-occurrence order, and give every text its text's
+    [CLS] state before the score head. The result is bit for bit the
+    distinct-row forward, expanded; a forward of every text gives the same
+    states within 1e-12 of the largest state.
+
+    The score head is one matrix-vector product over the expanded states.
+    BLAS scores its last ``len % 4`` rows on a separate path, so a repeat
+    gets its first occurrence's score bit for bit only where neither lies
+    in that tail; the lists here have none (8 and 4 rows)."""
+
+    PATTERNS = {"repeats": [0, 1, 0, 2, 1, 3, 0, 4], "all_identical": [2, 2, 2, 2]}
+
+    @staticmethod
+    def case(tiny_world, pattern):
+        dataset, tokenizer, config = tiny_world
+        pool = list(dict.fromkeys(d.text for g in dataset.groups for d in g.docs))
+        texts = [pool[i] for i in pattern]
+        distinct = list(dict.fromkeys(texts))
+        first = [distinct.index(t) for t in texts]
+        return tokenizer, config, init_checkpoint(config, 0, tokenizer.content_hash()), texts, distinct, first
+
+    @staticmethod
+    def spy(monkeypatch, tokenizer):
+        """Record the texts ``Tokenizer.encode`` sees and the ids of every forward."""
+        encoded, forwarded = [], []
+        encode, forward = tokenizer.encode, encoder.forward_batch
+        monkeypatch.setattr(tokenizer, "encode", lambda text: encoded.append(text) or encode(text))
+        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: forwarded.append(ids.copy())
+                            or forward(p, c, ids, *a, **kw))
+        return encoded, forwarded
+
+    @pytest.mark.parametrize("pattern", PATTERNS.values(), ids=PATTERNS)
+    def test_score_pairs(self, tiny_world, monkeypatch, pattern):
+        tokenizer, config, ckpt, texts, distinct, first = self.case(tiny_world, pattern)
+        query = "attr1 attr2"
+        rows = [tokenizer.encode_pair(query, t, config.max_len).ids for t in distinct]
+        ids, mask = pad_token_rows(rows)
+        _, trace = score_cls_batch(ckpt.params, config, ids, mask)
+        full_ids, full_mask = pad_token_rows([tokenizer.encode_pair(query, t, config.max_len).ids for t in texts])
+        full_scores, full_trace = score_cls_batch(ckpt.params, config, full_ids, full_mask)
+        encoded, forwarded = self.spy(monkeypatch, tokenizer)
+
+        scores = training.score_pairs(ckpt, tokenizer, query, texts)
+
+        assert encoded == [query] + distinct
+        assert len(forwarded) == 1 and np.array_equal(forwarded[0], ids)
+        assert bits_equal(scores, trace.hidden[first] @ ckpt.params.score_w + ckpt.params.score_b)
+        assert len(texts) % 4 == 0
+        for i in range(len(texts)):
+            assert scores[i].tobytes() == scores[texts.index(texts[i])].tobytes()
+        states = full_trace.hidden
+        assert np.abs(trace.hidden[first] - states).max() <= 1e-12 * np.abs(states).max()
+        assert np.abs(scores - full_scores).max() <= 1e-12 * np.abs(states).max() * np.abs(ckpt.params.score_w).sum()
+
+    @pytest.mark.parametrize("pattern", PATTERNS.values(), ids=PATTERNS)
+    def test_embed_texts(self, tiny_world, monkeypatch, pattern):
+        tokenizer, config, ckpt, texts, distinct, first = self.case(tiny_world, pattern)
+        ids, mask = pad_token_rows([tokenizer.encode_single(t, config.max_len).ids for t in distinct])
+        expected, _ = encoder.embed_batch(ckpt.params, config, ids, mask)
+        full_ids, full_mask = pad_token_rows([tokenizer.encode_single(t, config.max_len).ids for t in texts])
+        full, _ = encoder.embed_batch(ckpt.params, config, full_ids, full_mask)
+        encoded, forwarded = self.spy(monkeypatch, tokenizer)
+
+        emb = training.embed_texts(ckpt, tokenizer, texts)
+
+        assert encoded == distinct
+        assert len(forwarded) == 1 and np.array_equal(forwarded[0], ids)
+        assert bits_equal(emb, expected[first])
+        for i in range(len(texts)):
+            assert emb[i].tobytes() == emb[texts.index(texts[i])].tobytes()
+        assert np.abs(emb - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_evaluation_and_distill_targets_forward_the_distinct_texts(self, tiny_world, monkeypatch):
+        """Both evaluation scorers and distillation's teacher scores run
+        through ``score_pairs`` or ``embed_texts``: a group with a repeated
+        text forwards one row per distinct text, and the repeat gets its
+        first occurrence's score."""
+        dataset, tokenizer, config = tiny_world
+        teacher = dataclasses.replace(init_checkpoint(config, 0, tokenizer.content_hash()), loss_name="listmle")
+        group = dataset.groups[0]
+        group = QueryGroup(group.query_id, group.query_text, group.docs[:7] + [Document("again", group.docs[1].text)],
+                           group.grades[:7] + [group.grades[1]])
+        texts = [d.text for d in group.docs]
+        _, forwarded = self.spy(monkeypatch, tokenizer)
+        scores = make_cross_encoder_scorer(teacher, tokenizer)(group)
+        dots = make_bi_encoder_scorer(teacher, tokenizer)(group)
+        distill(teacher, Dataset([group]), TrainConfig(epochs=0), tokenizer)
+        n_distinct = len(set(texts))
+        assert n_distinct < len(texts)
+        assert [len(ids) for ids in forwarded] == [n_distinct, len({group.query_text, *texts}), n_distinct]
+        assert scores[-1].tobytes() == scores[1].tobytes()
+        assert dots[-1].tobytes() == dots[1].tobytes()
 
 
 class TestDistill:
