@@ -14,10 +14,9 @@ time, so the part outside the library's own timed window counts too):
 - ``gather_30``: 30 candidates out of the 21,000-doc store, in request order;
 - ``teacher_30``: the cross-encoder over 30 candidates whose pairs with the
   query are 8 to 13 tokens long (10 on average), the serving shape of a
-  teacher rank. They hold 22 distinct texts;
-- ``teacher_30_repeats``: the cross-encoder over 30 candidates with 25
-  distinct texts of the same kind, five of them listed twice, the mix of a
-  30-document query group of the benchmark's ``query_stream``.
+  teacher rank. They hold 22 distinct texts, so eight rows repeat a text;
+- ``teacher_30_distinct``: the cross-encoder over 30 distinct texts of the
+  same kind, a list in which no row repeats a text.
 
 One call of ``serve.precompute_embeddings`` is timed the same way:
 
@@ -43,7 +42,9 @@ between versions that embed the same bytes. Without ``--out`` the record is
 printed. With it, the record is appended to the runs kept under ``--label``
 in ``FILE`` (other labels are kept), and ``across_runs`` is recomputed: for
 each call, the median and range over the runs of their wall and latency
-medians, and every digest seen. Each run is one process, and the same code's
+medians, and every digest seen. A record whose ``code_digest`` differs from
+that of the label's runs starts a new list of runs, so one label never mixes
+two versions of the code. Each run is one process, and the same code's
 medians can differ by 2x between processes on a shared machine, so compare
 versions by runs taken in alternating order, not by one run each. The
 ``across_runs`` of every label is then printed.
@@ -135,15 +136,9 @@ def bench_build(build, docs) -> dict:
     }
 
 
-def _texts_with_repeats(rng, n_distinct: int, n_repeats: int) -> list:
-    """``n_distinct`` distinct texts of 1 to 4 of ``WORDS``, plus
-    ``n_repeats`` of them listed a second time, in a shuffled order."""
-    distinct = {}
-    while len(distinct) < n_distinct:
-        distinct.setdefault(" ".join(rng.choice(WORDS, size=rng.integers(1, 5))), None)
-    texts = list(distinct)
-    texts += [texts[i] for i in rng.choice(n_distinct, size=n_repeats, replace=False)]
-    return [texts[i] for i in rng.permutation(len(texts))]
+def _random_text(rng) -> str:
+    """1 to 4 of ``WORDS``, drawn with replacement."""
+    return " ".join(rng.choice(WORDS, size=rng.integers(1, 5)))
 
 
 def _spread(values) -> dict:
@@ -203,9 +198,11 @@ def main(argv=None) -> int:
 
     teacher = training.init_checkpoint(config, seed=1, tokenizer_hash=tokenizer.content_hash())
     rng = np.random.default_rng(10)
-    texts = [" ".join(rng.choice(WORDS, size=rng.integers(1, 5))) for _ in range(30)]
-    repeats = _texts_with_repeats(np.random.default_rng(25), 25, 5)
-    for name, listed in (("teacher_30", texts), ("teacher_30_repeats", repeats)):
+    texts = [_random_text(rng) for _ in range(30)]
+    distinct, rng = {}, np.random.default_rng(30)
+    while len(distinct) < 30:
+        distinct.setdefault(_random_text(rng), None)
+    for name, listed in (("teacher_30", texts), ("teacher_30_distinct", list(distinct))):
         docs = [Document(f"d{i:02d}", text) for i, text in enumerate(listed)]
         calls[name] = bench_call(lambda *k, docs=docs: serve.rank_with_teacher(teacher, QUERY, docs, tokenizer, *k),
                                  None, native_k)
@@ -227,10 +224,13 @@ def main(argv=None) -> int:
         print(json.dumps(record, indent=1, sort_keys=True))
         return 0
     known = json.loads(args.out.read_text()) if args.out.exists() else {}
-    runs = known.get(args.label, {}).get("runs", []) + [record]
+    runs = [run for run in known.get(args.label, {}).get("runs", []) if run["code_digest"] == record["code_digest"]]
+    runs.append(record)
     known[args.label] = {"runs": runs, "across_runs": across_runs(runs)}
     args.out.write_text(json.dumps(known, indent=1, sort_keys=True) + "\n")
     for label, kept in sorted(known.items()):
+        if "across_runs" not in kept:
+            continue
         for name, summary in sorted(kept["across_runs"].items()):
             wall = summary["wall_median_ms"]
             print(f"{label:>8} {name:<20} {len(kept['runs'])} runs: wall median {wall['median']:.4g} ms "

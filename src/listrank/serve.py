@@ -4,8 +4,8 @@ The teacher serves a query by running the cross-encoder once per distinct
 candidate text. The student embeds documents ahead of time into an
 EmbeddingStore (float32 on disk), so serving a query costs one encoder
 forward for the query plus dot products against precomputed vectors.
-``benchmark_latency`` runs both systems over the identical workload, query
-by query, and reports the speedup.
+``benchmark_latency`` runs both systems over the identical workload and
+reports the speedup.
 
 Store files use the shared ``fileio`` frame: a JSON header with the width,
 the fingerprint of the checkpoint that built the vectors and the doc id
@@ -360,12 +360,8 @@ def benchmark_latency(
 ) -> BenchmarkReport:
     """Measure per-query latency of both systems over the same workload.
 
-    The systems take turns query by query, teacher first, so a drift of the
-    host's speed or a pause reaches both alike. In its turn each system ranks
-    the query twice and only the second rank is timed, so that no timed rank
-    directly follows the other system's: a student rank timed right after a
-    teacher rank took 14-55% longer than in a loop of student ranks (2-core
-    x86-64), a cost that a server running one model does not pay. The first
+    The teacher ranks the whole workload, then the student does, each in a
+    loop of its own, as a server running one model would. The first
     ``warmup`` queries are run but excluded from statistics.
     """
     if n_queries < 30:
@@ -378,15 +374,15 @@ def benchmark_latency(
         raise ConfigurationError(f"warmup must be non-negative, got {warmup}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
-    teacher_ms, student_ms = [], []
+    teacher_ms = []
     for i, (query, docs) in enumerate(workload):
-        candidate_ids = [d.doc_id for d in docs]
-        rank_with_teacher(teacher, query, docs, tokenizer)
-        teacher_result = rank_with_teacher(teacher, query, docs, tokenizer)
-        rank_with_student(student, store, query, candidate_ids, tokenizer)
-        student_result = rank_with_student(student, store, query, candidate_ids, tokenizer)
+        result = rank_with_teacher(teacher, query, docs, tokenizer)
         if i >= warmup:
-            teacher_ms.append(teacher_result.latency_ms)
-            student_ms.append(student_result.latency_ms)
+            teacher_ms.append(result.latency_ms)
+    student_ms = []
+    for i, (query, docs) in enumerate(workload):
+        result = rank_with_student(student, store, query, [d.doc_id for d in docs], tokenizer)
+        if i >= warmup:
+            student_ms.append(result.latency_ms)
 
     return BenchmarkReport(teacher=_stats(teacher_ms), student=_stats(student_ms))

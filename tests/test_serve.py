@@ -805,10 +805,9 @@ class TestBenchmarkLatency:
             assert stats.per_second == 1000.0 / stats.mean_ms
         assert report.speedup == pytest.approx(report.teacher.mean_ms / report.student.mean_ms)
 
-    def test_systems_alternate_over_one_workload(self, world, store, monkeypatch):
-        """The teacher and then the student take each query in turn, so the
-        two see the same drift; each ranks it twice and the second rank is
-        timed, and only the timed queries count."""
+    def test_each_system_ranks_the_workload_in_its_own_loop(self, world, store, monkeypatch):
+        """The teacher ranks every query of the workload, then the student
+        ranks the same queries, and only the queries after the warmup count."""
         dataset, tokenizer, teacher, student, _ = world
         calls, latency = [], iter(range(1, 1000))
 
@@ -824,11 +823,11 @@ class TestBenchmarkLatency:
         report = benchmark_latency(teacher, student, store, dataset, tokenizer,
                                    n_queries=30, list_size=4, seed=0, warmup=2)
         queries = [q for q, _ in benchmark_workload(dataset, n_queries=30, list_size=4, seed=0, warmup=2)]
-        assert calls == [(name, q) for q in queries for name in ("teacher", "teacher", "student", "student")]
-        # timed latencies 10, 14, ..., 126 for the teacher and 12, 16, ..., 128 for the student
-        assert (report.teacher.mean_ms, report.student.mean_ms) == (68.0, 70.0)
-        assert (report.teacher.p10_ms, report.teacher.median_ms, report.teacher.p90_ms) == (18.0, 66.0, 114.0)
-        assert report.teacher.iqr_ms == 98.0 - 38.0
+        assert calls == [(name, q) for name in ("teacher", "student") for q in queries]
+        # timed latencies 3, 4, ..., 32 for the teacher and 35, 36, ..., 64 for the student
+        assert (report.teacher.mean_ms, report.student.mean_ms) == (17.5, 49.5)
+        assert (report.teacher.p10_ms, report.teacher.median_ms, report.teacher.p90_ms) == (5.0, 17.0, 29.0)
+        assert report.teacher.iqr_ms == 25.0 - 10.0
 
     def test_too_few_queries_rejected(self, world, store):
         dataset, tokenizer, teacher, student, _ = world
