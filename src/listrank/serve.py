@@ -27,8 +27,6 @@ from .tokenizer import Tokenizer
 from .training import (
     Checkpoint,
     _check_tokenizer,
-    _embed_rows,
-    _first_occurrences,
     checkpoint_fingerprint,
     embed_texts,
     score_pairs,
@@ -89,43 +87,16 @@ class EmbeddingStore:
 
 
 def precompute_embeddings(student: Checkpoint, catalog, tokenizer: Tokenizer) -> EmbeddingStore:
-    """Embed every catalog document with the student encoder (float32).
-
-    Each distinct text is tokenized and embedded once, in first-occurrence
-    order (the rule of ``score_pairs`` and ``embed_texts``), in chunks cut
-    before the text that would take ``texts × longest row`` past a
-    padded-token budget; a chunk holds at least one text. Every document gets
-    its text's row, so documents with identical texts get identical store
-    bytes."""
+    """The store of ``embed_texts`` over the catalog's texts, as float32 rows
+    under the student's fingerprint. The catalog's ids are checked before
+    any forward runs."""
     _check_tokenizer(student, tokenizer)
     catalog = list(catalog)
     if not catalog:
         raise EmptyInputError("catalog is empty")
-    config = student.config
     store = EmbeddingStore(fingerprint=checkpoint_fingerprint(student), doc_ids=[d.doc_id for d in catalog],
-                           vectors=np.empty((len(catalog), config.model_dim), dtype=np.float32))
-    texts, doc_rows = _first_occurrences(d.text for d in catalog)
-    rows = [tokenizer.encode_single(text, config.max_len).ids for text in texts]
-    vectors = np.empty((len(rows), config.model_dim), dtype=np.float32)
-    # The budget keeps a chunk's widest float64 activation (the feed-forward's,
-    # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
-    # arrays are freed before the next forward; glibc hands the memory of
-    # larger chunks back to the system (unmap or heap trim), so each chunk
-    # then faults its memory in afresh. At 10,500 docs of 5 tokens (2-core
-    # x86-64, one BLAS thread), a repeated build took 109k minor faults and
-    # 1.04 s with chunks of 256 docs, 0-900 faults and 0.71-0.87 s at budgets
-    # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens. The
-    # 0-900 holds only once the process has freed a large array; in a fresh
-    # process a build at 512 tokens takes 122k-125k faults.
-    budget = (1 << 20) // (8 * config.ffn_dim)
-    start, longest = 0, 0
-    for end, n in enumerate(map(len, rows)):
-        longest = max(longest, n)
-        if end > start and (end + 1 - start) * longest > budget:
-            vectors[start:end] = _embed_rows(student, rows[start:end])
-            start, longest = end, n
-    vectors[start:] = _embed_rows(student, rows[start:])
-    np.take(vectors, doc_rows, axis=0, out=store.vectors, mode="clip")  # "raise" would copy through a buffer
+                           vectors=np.empty((len(catalog), student.config.model_dim), dtype=np.float32))
+    store.vectors[:] = embed_texts(student, tokenizer, [d.text for d in catalog])
     return store
 
 
@@ -260,10 +231,10 @@ def rank_with_teacher(
     tokenizer: Tokenizer,
     k: int | None = None,
 ) -> RankResult:
-    """Rank candidate documents with the cross-encoder, run as one padded
-    forward over the query's pair with each distinct candidate text
-    (``score_pairs``); with ``k``, return the first ``k`` rows of that
-    ranking. Candidates with identical texts share one [CLS] state.
+    """Rank candidate documents with the cross-encoder, run over the query's
+    pair with each distinct candidate text (``score_pairs``); with ``k``,
+    return the first ``k`` rows of that ranking. Candidates with identical
+    texts share one [CLS] state.
 
     The timed window covers pair encoding, the forward, and the sort.
     """

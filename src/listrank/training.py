@@ -260,12 +260,12 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     """Cross-encoder scores of ``query`` paired with each of ``texts``.
 
     Each distinct text is paired with the query and encoded once, in
-    first-occurrence order, and the pairs run as one padded inference
-    forward: bit for bit the [CLS] states ``score_cls_batch`` computes over
-    the distinct rows. Every text gets its text's state before the score
-    head, one product over all of ``texts`` (BLAS rounds its last ``len % 4``
-    rows on a path of their own). A forward of every pair gives the same
-    states within rounding."""
+    first-occurrence order, and the pairs run through ``_embed_rows``: pairs
+    that fit its budget give bit for bit the [CLS] states ``score_cls_batch``
+    computes over the distinct rows. Every text gets its text's state before
+    the score head, one product over all of ``texts`` (BLAS rounds its last
+    ``len % 4`` rows on a path of their own). A forward of every pair gives
+    the same states within rounding."""
     distinct, index = _first_occurrences(texts)
     rows = tokenizer.encode_pairs(query, distinct, ckpt.config.max_len)
     return _embed_rows(ckpt, rows)[index] @ ckpt.params.score_w + ckpt.params.score_b
@@ -273,19 +273,42 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     """Bi-encoder embeddings of ``texts``: each distinct text is encoded
-    once, in first-occurrence order, the distinct rows run as one padded
-    batch, and every text gets its text's row. Bit for bit the embeddings
-    ``embed_batch`` returns over the distinct rows, expanded to one per text;
-    a batch of every text gives the same rows within rounding."""
+    once, in first-occurrence order, the distinct rows run through
+    ``_embed_rows``, and every text gets its text's row. Rows that fit its
+    budget give bit for bit the embeddings ``embed_batch`` returns over the
+    distinct rows, expanded to one per text; a batch of every text gives the
+    same rows within rounding."""
     distinct, index = _first_occurrences(texts)
     return _embed_rows(ckpt, [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in distinct])[index]
 
 
 def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:
-    """[CLS] states of token id rows, padded into one batch and run as one
-    inference forward over the [CLS] rows."""
-    ids, mask = enc.pad_token_rows(rows)
-    return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
+    """[CLS] states of token id rows, run in order as padded inference
+    forwards over the [CLS] rows. Rows that fit a padded-token budget run as
+    one forward; otherwise a chunk is cut before the row that would take
+    ``rows × longest row`` past the budget, and holds at least one row."""
+    # The budget keeps a chunk's widest float64 activation (the feed-forward's,
+    # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
+    # arrays are freed before the next forward; glibc hands the memory of
+    # larger chunks back to the system (unmap or heap trim), so each chunk
+    # then faults its memory in afresh. At 10,500 docs of 5 tokens (2-core
+    # x86-64, one BLAS thread), a repeated build took 109k minor faults and
+    # 1.04 s with chunks of 256 docs, 0-900 faults and 0.71-0.87 s at budgets
+    # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens. The
+    # 0-900 holds only once the process has freed a large array; in a fresh
+    # process a build at 512 tokens takes 122k-125k faults.
+    budget = (1 << 20) // (8 * ckpt.config.ffn_dim)
+    if len(rows) <= 1 or len(rows) * max(map(len, rows)) <= budget:
+        ids, mask = enc.pad_token_rows(rows)
+        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
+    chunks, start, longest = [], 0, 0
+    for end, n in enumerate(map(len, rows)):
+        longest = max(longest, n)
+        if end > start and (end + 1 - start) * longest > budget:
+            chunks.append(_embed_rows(ckpt, rows[start:end]))  # fits, or is one row
+            start, longest = end, n
+    chunks.append(_embed_rows(ckpt, rows[start:]))
+    return np.concatenate(chunks)
 
 
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
@@ -593,8 +616,8 @@ def distill(
     _check_tokenizer(teacher, tokenizer)
 
     config = teacher.config
-    scorer = make_cross_encoder_scorer(teacher, tokenizer)
-    teacher_scores = [np.asarray(scorer(g), dtype=np.float64) for g in dataset.groups]
+    teacher_scores = [score_pairs(teacher, tokenizer, g.query_text, [d.text for d in g.docs])
+                      for g in dataset.groups]
 
     pair_sets = [distill_pairs(g, train_config.distill_pair_cap) for g in dataset.groups]
     usable = [gi for gi, pairs in enumerate(pair_sets) if pairs]

@@ -207,11 +207,18 @@ class TestPrecomputeEmbeddings:
 
 
 def record_chunks(monkeypatch):
-    """Wrap the store build's ``_embed_rows``; returns the list that each
-    call appends its float64 embeddings to."""
-    chunks, embed_rows = [], serve._embed_rows
-    monkeypatch.setattr(serve, "_embed_rows", lambda ckpt, rows: chunks.append(embed_rows(ckpt, rows)) or chunks[-1])
+    """Wrap ``encoder.forward_batch``; returns the list that each forward
+    appends its float64 [CLS] states to."""
+    chunks, forward = [], encoder.forward_batch
+    monkeypatch.setattr(encoder, "forward_batch", lambda *a, **kw: chunks.append(forward(*a, **kw)) or chunks[-1])
     return chunks
+
+
+def one_forward(ckpt, tokenizer, catalog):
+    """The embeddings of the catalog's distinct texts, run as one padded batch."""
+    texts, _ = distinct_texts(catalog)
+    ids, mask = pad_token_rows([tokenizer.encode_single(text, ckpt.config.max_len).ids for text in texts])
+    return embed_batch(ckpt.params, ckpt.config, ids, mask)[0]
 
 
 def record_forwards(monkeypatch):
@@ -233,8 +240,8 @@ def distinct_texts(catalog):
 
 class TestEmbeddingChunks:
     """The store build tokenizes and embeds each distinct catalog text once,
-    in first-occurrence order, in chunks of at most ``(1 << 20) // (8 *
-    ffn_dim)`` padded tokens."""
+    in first-occurrence order, through ``training._embed_rows``: in forwards
+    of at most ``(1 << 20) // (8 * ffn_dim)`` padded tokens."""
 
     @pytest.fixture(scope="class")
     def wide(self, world):
@@ -291,10 +298,10 @@ class TestEmbeddingChunks:
     def test_uniform_lengths_match_one_batch_bit_for_bit(self, world, wide, monkeypatch):
         _, tokenizer, _, _, _ = world
         catalog = [Document(f"u{i:04d}", f"attr{i % 7} attr{i % 5} attr{i % 3}") for i in range(400)]
+        _, doc_rows = distinct_texts(catalog)
+        one_batch = one_forward(wide, tokenizer, catalog)[doc_rows]
         chunks = record_chunks(monkeypatch)
         store = precompute_embeddings(wide, catalog, tokenizer)
-        _, doc_rows = distinct_texts(catalog)
-        one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
         assert [len(emb) for emb in chunks] == [28, 28, 28, 21]  # 105 texts of 18 tokens
         np.testing.assert_array_equal(np.concatenate(chunks)[doc_rows], one_batch)
         np.testing.assert_array_equal(store.vectors, one_batch.astype(np.float32))
@@ -303,10 +310,10 @@ class TestEmbeddingChunks:
         """Padding to another length changes the order of the softmax sums."""
         _, tokenizer, _, _, _ = world
         catalog = self.mixed_catalog(300)
+        _, doc_rows = distinct_texts(catalog)
+        one_batch = one_forward(wide, tokenizer, catalog)[doc_rows]
         chunks = record_chunks(monkeypatch)
         precompute_embeddings(wide, catalog, tokenizer)
-        _, doc_rows = distinct_texts(catalog)
-        one_batch = training.embed_texts(wide, tokenizer, [d.text for d in catalog])
         assert len(chunks) > 1
         np.testing.assert_allclose(np.concatenate(chunks)[doc_rows], one_batch, rtol=0, atol=1e-12)
 
@@ -320,12 +327,14 @@ class TestEmbeddingChunks:
         catalog = [Document(f"r{i:04d}", text) for i, text in enumerate(texts)]
         encoded, encode = [], tokenizer.encode_single
         monkeypatch.setattr(tokenizer, "encode_single", lambda text, *a: encoded.append(text) or encode(text, *a))
-        forwarded, embed_rows = [], serve._embed_rows
-        monkeypatch.setattr(serve, "_embed_rows", lambda ckpt, rows: forwarded.append(rows) or embed_rows(ckpt, rows))
+        forwarded, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, mask, **kw: forwarded.append((ids, mask))
+                            or forward(p, c, ids, mask, **kw))
         store = precompute_embeddings(wide, catalog, tokenizer)
         assert encoded == pool
         assert len(forwarded) > 1
-        assert [tuple(row) for rows in forwarded for row in rows] == [tuple(encode(t, 64).ids) for t in pool]
+        assert [tuple(row[keep == 1]) for ids, mask in forwarded for row, keep in zip(ids, mask)] == [
+            tuple(encode(t, 64).ids) for t in pool]
         first = {}
         for i, doc in enumerate(catalog):
             assert store.vectors[i].tobytes() == store.vectors[first.setdefault(doc.text, i)].tobytes()

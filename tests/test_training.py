@@ -957,6 +957,76 @@ class TestDistinctTexts:
         assert dots[-1].tobytes() == dots[1].tobytes()
 
 
+class TestInferenceChunks:
+    """``score_pairs`` and ``embed_texts`` run their distinct rows in order as
+    forwards of at most ``(1 << 20) // (8 * ffn_dim)`` padded tokens, 512 at
+    the default ffn_dim of 256: a forward is cut before the row that would
+    take ``rows × longest row`` past the budget. Rows of one length give the
+    bits of one forward; mixed lengths pad to other widths and agree within
+    rounding. (At ffn_dim 512 and above, OpenBLAS rounds a product with few
+    rows by another path than one with many, so chunks of one length there
+    agree with one forward only within rounding too.)"""
+
+    BUDGET = 512
+
+    @staticmethod
+    def run(tiny_world, monkeypatch, infer, max_len):
+        """The chunked result, the one-forward result over the distinct rows
+        expanded to every text, the rounding bound between them, the distinct
+        rows and the shape of every forward."""
+        dataset, tokenizer, config = tiny_world
+        ckpt = init_checkpoint(dataclasses.replace(config, ffn_dim=256, max_len=max_len), 0,
+                               tokenizer.content_hash())
+        pool = list(dict.fromkeys(d.text for g in dataset.groups for d in g.docs))
+        texts = pool + pool[::7]
+        query = "laku"
+        first = [pool.index(t) for t in texts]
+        if infer == "score_pairs":
+            rows = tokenizer.encode_pairs(query, pool, max_len)
+            ids, mask = pad_token_rows(rows)
+            _, trace = score_cls_batch(ckpt.params, ckpt.config, ids, mask)
+            one_forward = trace.hidden[first] @ ckpt.params.score_w + ckpt.params.score_b
+            bound = 1e-12 * np.abs(trace.hidden).max() * np.abs(ckpt.params.score_w).sum()
+        else:
+            rows = [tokenizer.encode_single(t, max_len).ids for t in pool]
+            ids, mask = pad_token_rows(rows)
+            states, _ = encoder.embed_batch(ckpt.params, ckpt.config, ids, mask)
+            one_forward = states[first]
+            bound = 1e-12 * np.abs(states).max()
+        shapes, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
+                            or forward(p, c, ids, *a, **kw))
+        if infer == "score_pairs":
+            got = training.score_pairs(ckpt, tokenizer, query, texts)
+        else:
+            got = training.embed_texts(ckpt, tokenizer, texts)
+        return got, one_forward, bound, rows, shapes
+
+    def assert_budget_cuts(self, rows, shapes):
+        assert len(shapes) > 1 and sum(b for b, _ in shapes) == len(rows)
+        start = 0
+        for b, length in shapes:
+            assert length == max(map(len, rows[start:start + b]))
+            assert b * length <= self.BUDGET or b == 1
+            start += b
+            if start < len(rows):
+                assert (b + 1) * max(length, len(rows[start])) > self.BUDGET
+
+    @pytest.mark.parametrize("infer, max_len", [("score_pairs", 12), ("embed_texts", 8)])
+    def test_uniform_lengths_match_one_forward_bit_for_bit(self, tiny_world, monkeypatch, infer, max_len):
+        got, one_forward, _, rows, shapes = self.run(tiny_world, monkeypatch, infer, max_len)
+        assert {len(row) for row in rows} == {max_len} and len({tuple(row) for row in rows}) > 1
+        self.assert_budget_cuts(rows, shapes)
+        assert bits_equal(got, one_forward)
+
+    @pytest.mark.parametrize("infer", ["score_pairs", "embed_texts"])
+    def test_mixed_lengths_match_one_forward_up_to_rounding(self, tiny_world, monkeypatch, infer):
+        got, one_forward, bound, rows, shapes = self.run(tiny_world, monkeypatch, infer, max_len=32)
+        assert len({len(row) for row in rows}) > 1
+        self.assert_budget_cuts(rows, shapes)
+        assert np.abs(got - one_forward).max() <= bound
+
+
 class TestDistill:
     def finetuned_teacher(self, tiny_world):
         dataset, tokenizer, config = tiny_world
