@@ -6,9 +6,11 @@
 
 The run takes about a second: a synthetic dataset (24 queries x 8 docs) and
 its BPE tokenizer (vocab 300), masked-token pretraining at mask rates 0.15, 0
-and 1, fine-tuning with each of the four list losses with per-epoch eval,
-distillation from the teacher and from scratch, a store build, and a student
-and a teacher ranking. BLAS threads are pinned to one before numpy loads.
+and 1, the held-out loss and the embeddings of every corpus line (more than
+one forward's budget, so both run in chunks), fine-tuning with each of the
+four list losses with per-epoch eval, distillation from the teacher and from
+scratch, a store build, and a student and a teacher ranking. BLAS threads are
+pinned to one before numpy loads.
 
 The record holds the environment stamp (the fields of perfbench's
 ``environment()`` that decide floating-point results), the blake2 digest of
@@ -95,6 +97,15 @@ def run(workdir: Path) -> dict:
             corpus, tokenizer, config, training.TrainConfig(epochs=2, mask_rate=rate, seed=3))
         record(f"pretrain_mask{rate}", ckpt, history)
         pretrained = pretrained or ckpt
+
+    # Forward only, over lines past CONFIG's budget of 4,096 padded tokens, so
+    # both heads' inference forwards run in chunks.
+    lines = corpus + dataset.corpus_lines(evaluation)
+    heldout = training.evaluate_mlm(pretrained.params, [tokenizer.encode_single(line, config.max_len) for line in lines],
+                                    0.15, [3, 7202])
+    digests["chunked.evaluate_mlm"] = _digest(heldout.hex())
+    values["chunked.evaluate_mlm"] = [heldout]
+    digests["chunked.embed_texts"] = _digest(training.embed_texts(pretrained, tokenizer, lines).tobytes())
 
     teacher = None
     for loss in training.LOSS_NAMES:

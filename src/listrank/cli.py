@@ -38,7 +38,8 @@ from .dataset import (  # noqa: E402
     save_dataset,
 )
 from .encoder import EncoderConfig  # noqa: E402
-from .errors import ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError  # noqa: E402
+from .errors import (  # noqa: E402
+    VALUE_TYPES, ConfigurationError, InvalidInputError, ListRankError, MissingIdError, StoreError)
 from .metrics import mean_ndcg, metrics_to_csv, MetricRow  # noqa: E402
 from .serve import (  # noqa: E402
     benchmark_latency,
@@ -96,22 +97,13 @@ def _add_opts(parser, opts):
             parser.add_argument(o.flag, type=o.kind, default=None, choices=o.choices, help=o.help)
 
 
+_KIND_NAMES = {"bool": "a boolean", "int": "an integer", "float": "a number", "str": "a string"}
+
+
 def _config_value(key, value, kind):
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"config key {key!r} must be a boolean")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"config key {key!r} must be an integer")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"config key {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigurationError(f"config key {key!r} must be a string")
-    return value
+    if type(value) not in VALUE_TYPES[kind.__name__]:
+        raise ConfigurationError(f"config key {key!r} must be {_KIND_NAMES[kind.__name__]}")
+    return float(value) if kind is float else value
 
 
 def _resolve(args, opts):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError, ValidationError
+from .errors import EmptyInputError, ParseError, ValidationError, check_field_types
 from .fileio import atomic_write
 
 GRADE_MAX = 4
@@ -152,6 +152,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, ValidationError)
         if self.n_queries < 1:
             raise ValidationError(f"n_queries must be >= 1, got {self.n_queries}")
         if self.list_size < 1:

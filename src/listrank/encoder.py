@@ -33,13 +33,13 @@ so a text can embed to other bits in a batch padded to another length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigurationError, ContractError, EmptyInputError, ValidationError
+from .errors import ConfigurationError, ContractError, EmptyInputError, ValidationError, check_field_types
 from .tokenizer import CLS_ID, PAD_ID
 
 LN_EPS = 1e-5
@@ -60,10 +60,7 @@ class EncoderConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self, ConfigurationError)
         if self.n_layers < 0:
             raise ConfigurationError("n_layers must be >= 0")
         for name in ("n_heads", "model_dim", "ffn_dim", "vocab_size", "max_len"):

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-type rule shared across the package."""
+
+from dataclasses import fields
+
+#: The value types a config value of each declared type takes: a float takes an int, neither a bool.
+VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def check_field_types(config, error) -> None:
+    """Raise ``error`` for the first field of the dataclass ``config`` whose
+    value ``VALUE_TYPES`` refuses for the field's declared type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(value) not in VALUE_TYPES[f.type]:
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
 
 
 class ListRankError(Exception):

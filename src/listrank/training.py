@@ -23,7 +23,8 @@ import numpy as np
 
 from . import encoder as enc
 from .dataset import Dataset, QueryGroup
-from .errors import CheckpointError, ConfigurationError, ContractError, EmptyInputError, NonFiniteError, ValidationError
+from .errors import (CheckpointError, ConfigurationError, ContractError, EmptyInputError, NonFiniteError,
+                     ValidationError, check_field_types)
 from .fileio import FrameFormat, digest, read_framed, write_framed
 from .losses import (
     ListTarget,
@@ -60,6 +61,7 @@ class TrainConfig:
     init_from_teacher: bool = True
 
     def __post_init__(self):
+        check_field_types(self, ConfigurationError)
         if not 0 < self.lr < np.inf:
             raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
@@ -260,15 +262,14 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     """Cross-encoder scores of ``query`` paired with each of ``texts``.
 
     Each distinct text is paired with the query and encoded once, in
-    first-occurrence order, and the pairs run through ``_embed_rows``: pairs
-    that fit its budget give bit for bit the [CLS] states ``score_cls_batch``
-    computes over the distinct rows. Every text gets its text's state before
-    the score head, one product over all of ``texts`` (BLAS rounds its last
-    ``len % 4`` rows on a path of their own). A forward of every pair gives
-    the same states within rounding."""
+    first-occurrence order; the pairs run through ``_embed_rows`` and the
+    score head, and every text gets its text's score, so a repeated text
+    shares its first occurrence's score exactly. Pairs that fit the budget
+    give bit for bit ``score_cls_batch``'s scores of the distinct rows; a
+    forward of every pair gives the same scores within rounding."""
     distinct, index = _first_occurrences(texts)
     rows = tokenizer.encode_pairs(query, distinct, ckpt.config.max_len)
-    return _embed_rows(ckpt, rows)[index] @ ckpt.params.score_w + ckpt.params.score_b
+    return (_embed_rows(ckpt.params, rows) @ ckpt.params.score_w + ckpt.params.score_b)[index]
 
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
@@ -279,14 +280,15 @@ def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     distinct rows, expanded to one per text; a batch of every text gives the
     same rows within rounding."""
     distinct, index = _first_occurrences(texts)
-    return _embed_rows(ckpt, [tokenizer.encode_single(text, ckpt.config.max_len).ids for text in distinct])[index]
+    return _embed_rows(ckpt.params, [tokenizer.encode_single(t, ckpt.config.max_len).ids for t in distinct])[index]
 
 
-def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:
-    """[CLS] states of token id rows, run in order as padded inference
-    forwards over the [CLS] rows. Rows that fit a padded-token budget run as
-    one forward; otherwise a chunk is cut before the row that would take
-    ``rows × longest row`` past the budget, and holds at least one row."""
+def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows) -> np.ndarray:
+    """Last-layer states of token id ``rows`` at the positions ``read`` marks
+    in their padded ids ([CLS] by default), in row-major order. The rows run
+    in order as inference forwards: rows that fit a padded-token budget run
+    as one; otherwise a chunk is cut before the row that would take ``rows ×
+    longest row`` past the budget, and holds at least one row."""
     # The budget keeps a chunk's widest float64 activation (the feed-forward's,
     # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
     # arrays are freed before the next forward; glibc hands the memory of
@@ -297,17 +299,17 @@ def _embed_rows(ckpt: Checkpoint, rows) -> np.ndarray:
     # of 256-512 tokens, and 156k faults and 1.12-1.17 s at 1,024 tokens. The
     # 0-900 holds only once the process has freed a large array; in a fresh
     # process a build at 512 tokens takes 122k-125k faults.
-    budget = (1 << 20) // (8 * ckpt.config.ffn_dim)
+    budget = (1 << 20) // (8 * params.config.ffn_dim)
     if len(rows) <= 1 or len(rows) * max(map(len, rows)) <= budget:
         ids, mask = enc.pad_token_rows(rows)
-        return enc.forward_batch(ckpt.params, ckpt.config, ids, mask, rows=enc._cls_rows(ids))
+        return enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
     chunks, start, longest = [], 0, 0
     for end, n in enumerate(map(len, rows)):
         longest = max(longest, n)
         if end > start and (end + 1 - start) * longest > budget:
-            chunks.append(_embed_rows(ckpt, rows[start:end]))  # fits, or is one row
+            chunks.append(_embed_rows(params, rows[start:end], read))  # fits, or is one row
             start, longest = end, n
-    chunks.append(_embed_rows(ckpt, rows[start:]))
+    chunks.append(_embed_rows(params, rows[start:], read))
     return np.concatenate(chunks)
 
 
@@ -412,52 +414,46 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 # -- masked-token pre-training ----------------------------------------------
 
 
-def _mlm_batch(rows, label_rows):
-    """Padded ``(ids, mask, labels, masked)`` of the id ``rows`` and their label
-    lists as ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past
-    its end); ``masked`` marks the labelled positions."""
+def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
+    """Masked-token loss of the id ``rows`` against their label lists as
+    ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past its end).
+    Returns ``(loss, states, trace)``: ``states``, the hidden states of the
+    labelled positions in row-major order, are what the head scored, and the
+    forward ran the last layer from its queries on them alone."""
     ids, mask = enc.pad_token_rows(rows)
     labels = np.full(ids.shape, UNMASKED, dtype=np.int64)
     for i, row in enumerate(label_rows):
         labels[i, : len(row)] = row
-    return ids, mask, labels, labels != UNMASKED
-
-
-def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
-    """Masked-token loss of the id ``rows`` against ``label_rows`` (see
-    ``_mlm_batch``). Returns ``(loss, states, trace)``: ``states``, the hidden
-    states of the masked positions in row-major order, are what the head
-    scored, and the forward ran the last layer from its queries on them alone."""
-    ids, mask, labels, masked = _mlm_batch(rows, label_rows)
+    masked = labels != UNMASKED
     states, trace = enc.forward_batch(params, config, ids, mask, rows=masked, _keep_trace=True)
     loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
     return loss, states, trace
 
 
-def evaluate_mlm(params: enc.EncoderParams, config: enc.EncoderConfig, seqs, mask_rate: float, mask_seed_base: list) -> float:
+def evaluate_mlm(params: enc.EncoderParams, seqs, mask_rate: float, mask_seed_base: list) -> float:
     """Mean masked-token loss over ``seqs`` with deterministic per-line masks.
 
     Lines where the draw masks nothing are skipped; if that leaves nothing,
     the first maskable position of the first eligible line is masked instead,
     so the evaluation is never empty for a corpus with any real tokens. The
-    forward is an inference forward over the masked positions, so the value
-    is bit for bit the loss ``_mlm_loss`` computes on the same lines.
-    """
-    rows, label_rows = [], []
+    lines' [MASK] positions, the labelled ones, are read through
+    ``_embed_rows``: within its budget, or in chunks of one line length at
+    the default width, the value is bit for bit ``_mlm_loss``'s on the same
+    lines."""
+    rows, labels = [], []
     for li, seq in enumerate(seqs):
-        masked, labels = mask_for_mlm(seq, rate=mask_rate, seed=mask_seed_base + [li])
-        if any(lab != UNMASKED for lab in labels):
+        masked, line_labels = mask_for_mlm(seq, rate=mask_rate, seed=mask_seed_base + [li])
+        if MASK_ID in masked.ids:
             rows.append(masked.ids)
-            label_rows.append(labels)
+            labels += [lab for lab in line_labels if lab != UNMASKED]
     if not rows:
         maskable = ((seq.ids, p) for seq in seqs for p, t in enumerate(seq.ids) if t >= N_SPECIAL)
         ids, p = next(maskable, (None, None))
         if ids is None:
             raise EmptyInputError("evaluation lines contain no maskable tokens")
-        rows, label_rows = [ids[:p] + [MASK_ID] + ids[p + 1 :]], [[UNMASKED] * p + [ids[p]]]
-    ids, mask, labels, masked = _mlm_batch(rows, label_rows)
-    states = enc.forward_batch(params, config, ids, mask, rows=masked)
-    return mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked]).value
+        rows, labels = [ids[:p] + [MASK_ID] + ids[p + 1 :]], [ids[p]]
+    states = _embed_rows(params, rows, lambda ids: ids == MASK_ID)
+    return mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels).value
 
 
 def pretrain_mlm(
@@ -488,7 +484,7 @@ def pretrain_mlm(
     eval_seed_base = [train_config.seed, 7202]
 
     def evaluate(epoch):
-        loss = evaluate_mlm(params, encoder_config, heldout_seqs, train_config.mask_rate, eval_seed_base)
+        loss = evaluate_mlm(params, heldout_seqs, train_config.mask_rate, eval_seed_base)
         return [MetricRow(epoch, "heldout", "mlm", loss, None)]
 
     def step(batch, epoch):

@@ -202,6 +202,18 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(n_queries=1, noise_std=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_queries", 2.5), ("list_size", "30"), ("attribute_vocab_size", 120.0), ("query_token_count", None),
+        ("seed", True), ("noise_std", "0.2"), ("noise_std", False),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        """As in ``EncoderConfig``: an int field takes only an ``int``, a float
+        field an ``int`` or a ``float`` but not a ``bool``. ``n_queries=2.5``
+        used to construct and fail later in ``generate_synthetic``."""
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            SyntheticSpec(**{"n_queries": 2, field: value})
+        assert SyntheticSpec(n_queries=2, noise_std=0).noise_std == 0
+
     @pytest.mark.parametrize("noise_std", [math.inf, math.nan])
     def test_rejects_non_finite_noise(self, noise_std):
         """inf overflowed in the grade rounding; nan skipped the noise, as nan > 0 is false."""

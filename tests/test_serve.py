@@ -354,7 +354,7 @@ class TestEmbeddingChunks:
                 cuts.append((start, end))
                 start, longest = end, len(row)
         cuts.append((start, len(rows)))
-        want = np.concatenate([training._embed_rows(wide, rows[a:b]) for a, b in cuts]).astype(np.float32)
+        want = np.concatenate([training._embed_rows(wide.params, rows[a:b]) for a, b in cuts]).astype(np.float32)
         shapes = record_forwards(monkeypatch)
         store = precompute_embeddings(wide, catalog, tokenizer)
         assert len(cuts) > 1

@@ -41,7 +41,7 @@ from listrank.errors import (
     NonFiniteError,
     ValidationError,
 )
-from listrank.tokenizer import CLS_ID, TokenSequence, train_bpe
+from listrank.tokenizer import CLS_ID, MASK_ID, TokenSequence, train_bpe
 from listrank.training import (
     LOSS_NAMES,
     Checkpoint,
@@ -105,6 +105,20 @@ class TestTrainConfig:
         """An infinite rate used to surface as a non-finite gradient after a step."""
         with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite, got inf"):
             TrainConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("distill_pair_cap", 2.5), ("epochs", True),
+        ("init_from_teacher", "no"), ("init_from_teacher", 1), ("lr", "x"), ("approx_alpha", True),
+        ("mask_rate", None),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        """As in ``EncoderConfig``: an int field takes only an ``int``, a float
+        field an ``int`` or a ``float`` but not a ``bool``, a bool field only a
+        ``bool``. ``epochs=2.5`` used to construct, ``lr="x"`` to raise a bare
+        ``TypeError``."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+        assert TrainConfig(lr=1).lr == 1
 
     def test_zero_epochs_allowed(self):
         assert TrainConfig(epochs=0).epochs == 0
@@ -560,7 +574,7 @@ class TestEvaluateMlm:
         dataset, tokenizer, config = tiny_world
         params = init_params(config, seed=0)
         seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:4]]
-        value = evaluate_mlm(params, config, seqs, mask_rate=0.0, mask_seed_base=[0, 1])
+        value = evaluate_mlm(params, seqs, mask_rate=0.0, mask_seed_base=[0, 1])
         assert np.isfinite(value) and value > 0.0
 
     def test_no_maskable_tokens_raises(self, tiny_world):
@@ -568,14 +582,14 @@ class TestEvaluateMlm:
         params = init_params(config, seed=0)
         seqs = [TokenSequence(ids=[CLS_ID])]
         with pytest.raises(EmptyInputError):
-            evaluate_mlm(params, config, seqs, mask_rate=0.5, mask_seed_base=[0, 1])
+            evaluate_mlm(params, seqs, mask_rate=0.5, mask_seed_base=[0, 1])
 
     def test_same_inputs_same_value(self, tiny_world):
         dataset, tokenizer, config = tiny_world
         params = init_params(config, seed=0)
         seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:6]]
-        a = evaluate_mlm(params, config, seqs, mask_rate=0.3, mask_seed_base=[0, 5])
-        b = evaluate_mlm(params, config, seqs, mask_rate=0.3, mask_seed_base=[0, 5])
+        a = evaluate_mlm(params, seqs, mask_rate=0.3, mask_seed_base=[0, 5])
+        b = evaluate_mlm(params, seqs, mask_rate=0.3, mask_seed_base=[0, 5])
         assert a == b
 
 
@@ -722,12 +736,13 @@ class TestScorers:
         dataset, tokenizer, config = tiny_world
         ckpt = init_checkpoint(config, 0, tokenizer.content_hash())
         group = dataset.groups[0]
-        rows = [tokenizer.encode_pair(group.query_text, d.text, config.max_len).ids
-                for d in group.docs]
-        ids, mask = pad_token_rows(rows)
+        texts = [d.text for d in group.docs]
+        distinct = list(dict.fromkeys(texts))
+        ids, mask = pad_token_rows([tokenizer.encode_pair(group.query_text, t, config.max_len).ids for t in distinct])
         expected, _ = score_cls_batch(ckpt.params, config, ids, mask)
         got = make_cross_encoder_scorer(ckpt, tokenizer)(group)
-        np.testing.assert_array_equal(got, expected)
+        assert len(distinct) < len(texts)
+        np.testing.assert_array_equal(got, expected[[distinct.index(t) for t in texts]])
 
     def test_bi_encoder_scorer_is_query_document_dot_product(self, tiny_world):
         dataset, tokenizer, config = tiny_world
@@ -810,6 +825,22 @@ class TestInferenceForwards:
         expected, _ = encoder.embed_batch(ckpt.params, config, ids, mask)
         assert bits_equal(training.embed_texts(ckpt, tokenizer, ["", "", ""]), expected[[0, 0, 0]])
 
+    @staticmethod
+    def evaluate_mlm_lines(monkeypatch, params, seqs, mask_rate):
+        """``evaluate_mlm``'s value, and the lines it forwarded with one label
+        list each, as ``_mlm_loss`` takes them: the flat labels the head
+        scored, placed at the lines' [MASK] positions in row-major order."""
+        lines, scored = [], []
+        embed, loss = training._embed_rows, training.mlm_cross_entropy
+        monkeypatch.setattr(training, "_embed_rows", lambda p, rows, read: lines.append(rows) or embed(p, rows, read))
+        monkeypatch.setattr(training, "mlm_cross_entropy", lambda logits, labels: scored.append(labels)
+                            or loss(logits, labels))
+        value = evaluate_mlm(params, seqs, mask_rate=mask_rate, mask_seed_base=[0, 5])
+        labels = iter(scored[0])
+        label_rows = [[next(labels) if t == MASK_ID else training.UNMASKED for t in row] for row in lines[0]]
+        assert next(labels, None) is None and len(scored) == 1
+        return value, lines[0], label_rows
+
     @pytest.mark.parametrize("mask_rate", [0.0, 0.3])
     def test_evaluate_mlm_equals_mlm_loss(self, tiny_world, monkeypatch, mask_rate):
         """Rate 0 forces exactly one masked position, which keeps the full
@@ -817,10 +848,7 @@ class TestInferenceForwards:
         dataset, tokenizer, config = tiny_world
         params = init_params(config, seed=0)
         seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:20]]
-        batches, build = [], training._mlm_batch
-        monkeypatch.setattr(training, "_mlm_batch", lambda *a: batches.append(a) or build(*a))
-        value = evaluate_mlm(params, config, seqs, mask_rate=mask_rate, mask_seed_base=[0, 5])
-        (rows, label_rows), = batches
+        value, rows, label_rows = self.evaluate_mlm_lines(monkeypatch, params, seqs, mask_rate)
         assert (sum(lab != training.UNMASKED for labels in label_rows for lab in labels) == 1) == (mask_rate == 0.0)
         assert bits_equal(value, training._mlm_loss(params, config, rows, label_rows)[0].value)
 
@@ -864,16 +892,15 @@ class TestInferenceForwards:
 class TestDistinctTexts:
     """``score_pairs`` and ``embed_texts`` encode and forward each distinct
     text once, in first-occurrence order, and give every text its text's
-    [CLS] state before the score head. The result is bit for bit the
-    distinct-row forward, expanded; a forward of every text gives the same
-    states within 1e-12 of the largest state.
+    score or [CLS] state. The result is bit for bit the distinct-row forward
+    and head, expanded, so a repeat shares its first occurrence's bits
+    wherever it lies; a forward of every text gives the same states within
+    1e-12 of the largest state. With the score head run over the expanded
+    states, BLAS scored the last ``len % 4`` rows on a path of their own, and
+    ``tail_repeats``' repeat at row 4 read one ulp off its first occurrence."""
 
-    The score head is one matrix-vector product over the expanded states.
-    BLAS scores its last ``len % 4`` rows on a separate path, so a repeat
-    gets its first occurrence's score bit for bit only where neither lies
-    in that tail; the lists here have none (8 and 4 rows)."""
-
-    PATTERNS = {"repeats": [0, 1, 0, 2, 1, 3, 0, 4], "all_identical": [2, 2, 2, 2]}
+    PATTERNS = {"repeats": [0, 1, 0, 2, 1, 3, 0, 4], "all_identical": [2, 2, 2, 2],
+                "tail_repeats": [4, 5, 6, 7, 6, 4, 5]}
 
     @staticmethod
     def case(tiny_world, pattern):
@@ -900,7 +927,7 @@ class TestDistinctTexts:
         query = "attr1 attr2"
         rows = [tokenizer.encode_pair(query, t, config.max_len).ids for t in distinct]
         ids, mask = pad_token_rows(rows)
-        _, trace = score_cls_batch(ckpt.params, config, ids, mask)
+        distinct_scores, trace = score_cls_batch(ckpt.params, config, ids, mask)
         full_ids, full_mask = pad_token_rows([tokenizer.encode_pair(query, t, config.max_len).ids for t in texts])
         full_scores, full_trace = score_cls_batch(ckpt.params, config, full_ids, full_mask)
         encoded, forwarded = self.spy(monkeypatch, tokenizer)
@@ -909,8 +936,7 @@ class TestDistinctTexts:
 
         assert encoded == [query] + distinct
         assert len(forwarded) == 1 and np.array_equal(forwarded[0], ids)
-        assert bits_equal(scores, trace.hidden[first] @ ckpt.params.score_w + ckpt.params.score_b)
-        assert len(texts) % 4 == 0
+        assert bits_equal(scores, distinct_scores[first])
         for i in range(len(texts)):
             assert scores[i].tobytes() == scores[texts.index(texts[i])].tobytes()
         states = full_trace.hidden
@@ -958,14 +984,15 @@ class TestDistinctTexts:
 
 
 class TestInferenceChunks:
-    """``score_pairs`` and ``embed_texts`` run their distinct rows in order as
-    forwards of at most ``(1 << 20) // (8 * ffn_dim)`` padded tokens, 512 at
-    the default ffn_dim of 256: a forward is cut before the row that would
-    take ``rows × longest row`` past the budget. Rows of one length give the
-    bits of one forward; mixed lengths pad to other widths and agree within
-    rounding. (At ffn_dim 512 and above, OpenBLAS rounds a product with few
-    rows by another path than one with many, so chunks of one length there
-    agree with one forward only within rounding too.)"""
+    """``score_pairs`` and ``embed_texts`` run their distinct rows, and
+    ``evaluate_mlm`` its masked lines, in order as forwards of at most
+    ``(1 << 20) // (8 * ffn_dim)`` padded tokens, 512 at the default ffn_dim
+    of 256: a forward is cut before the row that would take ``rows × longest
+    row`` past the budget. Rows of one length give the bits of one forward;
+    mixed lengths pad to other widths and agree within rounding. (At ffn_dim
+    512 and above, OpenBLAS rounds a product with few rows by another path
+    than one with many, so chunks of one length there agree with one forward
+    only within rounding too.)"""
 
     BUDGET = 512
 
@@ -984,8 +1011,8 @@ class TestInferenceChunks:
         if infer == "score_pairs":
             rows = tokenizer.encode_pairs(query, pool, max_len)
             ids, mask = pad_token_rows(rows)
-            _, trace = score_cls_batch(ckpt.params, ckpt.config, ids, mask)
-            one_forward = trace.hidden[first] @ ckpt.params.score_w + ckpt.params.score_b
+            scores, trace = score_cls_batch(ckpt.params, ckpt.config, ids, mask)
+            one_forward = scores[first]
             bound = 1e-12 * np.abs(trace.hidden).max() * np.abs(ckpt.params.score_w).sum()
         else:
             rows = [tokenizer.encode_single(t, max_len).ids for t in pool]
@@ -1025,6 +1052,26 @@ class TestInferenceChunks:
         assert len({len(row) for row in rows}) > 1
         self.assert_budget_cuts(rows, shapes)
         assert np.abs(got - one_forward).max() <= bound
+
+    @pytest.mark.parametrize("max_len", [8, 32], ids=["uniform", "mixed"])
+    def test_evaluate_mlm_matches_mlm_loss_over_one_forward(self, tiny_world, monkeypatch, max_len):
+        """The held-out loss needs no forward past the budget: its chunks give
+        ``_mlm_loss``'s value over one forward of the same lines, bit for bit
+        for lines of one length and within 1e-12 relative for mixed lengths."""
+        dataset, tokenizer, config = tiny_world
+        params = init_params(dataclasses.replace(config, ffn_dim=256, max_len=max_len), seed=0)
+        seqs = [tokenizer.encode_single(line, max_len) for line in corpus_lines(dataset) * 2]
+        shapes, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
+                            or forward(p, c, ids, *a, **kw))
+        value, rows, label_rows = TestInferenceForwards.evaluate_mlm_lines(monkeypatch, params, seqs, 0.3)
+        assert (len({len(row) for row in rows}) == 1) == (max_len == 8)
+        self.assert_budget_cuts(rows, shapes)
+        one_forward = training._mlm_loss(params, params.config, rows, label_rows)[0].value
+        if max_len == 8:
+            assert bits_equal(value, one_forward)
+        else:
+            assert abs(value - one_forward) <= 1e-12 * abs(one_forward)
 
 
 class TestDistill:
