@@ -26,6 +26,13 @@ One call of ``serve.precompute_embeddings`` is timed the same way:
   It runs after the rank calls have freed their stores, so it times builds
   that take few page faults, not a fresh process's first build.
 
+The store it builds is then written and read back through one file:
+
+- ``save_store_10500``: ``serve.save_store`` of that store, with the size
+  and a digest of the file it writes;
+- ``load_store_10500``: ``serve.load_store`` of that file, with a digest of
+  the vectors it reads, which must agree with the build's.
+
 The student and the teacher are untrained checkpoints at the default encoder
 shape (d=64, 2 layers, FFN 256); the ranked store vectors are seeded float32
 normals, under ids in the synthetic dataset's ``qNNNNN_dNN`` form and in its
@@ -33,21 +40,23 @@ order. ``--src`` names the directory holding the ``listrank`` package to
 time (default: this checkout's ``src``), so two versions can be timed with
 one script. BLAS threads are pinned to one.
 
-For each rank call the record holds the median and quartiles of the wall
-time and of the library's ``latency_ms`` over clean repetitions after a
-warmup, and a digest of the ranking, which must agree between versions that
-compute the same scores. The build holds the wall time, its document and
-distinct text counts, and a digest of the store vectors, which must agree
-between versions that embed the same bytes. Without ``--out`` the record is
-printed. With it, the record is appended to the runs kept under ``--label``
-in ``FILE`` (other labels are kept), and ``across_runs`` is recomputed: for
-each call, the median and range over the runs of their wall and latency
-medians, and every digest seen. A record whose ``code_digest`` differs from
-that of the label's runs starts a new list of runs, so one label never mixes
-two versions of the code. Each run is one process, and the same code's
-medians can differ by 2x between processes on a shared machine, so compare
-versions by runs taken in alternating order, not by one run each. The
-``across_runs`` of every label is then printed.
+The record stamps the environment and the CPU. For each rank call it holds
+the median and quartiles of the wall time and of the library's
+``latency_ms`` over clean repetitions after a warmup, and a digest of the
+ranking, which must agree between versions that compute the same scores. The
+build holds the wall time, its document and distinct text counts, and a
+digest of the store vectors, which must agree between versions that embed
+the same bytes; the store writes and reads hold the wall time and the
+digests named above. Without ``--out`` the record is printed. With it, the
+record is appended to the runs kept under ``--label`` in ``FILE`` (other
+labels are kept), and ``across_runs`` is recomputed: for each call, the
+median and range over the runs of their wall and latency medians, and every
+digest seen. A record whose ``code_digest`` differs from that of the label's
+runs starts a new list of runs, so one label never mixes two versions of the
+code. Each run is one process, and the same code's medians can differ by 2x
+between processes on a shared machine, so compare versions by runs taken in
+alternating order, not by one run each. The ``across_runs`` of every label
+is then printed.
 """
 
 import os
@@ -61,8 +70,10 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import inspect  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -124,8 +135,8 @@ def bench_call(rank, k, native_k: bool) -> dict:
     }
 
 
-def bench_build(build, docs) -> dict:
-    """Time ``build(docs)``, a store build."""
+def bench_build(build, docs) -> tuple[dict, object]:
+    """Time ``build(docs)``, a store build; returns the record and the store."""
     wall, _, store = _timed(lambda: build(docs), BUILD_REPS, lambda s: None)
     return {
         "rows": len(store),
@@ -133,7 +144,33 @@ def bench_build(build, docs) -> dict:
         "store_digest": _digest(store.vectors.tobytes()),
         "repetitions": BUILD_REPS,
         "wall": _quartiles(wall),
+    }, store
+
+
+def bench_store_io(serve, store) -> dict:
+    """Time ``save_store`` of ``store`` and ``load_store`` of the file it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "docs.store")
+        save_wall, _, _ = _timed(lambda: serve.save_store(store, path), REPS, lambda r: None)
+        load_wall, _, loaded = _timed(lambda: serve.load_store(path), REPS, lambda r: None)
+        blob = Path(path).read_bytes()
+    return {
+        "save_store_10500": {"rows": len(store), "bytes": len(blob), "file_digest": _digest(blob),
+                             "repetitions": REPS, "wall": _quartiles(save_wall)},
+        "load_store_10500": {"rows": len(loaded), "store_digest": _digest(loaded.vectors.tobytes()),
+                             "repetitions": REPS, "wall": _quartiles(load_wall)},
     }
+
+
+def _cpu() -> str:
+    """The CPU model, and whether it has the SHA extensions that the file
+    hash runs on (Linux), else ``platform.processor()``."""
+    try:
+        info = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return platform.processor()
+    model = next((line.split(":", 1)[1].strip() for line in info.splitlines() if line.startswith("model name")), "")
+    return f"{model}, {'with' if ' sha_ni' in info else 'without'} sha_ni"
 
 
 def _random_text(rng) -> str:
@@ -147,13 +184,13 @@ def _spread(values) -> dict:
 
 def across_runs(runs) -> dict:
     """Per call: the median and range of the runs' wall and latency medians,
-    and the sorted distinct ranking or store digests the runs recorded."""
+    and the sorted distinct ranking, store or file digests the runs recorded."""
     summary = {}
     for name in runs[-1]["calls"]:
         done = [run["calls"][name] for run in runs if name in run["calls"]]
         summary[name] = {
             "wall_median_ms": _spread([call["wall"]["median_ms"] for call in done]),
-            "digests": sorted({call.get("ranking_digest", call.get("store_digest")) for call in done}),
+            "digests": sorted({next(v for k, v in call.items() if k.endswith("_digest")) for call in done}),
         }
         if all("latency" in call for call in done):
             summary[name]["latency_median_ms"] = _spread([call["latency"]["median_ms"] for call in done])
@@ -211,12 +248,15 @@ def main(argv=None) -> int:
     catalog_tokenizer = train_bpe(corpus_lines(catalog), 1200)
     indexer = training.init_checkpoint(enc.EncoderConfig(vocab_size=catalog_tokenizer.vocab_size), seed=0,
                                        tokenizer_hash=catalog_tokenizer.content_hash())
-    calls["build_10500"] = bench_build(lambda docs: serve.precompute_embeddings(indexer, docs, catalog_tokenizer),
-                                       [d for g in catalog.groups for d in g.docs])
+    calls["build_10500"], store = bench_build(
+        lambda docs: serve.precompute_embeddings(indexer, docs, catalog_tokenizer),
+        [d for g in catalog.groups for d in g.docs])
+    calls.update(bench_store_io(serve, store))
 
     record = {
         "code_digest": _digest(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py")))),
         "environment": environment(THREAD_VARS),
+        "cpu": _cpu(),
         "native_k": native_k,
         "calls": calls,
     }

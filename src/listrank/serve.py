@@ -32,7 +32,7 @@ from .training import (
     score_pairs,
 )
 
-STORE_FORMAT = FrameFormat("store", b"LREMB001", 3, StoreError)
+STORE_FORMAT = FrameFormat("store", b"LREMB001", 4, StoreError)
 
 
 @dataclass
@@ -53,7 +53,7 @@ class EmbeddingStore:
             )
         if not valid_doc_ids(self.doc_ids):
             raise ValidationError("store doc ids must be non-empty strings without a comma or a line break")
-        self._index = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self._index = dict(zip(self.doc_ids, range(len(self.doc_ids))))
         if len(self._index) != len(self.doc_ids):
             _refuse_duplicates(self.doc_ids, "store doc ids")
         self._id_tables = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -38,7 +38,7 @@ from .losses import (
 from .metrics import MetricRow, mean_ndcg
 from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
-CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 3, CheckpointError)
+CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 4, CheckpointError)
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, verifying magic, version, structure, and hash.
 
     Parameters come back as float64 copies of the stored float32 values. The
-    payload is sized from the header's shapes, and the parameters are built
-    only once its length and hash check out, so no header can ask for an
-    allocation its file does not hold.
+    payload is sized from the header's config in closed form over its layer
+    count, and the manifest and the parameters are built only once its length
+    and hash check out, so no header can ask for an allocation or a loop its
+    file does not hold.
     """
 
     def payload_bytes(header):
@@ -212,15 +213,17 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(f"{path}: header field {key!r} must be {kind.__name__}, "
                                       f"got {header[key]!r}")
         try:
-            expected = _manifest(enc.EncoderConfig(**header["encoder_config"]))
+            config = enc.EncoderConfig(**header["encoder_config"])
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise CheckpointError(f"{path}: bad encoder config ({exc})") from exc
-        _check_manifest(path, header["manifest"], expected)
-        return sum(entry["size"] for entry in expected)
+        fixed, one_layer = (sum(math.prod(shape) for _, shape in enc.param_layout(replace(config, n_layers=k)))
+                            for k in (0, 1))
+        return 4 * (fixed + config.n_layers * (one_layer - fixed))
 
     header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
-    params = enc.EncoderParams(enc.EncoderConfig(**header["encoder_config"]),
-                               np.frombuffer(payload, dtype="<f4").astype(np.float64))
+    config = enc.EncoderConfig(**header["encoder_config"])
+    _check_manifest(path, header["manifest"], _manifest(config))
+    params = enc.EncoderParams(config, np.frombuffer(payload, dtype="<f4").astype(np.float64))
     return Checkpoint(params, header["loss_name"], header["seed"], header["epoch"],
                       header["tokenizer_hash"])
 

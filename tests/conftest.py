@@ -9,12 +9,13 @@ gate can be read off one screen.
 ``bits_equal`` compares float64 arrays bit for bit.
 """
 
-import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+
+from listrank import fileio
 
 _criterion_lines = []
 
@@ -40,7 +41,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def rewrite_header(path, edit):
     """Replace the JSON header of the framed checkpoint or store at ``path``
-    by ``edit(header)`` and re-seal the trailing 8-byte hash, as a crafted
+    by ``edit(header)`` and re-seal the trailing ``fileio.digest``, as a crafted
     file would be: magic (8 bytes), version and header length (``<II``),
     header, payload, hash of every byte before it."""
     with open(path, "rb") as fh:
@@ -48,9 +49,9 @@ def rewrite_header(path, edit):
     (header_len,) = struct.unpack_from("<I", blob, 12)
     header = edit(json.loads(blob[16 : 16 + header_len]))
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len : -8]
+    body = blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len : -fileio.DIGEST_BYTES]
     with open(path, "wb") as fh:
-        fh.write(body + hashlib.blake2b(body, digest_size=8).digest())
+        fh.write(body + fileio.digest(body))
 
 
 def bits_equal(a, b):

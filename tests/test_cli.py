@@ -13,6 +13,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -598,6 +599,19 @@ def test_checkpoint_with_a_mistyped_epoch_fails_with_one_line(pipeline, tmp_path
     assert code == 1
     assert stdout == ""
     assert error_lines(err) == [f"error: {path}: header field 'epoch' must be int, got 'x'"]
+
+
+def test_rank_with_a_version_3_student_fails_with_one_line(pipeline, tmp_path):
+    """A checkpoint of the blake2b-sealed version 3 is refused by its version."""
+    blob = bytearray(Path(pipeline["student"]).read_bytes())
+    blob[8:12] = struct.pack("<I", 3)
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(bytes(blob))
+    code, stdout, err = run_cli(["rank", "--query", "attr1", "--tokenizer", pipeline["tokenizer"],
+                                 "--student", str(path), "--store", pipeline["store"]])
+    assert code == 1
+    assert stdout == ""
+    assert error_lines(err) == [f"error: {path}: unsupported checkpoint version 3 (reader supports 4)"]
 
 
 def test_checkpoint_with_an_edited_loss_name_fails_with_one_line(pipeline, tmp_path):

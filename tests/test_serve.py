@@ -390,14 +390,15 @@ class TestStoreFiles:
             load_store(path)
 
     def test_unsupported_version_raises_format_error(self, tmp_path):
-        """Version 1 files, whose hash covered the vectors only, are refused too."""
+        """Version 1 files, whose hash covered the vectors only, and version 3
+        files, sealed with blake2b, are refused too."""
         path = tmp_path / "x.store"
-        for version in (1, 42):
+        for version in (1, 3, 42):
             save_store(tiny_store(), path)
             blob = bytearray(path.read_bytes())
             struct.pack_into("<I", blob, 8, version)
             path.write_bytes(bytes(blob))
-            with pytest.raises(StoreError, match=fr"unsupported store version {version} \(reader supports 3\)$"):
+            with pytest.raises(StoreError, match=fr"unsupported store version {version} \(reader supports 4\)$"):
                 load_store(path)
 
     def test_truncated_payload_raises_format_error(self, tmp_path):

@@ -301,7 +301,7 @@ class TestCheckpointFiles:
             b[8:12] = struct.pack("<I", 99)
 
         path = self.corrupt(tmp_path, bump)
-        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 99 \(reader supports 3\)$"):
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 99 \(reader supports 4\)$"):
             load_checkpoint(path)
 
     def test_truncation_raises_truncated_error(self, tmp_path):
@@ -368,12 +368,13 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="the header implies"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("with_manifest, message", [(False, "manifest entry 1 is"), (True, "the header implies")])
-    def test_shape_past_the_address_space_is_refused_without_allocating(self, tmp_path, with_manifest, message):
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    def test_shape_past_the_address_space_is_refused_without_allocating(self, tmp_path, with_manifest):
         """A re-sealed header that asks for ``max_len`` 10**15 (64 PB of
-        float64 position embeddings) is refused by its manifest or by the
-        file's length; the parameters were built before those checks and
-        failed with a numpy allocation error."""
+        float64 position embeddings) is refused by the file's length, with
+        or without a manifest to match, before the manifest is compared; the
+        parameters were built before those checks and failed with a numpy
+        allocation error."""
         max_len = 10**15
 
         def grow(header):
@@ -390,18 +391,36 @@ class TestCheckpointFiles:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         rewrite_header(path, grow)
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(CheckpointError, match="the header implies"):
+            load_checkpoint(path)
+
+    def test_layer_count_past_the_file_is_refused_before_any_manifest(self, tmp_path, monkeypatch):
+        """A re-sealed header that asks for a million layers is refused by
+        the file's length, sized in closed form, before any manifest is
+        built: building one from that header ran for 18 s and ran out of
+        memory."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        rewrite_header(path, lambda h: dict(h, encoder_config=dict(h["encoder_config"], n_layers=10**6)))
+
+        def refuse(config):
+            raise AssertionError(f"manifest built for {config.n_layers} layers")
+
+        monkeypatch.setattr(training, "_manifest", refuse)
+        size = path.stat().st_size
+        with pytest.raises(CheckpointError, match=fr"{size} bytes, the header implies \d+$"):
             load_checkpoint(path)
 
     def test_version_1_file_is_refused_by_name(self, tmp_path):
-        """Version 1 files, whose hash covered the payload only, and version 2
-        files, whose encoder config named a pooling, are refused."""
-        for version in (1, 2):
+        """Version 1 files, whose hash covered the payload only, version 2
+        files, whose encoder config named a pooling, and version 3 files,
+        sealed with blake2b, are refused."""
+        for version in (1, 2, 3):
             def downgrade(b):
                 b[8:12] = struct.pack("<I", version)
 
             path = self.corrupt(tmp_path, downgrade)
-            message = fr"unsupported checkpoint version {version} \(reader supports 3\)$"
+            message = fr"unsupported checkpoint version {version} \(reader supports 4\)$"
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(path)
 
