@@ -48,6 +48,13 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+#: The most parameters an encoder may hold: training keeps 32 bytes of each
+#: (the float64 value, its gradient and Adam's two moments), so 2**27 of them
+#: fill 4 GiB. Every shape field enters the count, so no field needs a bound
+#: of its own, and a shape past it is refused before anything is allocated.
+MAX_PARAMS = 1 << 27
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Shape of the encoder; defaults are the desk-scale configuration."""
@@ -70,16 +77,18 @@ class EncoderConfig:
             raise ConfigurationError(
                 f"model_dim {self.model_dim} is not divisible by n_heads {self.n_heads}"
             )
+        if (n_params := param_count(self)) > MAX_PARAMS:
+            raise ConfigurationError(f"the encoder shape holds {n_params} parameters, "
+                                     f"more than the {MAX_PARAMS} that training fits in 4 GiB")
 
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.n_heads
 
 
-def param_layout(config: EncoderConfig) -> list:
-    """``(name, shape)`` of every parameter array, in the order they tile
-    ``EncoderParams.flat``; the optimizer, checkpoints and gradient checks
-    all use this order."""
+def _layout_tables(config: EncoderConfig) -> tuple:
+    """``(name, shape)`` of the arrays before the blocks, of one block's, and
+    of those after the blocks."""
     d, f = config.model_dim, config.ffn_dim
     layer = (
         ("w_q", (d, d)), ("b_q", (d,)), ("w_k", (d, d)), ("b_k", (d,)),
@@ -87,11 +96,25 @@ def param_layout(config: EncoderConfig) -> list:
         ("ln1_scale", (d,)), ("ln1_offset", (d,)), ("w_ffn1", (d, f)), ("b_ffn1", (f,)),
         ("w_ffn2", (f, d)), ("b_ffn2", (d,)), ("ln2_scale", (d,)), ("ln2_offset", (d,)),
     )
-    return (
-        [("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d))]
-        + [(f"layer{i}.{name}", shape) for i in range(config.n_layers) for name, shape in layer]
-        + [("score_w", (d,)), ("score_b", ()), ("mlm_bias", (config.vocab_size,))]
-    )
+    head = (("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d)))
+    tail = (("score_w", (d,)), ("score_b", ()), ("mlm_bias", (config.vocab_size,)))
+    return head, layer, tail
+
+
+def param_layout(config: EncoderConfig) -> list:
+    """``(name, shape)`` of every parameter array, in the order they tile
+    ``EncoderParams.flat``; the optimizer, checkpoints and gradient checks
+    all use this order."""
+    head, layer, tail = _layout_tables(config)
+    return [*head, *((f"layer{i}.{name}", shape) for i in range(config.n_layers) for name, shape in layer), *tail]
+
+
+def param_count(config: EncoderConfig) -> int:
+    """The number of values ``param_layout`` tiles, in closed form over the
+    layer count (its tables' sizes, fixed + n_layers × one block), so no
+    shape asks for a loop or an allocation."""
+    head, layer, tail = (sum(math.prod(shape) for _, shape in table) for table in _layout_tables(config))
+    return head + tail + config.n_layers * layer
 
 
 class EncoderParams:

@@ -238,27 +238,29 @@ def margin_mse_loss(teacher_pos, teacher_neg, student_pos, student_neg) -> LossO
     return LossOutput(value, np.stack([d_pos, -d_pos]))
 
 
-def mlm_cross_entropy(logits, labels) -> LossOutput:
-    """Mean -log p(actual token) over masked positions; grad is wrt logits."""
+def mlm_token_nll(logits, labels) -> tuple:
+    """-log p(actual token) per masked position, and the row-wise log-softmax."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ValidationError("logits must be [positions, vocab]")
     if logits.shape[0] == 0:
-        raise EmptyInputError("mlm_cross_entropy called with no masked positions")
+        raise EmptyInputError("masked-token loss called with no masked positions")
     if labels.shape != (logits.shape[0],):
         raise ValidationError("one label is required per logit row")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValidationError("label id outside vocabulary")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    n = logits.shape[0]
-    value = float(-log_probs[np.arange(n), labels].mean())
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(logits.shape[0]), labels], log_probs
+
+
+def mlm_cross_entropy(logits, labels) -> LossOutput:
+    """Mean -log p(actual token) over masked positions; grad is wrt logits."""
+    nll, log_probs = mlm_token_nll(logits, labels)
     grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return LossOutput(value, grad)
+    grad[np.arange(nll.size), labels] -= 1.0
+    return LossOutput(float(nll.mean()), grad / nll.size)
 
 
 # -- verification -----------------------------------------------------------

@@ -303,6 +303,10 @@ def _stats(latencies) -> LatencyStats:
     )
 
 
+#: The most queries, warmup included, one ``benchmark_latency`` run draws.
+MAX_BENCH_QUERIES = 100_000
+
+
 def benchmark_workload(dataset: Dataset, n_queries: int, list_size: int, seed: int, warmup: int):
     """Deterministic query sample: (query_text, documents) tuples, warmup
     items first. Groups are drawn with replacement so any n_queries works."""
@@ -333,7 +337,12 @@ def benchmark_latency(
 
     The teacher ranks the whole workload, then the student does, each in a
     loop of its own, as a server running one model would. The first
-    ``warmup`` queries are run but excluded from statistics.
+    ``warmup`` queries are run but excluded from statistics. The workload is
+    drawn whole before any query runs, and both systems rank every query, so
+    ``warmup + n_queries`` past ``MAX_BENCH_QUERIES`` is refused: at about
+    3 ms per teacher rank of 30 (2-vCPU x86-64), 100,000 queries already
+    take the teacher five minutes, and at 3·10**9 the draw alone asked for
+    22.4 GiB.
     """
     if n_queries < 30:
         raise ConfigurationError("n_queries must be >= 30 for stable statistics")
@@ -343,6 +352,8 @@ def benchmark_latency(
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if warmup < 0:
         raise ConfigurationError(f"warmup must be non-negative, got {warmup}")
+    if warmup + n_queries > MAX_BENCH_QUERIES:
+        raise ConfigurationError(f"warmup + n_queries must be at most {MAX_BENCH_QUERIES}, got {warmup + n_queries}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
     teacher_ms = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -33,6 +33,7 @@ from .losses import (
     listnet_loss,
     margin_mse_loss,
     mlm_cross_entropy,
+    mlm_token_nll,
     ranknet_loss,
 )
 from .metrics import MetricRow, mean_ndcg
@@ -216,9 +217,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             config = enc.EncoderConfig(**header["encoder_config"])
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise CheckpointError(f"{path}: bad encoder config ({exc})") from exc
-        fixed, one_layer = (sum(math.prod(shape) for _, shape in enc.param_layout(replace(config, n_layers=k)))
-                            for k in (0, 1))
-        return 4 * (fixed + config.n_layers * (one_layer - fixed))
+        return 4 * enc.param_count(config)
 
     header, payload = read_framed(path, CKPT_FORMAT, payload_bytes)
     config = enc.EncoderConfig(**header["encoder_config"])
@@ -272,7 +271,7 @@ def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np
     forward of every pair gives the same scores within rounding."""
     distinct, index = _first_occurrences(texts)
     rows = tokenizer.encode_pairs(query, distinct, ckpt.config.max_len)
-    return (_embed_rows(ckpt.params, rows) @ ckpt.params.score_w + ckpt.params.score_b)[index]
+    return (np.concatenate([*_embed_rows(ckpt.params, rows)]) @ ckpt.params.score_w + ckpt.params.score_b)[index]
 
 
 def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
@@ -283,15 +282,19 @@ def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     distinct rows, expanded to one per text; a batch of every text gives the
     same rows within rounding."""
     distinct, index = _first_occurrences(texts)
-    return _embed_rows(ckpt.params, [tokenizer.encode_single(t, ckpt.config.max_len).ids for t in distinct])[index]
+    rows = [tokenizer.encode_single(t, ckpt.config.max_len).ids for t in distinct]
+    return np.concatenate([*_embed_rows(ckpt.params, rows)])[index]
 
 
-def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows) -> np.ndarray:
+def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows):
     """Last-layer states of token id ``rows`` at the positions ``read`` marks
-    in their padded ids ([CLS] by default), in row-major order. The rows run
-    in order as inference forwards: rows that fit a padded-token budget run
-    as one; otherwise a chunk is cut before the row that would take ``rows ×
-    longest row`` past the budget, and holds at least one row."""
+    in their padded ids ([CLS] by default), in row-major order, yielded per
+    chunk of rows. Each chunk runs as one inference forward, cut before the
+    row that would take ``rows × longest row`` past a padded-token budget and
+    holding at least one row, so rows that fit the budget run as one. A head
+    run per chunk can round otherwise than one product over every row: the
+    tied head where ``evaluate_mlm`` says, the score head in each chunk's
+    last ``len % 4`` scores, so ``score_pairs`` runs it on all chunks' states."""
     # The budget keeps a chunk's widest float64 activation (the feed-forward's,
     # ffn_dim wide) within 1 MiB: 512 tokens at the default width. A chunk's
     # arrays are freed before the next forward; glibc hands the memory of
@@ -303,17 +306,15 @@ def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows) -> np.ndarr
     # 0-900 holds only once the process has freed a large array; in a fresh
     # process a build at 512 tokens takes 122k-125k faults.
     budget = (1 << 20) // (8 * params.config.ffn_dim)
-    if len(rows) <= 1 or len(rows) * max(map(len, rows)) <= budget:
-        ids, mask = enc.pad_token_rows(rows)
-        return enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
-    chunks, start, longest = [], 0, 0
+    starts, longest = [0], 0
     for end, n in enumerate(map(len, rows)):
         longest = max(longest, n)
-        if end > start and (end + 1 - start) * longest > budget:
-            chunks.append(_embed_rows(params, rows[start:end], read))  # fits, or is one row
-            start, longest = end, n
-    chunks.append(_embed_rows(params, rows[start:], read))
-    return np.concatenate(chunks)
+        if end > starts[-1] and (end + 1 - starts[-1]) * longest > budget:
+            starts.append(end)
+            longest = n
+    for start, end in zip(starts, starts[1:] + [len(rows)]):
+        ids, mask = enc.pad_token_rows(rows[start:end])
+        yield enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
 
 
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):
@@ -417,20 +418,15 @@ def _train(params: enc.EncoderParams, train_config: TrainConfig, n_items: int, s
 # -- masked-token pre-training ----------------------------------------------
 
 
-def _mlm_loss(params: enc.EncoderParams, config: enc.EncoderConfig, rows, label_rows):
-    """Masked-token loss of the id ``rows`` against their label lists as
-    ``mask_for_mlm`` returns them (a short list is ``UNMASKED`` past its end).
-    Returns ``(loss, states, trace)``: ``states``, the hidden states of the
-    labelled positions in row-major order, are what the head scored, and the
-    forward ran the last layer from its queries on them alone."""
+def _mlm_loss(params: enc.EncoderParams, rows, labels):
+    """Masked-token loss of the id ``rows`` at their [MASK] positions, against
+    one label per [MASK] in row-major order. Returns ``(loss, states,
+    trace)``: ``states``, the hidden states of those positions in the same
+    order, are what the head scored, and the forward ran the last layer from
+    its queries on them alone."""
     ids, mask = enc.pad_token_rows(rows)
-    labels = np.full(ids.shape, UNMASKED, dtype=np.int64)
-    for i, row in enumerate(label_rows):
-        labels[i, : len(row)] = row
-    masked = labels != UNMASKED
-    states, trace = enc.forward_batch(params, config, ids, mask, rows=masked, _keep_trace=True)
-    loss = mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels[masked])
-    return loss, states, trace
+    states, trace = enc.forward_batch(params, params.config, ids, mask, rows=ids == MASK_ID, _keep_trace=True)
+    return mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels), states, trace
 
 
 def evaluate_mlm(params: enc.EncoderParams, seqs, mask_rate: float, mask_seed_base: list) -> float:
@@ -440,9 +436,17 @@ def evaluate_mlm(params: enc.EncoderParams, seqs, mask_rate: float, mask_seed_ba
     the first maskable position of the first eligible line is masked instead,
     so the evaluation is never empty for a corpus with any real tokens. The
     lines' [MASK] positions, the labelled ones, are read through
-    ``_embed_rows``: within its budget, or in chunks of one line length at
-    the default width, the value is bit for bit ``_mlm_loss``'s on the same
-    lines."""
+    ``_embed_rows``, and each chunk's tied-head logits become its positions'
+    losses before the next chunk runs, so no logits span more than one chunk.
+    Within the budget the value is bit for bit ``_mlm_loss``'s on the same
+    lines. Past it, a chunk's logits can round otherwise than the same rows
+    of one product over every chunk. Random ``(M, 64) @ (64, V)`` against the
+    same rows of a 3,000-row product (one BLAS thread, OpenBLAS 0.3.31
+    Haswell): a one-row product differed in 473-511 of 604 columns, a larger
+    one only in the last ``V % 8`` columns of its last 25 rows or fewer, and
+    at ``V % 8 == 0`` nowhere. At 7,440 held-out lines of the acceptance
+    shape (V = 604), 180 of the 4,409 masked rows in 35 chunks had other
+    logit bits there, and every row kept the one-product loss bits."""
     rows, labels = [], []
     for li, seq in enumerate(seqs):
         masked, line_labels = mask_for_mlm(seq, rate=mask_rate, seed=mask_seed_base + [li])
@@ -455,8 +459,10 @@ def evaluate_mlm(params: enc.EncoderParams, seqs, mask_rate: float, mask_seed_ba
         if ids is None:
             raise EmptyInputError("evaluation lines contain no maskable tokens")
         rows, labels = [ids[:p] + [MASK_ID] + ids[p + 1 :]], [ids[p]]
-    states = _embed_rows(params, rows, lambda ids: ids == MASK_ID)
-    return mlm_cross_entropy(enc.mlm_logits_batch(params, states), labels).value
+    labels = iter(labels)  # each chunk's head takes the next len(states) labels
+    nll = [mlm_token_nll(enc.mlm_logits_batch(params, states), np.fromiter(labels, np.int64, len(states)))[0]
+           for states in _embed_rows(params, rows, lambda ids: ids == MASK_ID)]
+    return float(np.concatenate(nll).mean())
 
 
 def pretrain_mlm(
@@ -491,16 +497,16 @@ def pretrain_mlm(
         return [MetricRow(epoch, "heldout", "mlm", loss, None)]
 
     def step(batch, epoch):
-        rows, label_rows = [], []
+        rows, labels = [], []
         for li in train_idx[batch]:
-            masked_seq, labels = mask_for_mlm(
+            masked_seq, line_labels = mask_for_mlm(
                 seqs[li], rate=train_config.mask_rate, seed=[train_config.seed, 7204, epoch, int(li)]
             )
             rows.append(masked_seq.ids)
-            label_rows.append(labels)
-        if all(lab == UNMASKED for labels in label_rows for lab in labels):
+            labels += [lab for lab in line_labels if lab != UNMASKED]
+        if not labels:
             return None
-        out, states, trace = _mlm_loss(params, encoder_config, rows, label_rows)
+        out, states, trace = _mlm_loss(params, rows, labels)
 
         def finish():
             grads = enc.backward_batch(params, encoder_config, trace, out.grad @ params.tok_emb)

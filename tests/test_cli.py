@@ -693,6 +693,22 @@ def test_negative_warmup_fails_with_one_line(pipeline, warmup):
     assert error_lines(err) == [f"error: warmup must be non-negative, got {warmup}"]
 
 
+@pytest.mark.parametrize("command, flag, pattern", [
+    ("pretrain", "--dim", r"the encoder shape holds \d+ parameters, more than the 134217728 that training fits"
+                          r" in 4 GiB"),
+    ("bench", "--n-queries", r"warmup \+ n_queries must be at most 100000, got 100000000000000000010"),
+], ids=["pretrain-dim", "bench-n-queries"])
+def test_size_past_the_bound_fails_with_one_line(pipeline, tmp_path, command, flag, pattern):
+    """Both ended in numpy's "maximum allowed dimension exceeded" traceback;
+    each is refused before anything of that size is built."""
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(_seeded_commands(pipeline, str(out))[command] + [flag, "100000000000000000000"])
+    assert code == 1
+    assert stdout == ""
+    assert len(error_lines(err)) == 1 and re.fullmatch(f"error: {pattern}", error_lines(err)[0])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("train", "--lr", "inf", "lr must be positive and finite, got inf"),
     ("train", "--alpha", "inf", "approx_alpha must be positive and finite, got inf"),

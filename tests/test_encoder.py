@@ -16,6 +16,7 @@ from scipy.special import erf
 from listrank import encoder, training
 from listrank.encoder import (
     LN_EPS,
+    MAX_PARAMS,
     EncoderConfig,
     _affine,
     _gelu,
@@ -29,13 +30,14 @@ from listrank.encoder import (
     init_params,
     mlm_logits_batch,
     pad_token_rows,
+    param_count,
     param_layout,
     score_cls_backward,
     score_cls_batch,
     zeros_like_params,
 )
 from listrank.errors import ConfigurationError, ContractError, EmptyInputError, ValidationError
-from listrank.tokenizer import CLS_ID, PAD_ID, UNMASKED, TokenSequence
+from listrank.tokenizer import CLS_ID, MASK_ID, PAD_ID, TokenSequence
 
 TINY = EncoderConfig(n_layers=1, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=5)
 TINY_ROWS = [[CLS_ID, 7, 12, 9, 6], [CLS_ID, 5, 18], [CLS_ID, 11, 6, 13]]
@@ -75,6 +77,31 @@ class TestEncoderConfig:
 
     def test_head_dim(self):
         assert EncoderConfig(n_heads=4, model_dim=64).head_dim == 16
+
+    @pytest.mark.parametrize("field, value", [
+        ("model_dim", 10**20), ("n_layers", 3 * 10**9), ("n_layers", 10**20), ("ffn_dim", 3 * 10**9),
+        ("max_len", 3 * 10**9),
+    ])
+    def test_shape_past_the_parameter_bound_rejected(self, monkeypatch, field, value):
+        """From the CLI, ``--dim`` 10**20 ended in a numpy traceback, 3·10**9
+        layers were killed for memory, 10**20 layers hung in ``param_layout``,
+        and ``--ffn-dim`` or ``--max-len`` 3·10**9 failed to allocate. The
+        count is closed form, so the refusal builds no layout."""
+        monkeypatch.setattr(encoder, "param_layout", lambda config: pytest.fail("layout built"))
+        with pytest.raises(ConfigurationError, match=rf"holds \d+ parameters, more than the {MAX_PARAMS} "):
+            EncoderConfig(**{field: value})
+
+    def test_parameter_bound_is_inclusive(self):
+        """With every other field at its default, ``max_len`` moves the count
+        by ``model_dim``: the largest that fits is built, one more is refused."""
+        fits = EncoderConfig().max_len + (MAX_PARAMS - param_count(EncoderConfig())) // 64
+        assert param_count(EncoderConfig(max_len=fits)) <= MAX_PARAMS
+        with pytest.raises(ConfigurationError, match="parameters"):
+            EncoderConfig(max_len=fits + 1)
+
+    @pytest.mark.parametrize("config", [TINY, EncoderConfig(), EncoderConfig(n_layers=0, vocab_size=5)])
+    def test_param_count_is_the_layout_size(self, config):
+        assert param_count(config) == sum(math.prod(shape) for _, shape in param_layout(config))
 
 
 class TestInitParams:
@@ -572,12 +599,12 @@ def _full_path(params, config, ids, mask, rows, d_states):
 
 
 def _mlm_lines(ids, mask, rows, seed):
-    """Id lines and label lines of the padded batch, with a random label at
-    each selected row, as ``training._mlm_loss`` takes them."""
-    labels = np.where(rows, np.random.default_rng(seed).integers(4, 300, size=ids.shape), UNMASKED)
-    lengths = mask.sum(axis=1)
-    return ([ids[i, :n].tolist() for i, n in enumerate(lengths)],
-            [labels[i, :n].tolist() for i, n in enumerate(lengths)])
+    """The padded batch with [MASK] at each selected row, its id lines, and a
+    random label for each selected row in row-major order, as
+    ``training._mlm_loss`` takes them."""
+    labels = np.random.default_rng(seed).integers(4, 300, size=ids.shape)[rows]
+    ids = np.where(rows, MASK_ID, ids)
+    return ids, [ids[i, :n].tolist() for i, n in enumerate(mask.sum(axis=1))], labels
 
 
 class TestTrainingRows:
@@ -638,7 +665,8 @@ class TestTrainingRows:
             assert per_sequence.max() >= 2 and (mask == 0).any()
         else:
             assert per_sequence.sum() == 1
-        loss, states, trace = training._mlm_loss(params, config, *_mlm_lines(ids, mask, rows, seed=batch))
+        ids, lines, labels = _mlm_lines(ids, mask, rows, seed=batch)
+        loss, states, trace = training._mlm_loss(params, lines, labels)
         d_states = loss.grad @ params.tok_emb
         want, picked = _full_path(params, config, ids, mask, rows, d_states)
         assert_states_close(states, picked)
@@ -653,13 +681,13 @@ class TestTrainingRows:
         rng = np.random.default_rng(41)
         for name, arr in params.named_arrays():
             arr[...] = 1.0 + 0.2 * rng.standard_normal(arr.shape) if name.endswith("scale") else 0.5 * rng.standard_normal(arr.shape)
-        lines = [[CLS_ID, 7, 12, 3, 9, 4], [CLS_ID, 5, 18], [CLS_ID, 2, 6, 11]]
-        labels = [[UNMASKED, 3, UNMASKED, 17, 8], [UNMASKED, UNMASKED, 9], [UNMASKED, 14, 6]]
+        lines = [[CLS_ID, MASK_ID, 12, MASK_ID, MASK_ID, 4], [CLS_ID, 5, MASK_ID], [CLS_ID, MASK_ID, MASK_ID, 11]]
+        labels = [3, 17, 8, 9, 14, 6]
 
         def objective():
-            return training._mlm_loss(params, config, lines, labels)[0].value
+            return training._mlm_loss(params, lines, labels)[0].value
 
-        loss, states, trace = training._mlm_loss(params, config, lines, labels)
+        loss, states, trace = training._mlm_loss(params, lines, labels)
         assert len(states) == 6 and trace.layers[-1].slots is not None and trace.rows.sum() == 6
         grads = backward_batch(params, config, trace, loss.grad @ params.tok_emb)
         grads.tok_emb += loss.grad.T @ states
@@ -706,7 +734,8 @@ class TestInferenceEqualsTraining:
             assert bits_equal(training.score_pairs(ckpt, tokenizer, "q", range(batch)), scores)
         else:  # a masked-token batch needs a masked position, so the last real one is added
             rows |= _rows("one", mask, seed=0)
-            _, states, trace = training._mlm_loss(params, config, *_mlm_lines(ids, mask, rows, seed=batch))
+            ids, lines, labels = _mlm_lines(ids, mask, rows, seed=batch)
+            _, states, trace = training._mlm_loss(params, lines, labels)
             assert bits_equal(forward_batch(params, config, ids, mask, rows=rows), states)
         n_rows = np.count_nonzero(rows)
         assert np.array_equal(trace.rows, rows)

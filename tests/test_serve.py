@@ -354,7 +354,8 @@ class TestEmbeddingChunks:
                 cuts.append((start, end))
                 start, longest = end, len(row)
         cuts.append((start, len(rows)))
-        want = np.concatenate([training._embed_rows(wide.params, rows[a:b]) for a, b in cuts]).astype(np.float32)
+        want = np.concatenate([states for a, b in cuts for states in training._embed_rows(wide.params, rows[a:b])])
+        want = want.astype(np.float32)
         shapes = record_forwards(monkeypatch)
         store = precompute_embeddings(wide, catalog, tokenizer)
         assert len(cuts) > 1
@@ -854,6 +855,16 @@ class TestBenchmarkLatency:
                 teacher, student, store, dataset, tokenizer,
                 n_queries=30, list_size=0, seed=0, warmup=0,
             )
+
+    @pytest.mark.parametrize("n_queries, warmup", [(10**20, 10), (serve.MAX_BENCH_QUERIES, 1)])
+    def test_workload_past_the_bound_rejected_before_the_draw(self, world, store, monkeypatch, n_queries, warmup):
+        """10**20 queries ended in numpy's dimension error, 3·10**9 in an
+        allocation error, both inside the draw; the warmup counts too."""
+        dataset, tokenizer, teacher, student, _ = world
+        monkeypatch.setattr(serve, "benchmark_workload", lambda *args: pytest.fail("workload drawn"))
+        with pytest.raises(ConfigurationError, match=f"at most {serve.MAX_BENCH_QUERIES}, got {n_queries + warmup}$"):
+            benchmark_latency(teacher, student, store, dataset, tokenizer,
+                              n_queries=n_queries, list_size=4, seed=0, warmup=warmup)
 
 
 class TestBenchmarkReport:

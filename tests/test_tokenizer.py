@@ -5,6 +5,7 @@ byte for byte) is the backbone: it holds for any UTF-8 input including
 text the tokenizer never saw, because unmerged bytes remain encodable.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -47,6 +48,23 @@ class TestSpecialTokens:
 
     def test_text_tokens_start_after_specials(self, tok):
         assert min(tok.token_to_id.values()) == N_SPECIAL
+
+    def test_encode_never_yields_a_special_id(self, tok):
+        """Texts that spell the specials, the control characters at their
+        ids, and a character for each byte value UTF-8 text can hold (all 256
+        but 0xC0, 0xC1 and 0xF5-0xFF, which none holds) encode to text ids
+        alone. So ``ids == MASK_ID`` in a masked line marks exactly the
+        positions ``mask_for_mlm`` labelled, the rule both masked-token heads
+        read by."""
+        carriers = {}
+        for cp in itertools.chain(range(0x800), range(0x800, 0x10000, 0x40), range(0x10000, 0x110000, 0x1000)):
+            if not 0xD800 <= cp < 0xE000:
+                for b in chr(cp).encode("utf-8"):
+                    carriers.setdefault(b, chr(cp))
+        assert set(range(256)) - set(carriers) == {0xC0, 0xC1, *range(0xF5, 0x100)}
+        texts = ["".join(carriers.values()), *carriers.values(), "[MASK] [CLS]", "[PAD][SEP][UNK] <mask>",
+                 "".join(map(chr, range(N_SPECIAL)))]
+        assert all(min(tok.encode(text).ids) >= N_SPECIAL for text in texts)
 
 
 class TestRoundTrip:

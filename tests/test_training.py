@@ -41,7 +41,7 @@ from listrank.errors import (
     NonFiniteError,
     ValidationError,
 )
-from listrank.tokenizer import CLS_ID, MASK_ID, TokenSequence, train_bpe
+from listrank.tokenizer import CLS_ID, MASK_ID, TokenSequence, mask_for_mlm, train_bpe
 from listrank.training import (
     LOSS_NAMES,
     Checkpoint,
@@ -391,7 +391,7 @@ class TestCheckpointFiles:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.fresh(), path)
         rewrite_header(path, grow)
-        with pytest.raises(CheckpointError, match="the header implies"):
+        with pytest.raises(CheckpointError, match=r"bad encoder config \(the encoder shape holds \d+ parameters"):
             load_checkpoint(path)
 
     def test_layer_count_past_the_file_is_refused_before_any_manifest(self, tmp_path, monkeypatch):
@@ -408,7 +408,17 @@ class TestCheckpointFiles:
 
         monkeypatch.setattr(training, "_manifest", refuse)
         size = path.stat().st_size
-        with pytest.raises(CheckpointError, match=fr"{size} bytes, the header implies \d+$"):
+        with pytest.raises(CheckpointError, match=r"bad encoder config \(the encoder shape holds \d+ parameters"):
+            load_checkpoint(path)
+
+    def test_layer_count_within_the_bound_is_refused_by_the_length(self, tmp_path, monkeypatch):
+        """Ten thousand layers pass the parameter bound; the file's length,
+        sized in closed form, refuses them before any manifest is built."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.fresh(), path)
+        rewrite_header(path, lambda h: dict(h, encoder_config=dict(h["encoder_config"], n_layers=10**4)))
+        monkeypatch.setattr(training, "_manifest", lambda config: pytest.fail("manifest built"))
+        with pytest.raises(CheckpointError, match=fr"{path.stat().st_size} bytes, the header implies \d+$"):
             load_checkpoint(path)
 
     def test_version_1_file_is_refused_by_name(self, tmp_path):
@@ -846,19 +856,20 @@ class TestInferenceForwards:
 
     @staticmethod
     def evaluate_mlm_lines(monkeypatch, params, seqs, mask_rate):
-        """``evaluate_mlm``'s value, and the lines it forwarded with one label
-        list each, as ``_mlm_loss`` takes them: the flat labels the head
-        scored, placed at the lines' [MASK] positions in row-major order."""
+        """``evaluate_mlm``'s value, and the lines it forwarded with the flat
+        labels the head scored, as ``_mlm_loss`` takes them: one label per
+        [MASK] position of the lines, in row-major order."""
         lines, scored = [], []
-        embed, loss = training._embed_rows, training.mlm_cross_entropy
-        monkeypatch.setattr(training, "_embed_rows", lambda p, rows, read: lines.append(rows) or embed(p, rows, read))
-        monkeypatch.setattr(training, "mlm_cross_entropy", lambda logits, labels: scored.append(labels)
-                            or loss(logits, labels))
-        value = evaluate_mlm(params, seqs, mask_rate=mask_rate, mask_seed_base=[0, 5])
-        labels = iter(scored[0])
-        label_rows = [[next(labels) if t == MASK_ID else training.UNMASKED for t in row] for row in lines[0]]
-        assert next(labels, None) is None and len(scored) == 1
-        return value, lines[0], label_rows
+        forward, nll = encoder.forward_batch, training.mlm_token_nll
+        with monkeypatch.context() as patch:  # records evaluate_mlm's forwards only
+            patch.setattr(encoder, "forward_batch", lambda p, c, ids, mask, **kw: lines.extend(
+                row[keep == 1].tolist() for row, keep in zip(ids, mask)) or forward(p, c, ids, mask, **kw))
+            patch.setattr(training, "mlm_token_nll", lambda logits, labels: scored.append(labels)
+                          or nll(logits, labels))
+            value = evaluate_mlm(params, seqs, mask_rate=mask_rate, mask_seed_base=[0, 5])
+        labels = [lab for chunk in scored for lab in chunk]
+        assert len(labels) == sum(row.count(MASK_ID) for row in lines)
+        return value, lines, labels
 
     @pytest.mark.parametrize("mask_rate", [0.0, 0.3])
     def test_evaluate_mlm_equals_mlm_loss(self, tiny_world, monkeypatch, mask_rate):
@@ -867,9 +878,9 @@ class TestInferenceForwards:
         dataset, tokenizer, config = tiny_world
         params = init_params(config, seed=0)
         seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:20]]
-        value, rows, label_rows = self.evaluate_mlm_lines(monkeypatch, params, seqs, mask_rate)
-        assert (sum(lab != training.UNMASKED for labels in label_rows for lab in labels) == 1) == (mask_rate == 0.0)
-        assert bits_equal(value, training._mlm_loss(params, config, rows, label_rows)[0].value)
+        value, rows, labels = self.evaluate_mlm_lines(monkeypatch, params, seqs, mask_rate)
+        assert (len(labels) == 1) == (mask_rate == 0.0)
+        assert bits_equal(value, training._mlm_loss(params, rows, labels)[0].value)
 
     @pytest.mark.parametrize("infer", [
         lambda ckpt, tokenizer: training.score_pairs(ckpt, tokenizer, "q", []),
@@ -1083,14 +1094,38 @@ class TestInferenceChunks:
         shapes, forward = [], encoder.forward_batch
         monkeypatch.setattr(encoder, "forward_batch", lambda p, c, ids, *a, **kw: shapes.append(ids.shape)
                             or forward(p, c, ids, *a, **kw))
-        value, rows, label_rows = TestInferenceForwards.evaluate_mlm_lines(monkeypatch, params, seqs, 0.3)
+        value, rows, labels = TestInferenceForwards.evaluate_mlm_lines(monkeypatch, params, seqs, 0.3)
         assert (len({len(row) for row in rows}) == 1) == (max_len == 8)
         self.assert_budget_cuts(rows, shapes)
-        one_forward = training._mlm_loss(params, params.config, rows, label_rows)[0].value
+        one_forward = training._mlm_loss(params, rows, labels)[0].value
         if max_len == 8:
             assert bits_equal(value, one_forward)
         else:
             assert abs(value - one_forward) <= 1e-12 * abs(one_forward)
+
+    def test_evaluate_mlm_runs_the_tied_head_per_chunk(self, tiny_world, monkeypatch):
+        """No logits span more than one chunk: the held-out loss scored every
+        masked row in one ``[masked, vocab]`` product, whose memory grew with
+        the held-out set (88 MB above the start at 7,440 lines)."""
+        dataset, tokenizer, config = tiny_world
+        params = init_params(dataclasses.replace(config, ffn_dim=256, max_len=32), seed=0)
+        seqs = [tokenizer.encode_single(line, 32) for line in corpus_lines(dataset) * 2]
+        counts, logits = [], encoder.mlm_logits_batch
+        monkeypatch.setattr(encoder, "mlm_logits_batch", lambda p, states: counts.append(len(states))
+                            or logits(p, states))
+        evaluate_mlm(params, seqs, mask_rate=0.3, mask_seed_base=[0, 5])
+        masked = sum(mask_for_mlm(seq, rate=0.3, seed=[0, 5, li])[0].ids.count(MASK_ID) for li, seq in enumerate(seqs))
+        assert len(counts) > 1 and sum(counts) == masked and max(counts) < masked
+
+    def test_evaluate_mlm_refuses_a_label_outside_the_vocabulary(self, tiny_world):
+        """At rate 1.0 every text token is [MASK], so the forward sees only
+        [CLS] and [MASK] and only the head's label check can refuse the
+        lines' ids past ``vocab_size``."""
+        dataset, tokenizer, config = tiny_world
+        seqs = [tokenizer.encode_single(line, config.max_len) for line in corpus_lines(dataset)[:20]]
+        params = init_params(dataclasses.replace(config, vocab_size=MASK_ID + 1), seed=0)
+        with pytest.raises(ValidationError, match="label id outside vocabulary"):
+            evaluate_mlm(params, seqs, mask_rate=1.0, mask_seed_base=[0, 5])
 
 
 class TestDistill:
