@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one fine-tune step of the encoder and record it in a BENCH file.
+"""Time one fine-tune step of the encoder and BPE training; record both in a BENCH file.
 
     python3 scripts/bench_train_step.py [--src DIR] [--label NAME] [--out FILE]
 
@@ -15,8 +15,16 @@ backward, Adam and whole-step times over clean repetitions, the minor page
 faults per step, and the GELU and layer-norm share of the step, timed in
 separate repetitions by wrapping the encoder's ``_gelu``, ``_gelu_grad``,
 ``_layer_norm`` and ``_layer_norm_backward``. As in ``training._train``,
-each step's trace is freed once the next step's forward has run. Without
-``--out`` the record is printed; with it, the record is stored under
+each step's trace is freed once the next step's forward has run.
+
+``train_bpe`` is timed on two synthetic corpora: the benchmark's
+``train_pipeline`` training part at seed 1 (32 queries, 992 lines) at a
+vocabulary of 1,200, and a 700-query catalog with 4,000 attribute words
+(21,700 lines) at 1,200 and 4,000. Each case records the median and
+quartiles of a few repetitions, the number of merges and the tokenizer's
+content hash, which two versions that train the same tokenizer share.
+
+Without ``--out`` the record is printed; with it, the record is stored under
 ``--label`` in ``FILE`` (other labels are kept).
 """
 
@@ -42,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ((240, 10, 40), (240, 40, 15))  # sequences, tokens, clean repetitions
 KERNELS = ("_gelu", "_gelu_grad", "_layer_norm", "_layer_norm_backward")
 WARMUP = 3
+TRAIN_PIPELINE_CORPUS = dict(n_queries=32, list_size=30, seed=3)  # perfbench's _data(1, 32, 0)
+CATALOG_CORPUS = dict(n_queries=700, list_size=30, attribute_vocab_size=4000, seed=0)
+BPE_CASES = ((TRAIN_PIPELINE_CORPUS, 1200, 9), (CATALOG_CORPUS, 1200, 3), (CATALOG_CORPUS, 4000, 3))
 
 
 def _quartiles(values_s) -> dict:
@@ -118,6 +129,24 @@ def bench_shape(enc, training, n_seqs: int, length: int, reps: int) -> dict:
     }
 
 
+def bench_train_bpe(dataset, tokenizer, spec: dict, vocab_size: int, reps: int) -> dict:
+    lines = dataset.corpus_lines(dataset.generate_synthetic(dataset.SyntheticSpec(**spec)))
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        trained = tokenizer.train_bpe(lines, vocab_size)
+        times.append(time.perf_counter() - t0)
+    return {
+        "corpus": spec,
+        "lines": len(lines),
+        "vocab_size": vocab_size,
+        "repetitions": reps,
+        "merges": len(trained.merges),
+        "content_hash": trained.content_hash(),
+        "train_bpe": _quartiles(times),
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the listrank package")
@@ -129,13 +158,14 @@ def main(argv=None) -> int:
         p.error(f"{src} holds no listrank package")
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from checks import environment
-    from listrank import encoder as enc, training
+    from listrank import dataset, encoder as enc, tokenizer, training
 
     record = {
         "code_digest": hashlib.blake2b(b"".join(f.read_bytes() for f in sorted((src / "listrank").glob("*.py"))),
                                        digest_size=16).hexdigest(),
         "environment": environment(THREAD_VARS),
         "shapes": [bench_shape(enc, training, *shape) for shape in SHAPES],
+        "train_bpe": [bench_train_bpe(dataset, tokenizer, *case) for case in BPE_CASES],
     }
     if args.out is None:
         print(json.dumps(record, indent=1, sort_keys=True))

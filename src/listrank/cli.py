@@ -24,6 +24,7 @@ os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -49,7 +50,7 @@ from .serve import (  # noqa: E402
     rank_with_teacher,
     save_store,
 )
-from .tokenizer import load_tokenizer, train_bpe  # noqa: E402
+from .tokenizer import _piece_counts, load_tokenizer, train_bpe  # noqa: E402
 from .training import (  # noqa: E402
     Checkpoint,
     LOSS_NAMES,
@@ -205,12 +206,15 @@ def _cmd_synth_data(resolved):
 
 def _cmd_tokenize_train(resolved):
     lines = _load_corpus(resolved)
+    start = time.perf_counter()
     tokenizer = train_bpe(lines, resolved["vocab_size"])
+    seconds = time.perf_counter() - start
     tokenizer.save(resolved["out"])
     _progress(
         "tokenize-train",
         f"trained vocab of {tokenizer.vocab_size} tokens "
-        f"({len(tokenizer.merges)} merges, hash {tokenizer.content_hash()}) to {resolved['out']}",
+        f"({len(tokenizer.merges)} merges, hash {tokenizer.content_hash()}) to {resolved['out']} "
+        f"from {len(lines)} lines of {len(_piece_counts(lines))} distinct pieces in {seconds:.3f} s",
     )
     return 0
 

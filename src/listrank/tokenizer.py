@@ -5,13 +5,20 @@ the 256 byte values, until the vocabulary budget is exhausted or no pair
 repeats. Merges never cross whitespace-delimited piece boundaries; a single
 leading space is kept attached to the following word so that encoding is
 lossless and decode(encode(s)) == s for any UTF-8 string.
+
+Training counts the pairs of the distinct pieces once and keeps the counts up
+to date: a merge recounts only the pieces that hold its pair, so its cost
+follows those pieces rather than the corpus. The merge order, the tie-break to
+the smallest pair and the stops are those of recounting every pair per merge.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,16 +225,41 @@ def _check_tables(vocab, merges) -> None:
         raise ParseError("tokenizer merges must be pairs of strings that join to a vocab token")
 
 
-def train_bpe(corpus: list[str], vocab_size: int) -> Tokenizer:
-    """Train a byte-level BPE tokenizer.
+def _piece_counts(corpus: Iterable[str]) -> Counter:
+    """How often each whitespace-delimited piece occurs in ``corpus``: an
+    iterable, not itself a ``str``, of at least one ``str`` line."""
+    if isinstance(corpus, str):
+        raise ValidationError("corpus must be an iterable of lines, not one str")
+    counts = Counter()
+    n_lines = 0
+    for n_lines, line in enumerate(corpus, 1):
+        if not isinstance(line, str):
+            raise ValidationError(f"corpus line {n_lines} is a {type(line).__name__}, not a str")
+        counts.update(_PIECE_RE.findall(line))
+    if not n_lines:
+        raise EmptyInputError("cannot train a tokenizer on an empty corpus")
+    return counts
+
+
+def train_bpe(corpus: Iterable[str], vocab_size: int) -> Tokenizer:
+    """Train a byte-level BPE tokenizer on ``corpus``, an iterable of lines.
 
     Greedy most-frequent-pair merging over whitespace-delimited pieces;
     equal-frequency ties break to the lexicographically smallest pair so
-    retraining is reproducible. Stops early once no adjacent pair occurs
-    twice.
+    retraining is reproducible. Stops once the vocabulary reaches
+    ``vocab_size``, no pair is left, or the most frequent pair occurs once.
+
+    The pair counts are counted once and then kept up to date. Each pair
+    knows the pieces that hold it; a merge subtracts the pairs of only those
+    pieces, merges each of them left to right and adds their new pairs back.
+    The next pair is the top of a max-heap keyed ``(-count, pair)``, where an
+    entry whose count is stale is dropped when it reaches the top. So a merge
+    costs the pieces that hold its pair, not the corpus, and the merges, their
+    order and the vocabulary are those of recounting every pair per merge.
     """
-    if not corpus:
-        raise EmptyInputError("cannot train a tokenizer on an empty corpus")
+    piece_counts = _piece_counts(corpus)
+    if isinstance(vocab_size, bool) or not isinstance(vocab_size, (int, np.integer)):
+        raise ConfigurationError(f"vocab_size must be an integer, got {vocab_size!r}")
     min_size = N_SPECIAL + N_BYTE_SYMBOLS
     if vocab_size <= min_size:
         raise ConfigurationError(
@@ -238,36 +270,54 @@ def train_bpe(corpus: list[str], vocab_size: int) -> Tokenizer:
     for b in range(N_BYTE_SYMBOLS):
         token_to_id[_BYTE_TO_CHAR[b]] = N_SPECIAL + b
 
-    piece_counts = Counter()
-    for line in corpus:
-        piece_counts.update(_PIECE_RE.findall(line))
-    sequences: list[tuple[list[str], int]] = [
-        (list(_text_to_symbols(piece)), count) for piece, count in sorted(piece_counts.items())
-    ]
+    pieces = sorted(piece_counts)
+    words = [list(_text_to_symbols(piece)) for piece in pieces]
+    freqs = [piece_counts[piece] for piece in pieces]
+    pair_counts: dict[tuple[str, str], int] = defaultdict(int)
+    # the pieces that hold each pair; a piece that no longer holds it is
+    # merged to the same symbols and gives back the pairs it took away
+    holders: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for w, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freqs[w]
+            holders[pair].add(w)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
     while N_SPECIAL + len(token_to_id) < vocab_size:
-        pair_counts = Counter()
-        for symbols, count in sequences:
-            for i in range(len(symbols) - 1):
-                pair_counts[(symbols[i], symbols[i + 1])] += count
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)  # a count that has changed since the push
+        if not heap or -heap[0][0] < 2:
             break
         # lexicographically smallest among the most frequent pairs
-        best_pair = min(pair_counts, key=lambda p: (-pair_counts[p], p))
-        if pair_counts[best_pair] < 2:
-            break
+        best_pair = heapq.heappop(heap)[1]
         left, right = best_pair
         merged = left + right
         merges.append(best_pair)
         token_to_id[merged] = N_SPECIAL + len(token_to_id)
-        for symbols, _ in sequences:
+        before: dict[tuple[str, str], int] = {}
+        for w in holders.pop(best_pair):
+            symbols, count = words[w], freqs[w]
+            for pair in zip(symbols, symbols[1:]):
+                before.setdefault(pair, pair_counts[pair])
+                pair_counts[pair] -= count
             i = 0
             while i < len(symbols) - 1:
                 if symbols[i] == left and symbols[i + 1] == right:
                     symbols[i : i + 2] = [merged]
                 else:
                     i += 1
+            for pair in zip(symbols, symbols[1:]):
+                before.setdefault(pair, pair_counts[pair])
+                pair_counts[pair] += count
+                holders[pair].add(w)
+        for pair, old in before.items():
+            count = pair_counts[pair]
+            if not count:
+                del pair_counts[pair]
+            elif count != old:
+                heapq.heappush(heap, (-count, pair))
     return Tokenizer(token_to_id=token_to_id, merges=merges)
 
 

@@ -249,6 +249,25 @@ class TestSynthData:
         assert [(len(g.docs), len(g.query_text.split())) for g in groups] == [(7, 5)] * 3
 
 
+class TestTokenizeTrain:
+    def test_progress_line_names_lines_pieces_and_time(self, tmp_path):
+        """Three lines hold the pieces 'red', ' shoe', ' red', 'blue' and
+        ' boot'; stdout stays empty and the file is the library's tokenizer."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("red shoe\nblue shoe red\n\nred boot\n", encoding="utf-8")
+        out = tmp_path / "tok.json"
+        code, stdout, err = run_cli(["tokenize-train", "--corpus", str(corpus), "--vocab-size", "270",
+                                     "--out", str(out)])
+        assert code == 0
+        assert stdout == ""
+        tok = train_bpe(["red shoe", "blue shoe red", "red boot"], 270)
+        assert out.read_bytes() == tok.to_json_bytes()
+        head = (f"[tokenize-train] trained vocab of {tok.vocab_size} tokens ({len(tok.merges)} merges, "
+                f"hash {tok.content_hash()}) to {out} from 3 lines of 5 distinct pieces in ")
+        last = err.splitlines()[-1]
+        assert last.startswith(head) and re.fullmatch(r"\d+\.\d{3} s", last[len(head):])
+
+
 class TestPipelineCommands:
     def test_train_writes_metric_csv_to_stdout(self, pipeline, tmp_path):
         code, stdout, _ = run_cli([

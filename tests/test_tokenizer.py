@@ -7,18 +7,25 @@ text the tokenizer never saw, because unmerged bytes remain encodable.
 
 import itertools
 import json
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from listrank.dataset import SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.errors import ConfigurationError, EmptyInputError, ParseError, ValidationError
 from listrank.tokenizer import (
+    _BYTE_TO_CHAR,
+    _PIECE_RE,
+    _text_to_symbols,
     CLS_ID,
     MASK_ID,
     N_SPECIAL,
     PAD_ID,
     SEP_ID,
     TokenSequence,
+    Tokenizer,
     UNK_ID,
     UNMASKED,
     load_tokenizer,
@@ -220,6 +227,110 @@ class TestTrainBpe:
         tok = train_bpe(["a b a b a b a b"], vocab_size=400)
         assert len(tok.encode("a b").ids) >= 2
         assert tok.decode(tok.encode("a b")) == "a b"
+
+    @pytest.mark.parametrize("vocab_size", [300.5, float("nan"), float("inf"), 300.0, "300", None, True],
+                             ids=repr)
+    def test_vocab_size_must_be_an_integer(self, vocab_size):
+        """Each one trained or failed on the size comparison: 300.5 trained
+        301 tokens, nan none, inf until no pair repeated and 300.0 as 300;
+        '300' and None raised TypeError, and True was refused as too small."""
+        with pytest.raises(ConfigurationError, match="^vocab_size must be an integer"):
+            train_bpe(CORPUS, vocab_size)
+
+    def test_numpy_integer_vocab_size_is_an_integer(self):
+        assert train_bpe(CORPUS, np.int64(300)) == train_bpe(CORPUS, 300)
+
+    def test_str_corpus_raises(self):
+        """A str trained on its characters, one line each."""
+        with pytest.raises(ValidationError, match="not one str"):
+            train_bpe("ab ab", 300)
+
+    @pytest.mark.parametrize("line", [None, b"ab ab", 7, ["ab"]], ids=repr)
+    def test_line_that_is_not_a_str_raises(self, line):
+        """None ended in a TypeError traceback from the piece regex."""
+        with pytest.raises(ValidationError, match="^corpus line 2 is a .*, not a str$"):
+            train_bpe(["ab ab", line], 300)
+
+    def test_empty_iterator_raises(self):
+        """``iter([])`` is truthy, so it trained a tokenizer with no merges."""
+        with pytest.raises(EmptyInputError):
+            train_bpe(iter([]), vocab_size=300)
+
+    def test_any_iterable_of_lines_trains(self):
+        want = train_bpe(CORPUS, 300)
+        assert train_bpe(iter(CORPUS), 300) == want
+        assert train_bpe((line for line in CORPUS), 300) == want
+        assert train_bpe(tuple(CORPUS), 300) == want
+
+
+def _recount_bpe(corpus, vocab_size):
+    """The merge loop written as a full recount: every pair of every piece
+    counted again before each merge, and every piece rewritten after it."""
+    token_to_id = {_BYTE_TO_CHAR[b]: N_SPECIAL + b for b in range(256)}
+    pieces = Counter(piece for line in corpus for piece in _PIECE_RE.findall(line))
+    words = [(list(_text_to_symbols(piece)), count) for piece, count in sorted(pieces.items())]
+    merges = []
+    while N_SPECIAL + len(token_to_id) < vocab_size:
+        pair_counts = Counter()
+        for word, count in words:
+            for pair in zip(word, word[1:]):
+                pair_counts[pair] += count
+        if not pair_counts:
+            break
+        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+        if pair_counts[best] < 2:
+            break
+        merges.append(best)
+        token_to_id[best[0] + best[1]] = N_SPECIAL + len(token_to_id)
+        for word, _ in words:
+            i = 0
+            while i < len(word) - 1:
+                if (word[i], word[i + 1]) == best:
+                    word[i : i + 2] = [best[0] + best[1]]
+                else:
+                    i += 1
+    return Tokenizer(token_to_id=token_to_id, merges=merges)
+
+
+def _random_corpus(seed):
+    """Lines over two to four letters, in runs such as 'aaaa' whose pairs
+    overlap, with a multi-byte letter, whitespace-only pieces (an ideographic
+    space among them), and lines written twice so that counts tie."""
+    rng = random.Random(seed)
+    letters = rng.sample("abcd", rng.randint(2, 4)) + rng.choice([[], ["é"], ["中"], ["\U0001f600"]])
+    lines = []
+    for _ in range(rng.randint(1, 25)):
+        words = ["".join(rng.choice(letters) * rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(0, 5))]
+        line = rng.choice([" ", "  ", "\t", " \n "]).join(words) + rng.choice(["", " ", "\u3000"])
+        lines.extend([line] * rng.choice([1, 2]))
+    return lines
+
+
+def _assert_matches_recount(corpus, vocab_size):
+    got, want = train_bpe(corpus, vocab_size), _recount_bpe(corpus, vocab_size)
+    assert got.merges == want.merges
+    assert got.token_to_id == want.token_to_id
+    assert got.content_hash() == want.content_hash()
+    return len(got.merges) == vocab_size - N_SPECIAL - 256  # stopped at the budget
+
+
+class TestIncrementalCountsMatchRecount:
+    """``train_bpe`` keeps its pair counts up to date across merges; the
+    merges, the vocabulary and the saved bytes are those of ``_recount_bpe``."""
+
+    def test_seeded_random_corpora(self):
+        stops = Counter()
+        for seed in range(60):
+            corpus = _random_corpus(seed)
+            for vocab_size in (262, 263, 270, 290, 5000):
+                stops[_assert_matches_recount(corpus, vocab_size)] += 1
+        assert stops[True] > 30 and stops[False] > 30  # both the budget and the pairs ran out
+
+    @pytest.mark.parametrize("vocab_size, at_budget", [(262, True), (400, True), (5000, False)])
+    def test_synthetic_catalog(self, vocab_size, at_budget):
+        corpus = corpus_lines(generate_synthetic(SyntheticSpec(n_queries=6, list_size=10, seed=2)))
+        assert _assert_matches_recount(corpus, vocab_size) == at_budget
 
 
 class TestPersistence:
