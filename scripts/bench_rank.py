@@ -18,6 +18,11 @@ time, so the part outside the library's own timed window counts too):
 - ``teacher_30_distinct``: the cross-encoder over 30 distinct texts of the
   same kind, a list in which no row repeats a text.
 
+The student's share of those ranks that is not store work is timed alone:
+
+- ``query_embed``: ``training.embed_texts`` of the query, the one-row
+  forward a student rank runs, with a digest of the vector it returns.
+
 One call of ``serve.precompute_embeddings`` is timed the same way:
 
 - ``build_10500``: the store build for the 10,500 documents of a 350-query
@@ -135,6 +140,12 @@ def bench_call(rank, k, native_k: bool) -> dict:
     }
 
 
+def bench_embed(embed) -> dict:
+    """Time ``embed()``, one query's embedding."""
+    wall, _, vector = _timed(embed, REPS, lambda v: None)
+    return {"vector_digest": _digest(vector.tobytes()), "repetitions": REPS, "wall": _quartiles(wall)}
+
+
 def bench_build(build, docs) -> tuple[dict, object]:
     """Time ``build(docs)``, a store build; returns the record and the store."""
     wall, _, store = _timed(lambda: build(docs), BUILD_REPS, lambda s: None)
@@ -228,6 +239,7 @@ def main(argv=None) -> int:
     calls["full_21000"] = bench_call(ranker(store, store.doc_ids), None, native_k)
     picks = np.random.default_rng(30).choice(len(store), size=30, replace=False)
     calls["gather_30"] = bench_call(ranker(store, [store.doc_ids[i] for i in picks]), None, native_k)
+    calls["query_embed"] = bench_embed(lambda: training.embed_texts(student, tokenizer, [QUERY])[0])
     del store
     store = _store(serve, fingerprint, 100000, config.model_dim)
     calls["top10_100000"] = bench_call(ranker(store, store.doc_ids), 10, native_k)

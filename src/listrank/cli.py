@@ -383,6 +383,8 @@ def _cmd_bench(resolved):
         _progress("bench", f"{name}: p10 {stats.p10_ms:.3f} ms, p50 {stats.median_ms:.3f} ms, "
                            f"p90 {stats.p90_ms:.3f} ms, IQR {stats.iqr_ms:.3f} ms, "
                            f"{stats.per_second:.1f} queries/s")
+        collections = ", ".join(f"{n} in generation {g}" for g, n in enumerate(stats.gc_collections))
+        _progress("bench", f"{name}: garbage collections during the measured ranks: {collections}")
     _progress("bench", f"environment: BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}, numpy {np.__version__}, "
                        f"scipy {scipy.__version__}, CPUs {os.cpu_count()}")
     _progress("bench", f"speedup x{report.speedup:.2f} over {resolved['n_queries']} queries")

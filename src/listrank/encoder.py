@@ -27,7 +27,8 @@ Padded positions are excluded from attention with additive -inf on the key
 axis, which makes the states of real tokens independent of how much padding
 follows them, up to rounding: the softmax sum and ``probs @ v`` run over the
 padded length, and numpy's pairwise sum changes its order at 8 or more keys,
-so a text can embed to other bits in a batch padded to another length.
+so a text can embed to other bits in a batch padded to another length. A
+batch without padding adds no key bias: adding its zeros would change no bit.
 """
 
 from __future__ import annotations
@@ -174,7 +175,13 @@ def pad_token_rows(rows):
     padding short rows with the padding token."""
     if not rows:
         raise EmptyInputError("a batch needs at least one row of token ids")
-    max_len = max(len(r) for r in rows)
+    lengths = [len(r) for r in rows]
+    max_len = max(lengths)
+    if min(lengths) == max_len:  # nothing to pad, as for one row
+        ids = np.array(rows, dtype=np.int64)
+        mask = np.empty_like(ids)
+        mask.fill(1)
+        return ids, mask
     ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(rows), max_len), dtype=np.int64)
     for i, r in enumerate(rows):
@@ -226,7 +233,7 @@ def _gelu_grad(x: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray):
-    n = x.shape[-1]
+    n = float(x.shape[-1])  # the same quotients as the int's, without its conversion on each divide
     x_hat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(x_hat * x_hat, axis=-1, keepdims=True) / n
     var += LN_EPS
@@ -299,7 +306,14 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * hd)
 
 
-def _check_batch_inputs(config: EncoderConfig, ids: np.ndarray, attention_mask: np.ndarray):
+def _check_batch_inputs(config: EncoderConfig, ids, attention_mask):
+    """Refuse a batch the encoder cannot run, before it is cast; returns
+    ``(ids, attention_mask, padded)``: both as int64, and whether any
+    position is padding. The checks read the arrays as given, so a float id
+    of 5.7 or a mask entry of 0.5 is refused, not truncated to 5 or 0: each
+    id bound is one reduction, and the mask is 0 or 1 when its nonzero
+    entries are its entries equal to 1."""
+    ids, attention_mask = np.asarray(ids), np.asarray(attention_mask)
     if ids.ndim != 2 or attention_mask.shape != ids.shape:
         raise ValidationError("ids and attention_mask must be matching 2-D arrays")
     if ids.shape[0] == 0:
@@ -310,12 +324,19 @@ def _check_batch_inputs(config: EncoderConfig, ids: np.ndarray, attention_mask: 
         )
     if ids.shape[1] == 0:
         raise ValidationError("sequences must contain at least one token")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
+    # floats pass without a fraction or a NaN; an infinity is out of range below
+    if ids.dtype.kind not in "biu" and not (ids.dtype.kind == "f" and np.array_equal(ids, np.trunc(ids))):
+        raise ValidationError("token ids must be integers")
+    if np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= config.vocab_size:
         raise ValidationError("token id outside vocabulary range")
-    if np.any((attention_mask != 0) & (attention_mask != 1)):
-        raise ValidationError("attention_mask entries must be 0 or 1")
-    if np.any(attention_mask[:, 0] == 0):
-        raise ValidationError("first position of every sequence must be valid")
+    ones = np.count_nonzero(attention_mask == 1)
+    padded = ones != attention_mask.size
+    if padded:
+        if np.count_nonzero(attention_mask) != ones:  # a nonzero entry other than 1
+            raise ValidationError("attention_mask entries must be 0 or 1")
+        if np.count_nonzero(attention_mask[:, 0]) != ids.shape[0]:
+            raise ValidationError("first position of every sequence must be valid")
+    return ids.astype(np.int64, copy=False), attention_mask.astype(np.int64, copy=False), padded
 
 
 def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_mask, *, rows=None, _keep_trace=False):
@@ -330,8 +351,10 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     attend over their own sequence's keys: each sequence gets as many query
     slots as the sequence with the most selected rows has (one for the
     [CLS] heads), its rows fill its first slots, and an empty slot's output
-    is dropped. The out-projection, residuals, layer norms and feed-forward
-    then run on the selected rows alone. Those products have other shapes
+    is dropped; when every sequence reads its first position alone, as the
+    [CLS] heads do, every slot is filled, and the gather and scatter of the
+    slots are a slice and views. The out-projection, residuals, layer norms
+    and feed-forward then run on the selected rows alone. Those products have other shapes
     than the full forward's, so the states equal ``hidden[rows]`` only to
     within rounding (about one ulp of the largest state). One selected row,
     sequences of length one and an empty selection take the same path; an
@@ -344,44 +367,46 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     the inference forward; that trace keeps the gathered layer's input for
     every position and the rest of that layer for the selected rows only.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    attention_mask = np.asarray(attention_mask, dtype=np.int64)
-    _check_batch_inputs(config, ids, attention_mask)
+    ids, attention_mask, padded = _check_batch_inputs(config, ids, attention_mask)
+    b, l = ids.shape
+    first = False  # every sequence reads its first position alone (the [CLS] heads)
     if rows is not None:
         rows = np.asarray(rows)
         if rows.dtype != np.bool_ or rows.shape != ids.shape:
             raise ValidationError("rows must be a boolean mask shaped like ids")
-    b, l = ids.shape
+        first = np.count_nonzero(rows) == b == np.count_nonzero(rows[:, 0])
 
     x = params.tok_emb[ids]
     x += params.pos_emb[:l]
-    key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf)
+    key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf) if padded else None
     scale = 1.0 / math.sqrt(config.head_dim)
 
     trace = ForwardTrace(
         ids=ids, hidden=None, params_id=id(params)
     ) if rows is None or _keep_trace else None
-    slots = None if rows is None else _slots(rows)
+    slots = None if rows is None else np.ones((b, 1), dtype=bool) if first else _slots(rows)
     for i, layer in enumerate(params.layers):
         k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
         v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
         x_in = x if trace is not None else None  # without a trace the gather frees the full x
         gathered = slots is not None and i == len(params.layers) - 1
         if gathered:  # the read rows' queries, in their sequences' slots
-            x = x[rows]
-            q = _scatter(_affine(x, layer.w_q, layer.b_q), slots)
+            x = x[:, 0].copy() if first else x[rows]
+            q = _affine(x, layer.w_q, layer.b_q)
+            q = q[:, None] if first else _scatter(q, slots)  # one slot per sequence, each filled
         else:
             q = _affine(x, layer.w_q, layer.b_q)
         q = _split_heads(q, config.n_heads)
         logits = np.matmul(q, k.swapaxes(-1, -2))
         logits *= scale
-        logits += key_bias
+        if key_bias is not None:
+            logits += key_bias
         logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
         probs = np.exp(logits, out=logits)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(probs, v))
         if gathered:
-            ctx = ctx[slots]
+            ctx = ctx[:, 0] if first else ctx[slots]
         r1 = _affine(ctx, layer.w_o, layer.b_o)
         r1 += x
         h1, x_hat1, inv_std1 = _layer_norm(r1, layer.ln1_scale, layer.ln1_offset)
@@ -504,7 +529,7 @@ def _cls_rows(ids) -> np.ndarray:
     ids = np.asarray(ids)
     rows = np.zeros(ids.shape, dtype=bool)
     if rows.ndim == 2 and rows.shape[1] > 0:
-        if np.any(ids[:, 0] != CLS_ID):
+        if np.count_nonzero(ids[:, 0] != CLS_ID):
             raise ContractError("scoring and embedding require sequences that start with the [CLS] token")
         rows[:, 0] = True
     return rows

@@ -55,6 +55,13 @@ def str_rank(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
+#: The longest list ``score_order`` sorts with one ``lexsort`` of both keys.
+#: Random scores with ties, one thread (2-vCPU x86-64): at 30 scores 1.4 µs
+#: against 14 µs for the sort-then-runs path, at 512 15 against 24 µs, at
+#: 800 47 against 28 µs, and at 21,000 3.3 against 0.34 ms.
+LEXSORT_MAX = 512
+
+
 def score_order(scores: np.ndarray, id_rank: np.ndarray, k: int | None = None) -> np.ndarray:
     """Indices by descending score, ties by ascending ``id_rank``; the one
     ranking order of evaluation and serving. With ``k``, the first ``k``
@@ -62,14 +69,18 @@ def score_order(scores: np.ndarray, id_rank: np.ndarray, k: int | None = None) -
 
     With ``k`` below the list's length, only the indices that score at least
     the k-th largest score are sorted, ties at the boundary included. Otherwise
-    numpy's unstable sort orders the scores, and then each run of equal scores
-    (NaNs count as equal) is sorted by ``id_rank``.
+    a list of at most ``LEXSORT_MAX`` scores is sorted by both keys at once,
+    and a longer one by numpy's unstable sort of the scores, after which each
+    run of equal scores (NaNs count as equal) is sorted by ``id_rank``. Both
+    give one order: NaNs last, -0.0 equal to 0.0.
     """
     neg = -scores
     if k is not None and k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]
         keep = np.flatnonzero(~(neg > kth))  # NaN compares false: a NaN k-th score keeps every index
         return keep[np.lexsort((id_rank[keep], neg[keep]))[:k]]
+    if len(neg) <= LEXSORT_MAX:
+        return np.lexsort((id_rank, neg))
     order = np.argsort(neg)
     ranked = neg[order]
     tie = (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))

@@ -14,6 +14,7 @@ table, then the float32 vectors, then a hash of every byte before it.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -148,8 +149,8 @@ def _check_k(k):
 def _scores(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec``, upcast ``SCORE_BLOCK`` rows
     at a time. The last block takes the remainder, so fewer than
-    ``2 * SCORE_BLOCK`` rows are one product and no block holds fewer than
-    ``SCORE_BLOCK``.
+    ``2 * SCORE_BLOCK`` rows are one product, taken without the block loop,
+    and no block holds fewer than ``SCORE_BLOCK``.
 
     The blocks give the single product's bits (``test_serve``) because of
     how the product rounds. BLAS's matrix-vector kernel scores the last
@@ -161,6 +162,8 @@ def _scores(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     its last ``len % 4`` scores can differ in their low bits from the same
     documents' scores in a whole-store rank."""
     n = len(vectors)
+    if n < 2 * SCORE_BLOCK:
+        return vectors.astype(np.float64) @ query_vec
     scores = np.empty(n)
     start = 0
     for end in [*range(SCORE_BLOCK, n - SCORE_BLOCK + 1, SCORE_BLOCK), n]:
@@ -214,12 +217,12 @@ def rank_with_student(
     id_rank, id_array = store.id_tables()
     start = time.perf_counter()
     if candidate_ids == store.doc_ids:  # list equality is O(1) when the lengths differ
-        rows, vectors = slice(None), store.vectors
+        rows, vectors, doc_ids = slice(None), store.vectors, id_array
     else:
         _refuse_duplicates(candidate_ids, "candidate ids")
-        rows, vectors = store.gather(candidate_ids)
+        (rows, vectors), doc_ids = store.gather(candidate_ids), candidate_ids
     scores = _scores(vectors, embed_texts(student, tokenizer, [query])[0])
-    ranking = _sorted_ranking(id_array[rows], id_rank[rows], scores, k)
+    ranking = _sorted_ranking(doc_ids, id_rank[rows], scores, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return RankResult(ranking, latency_ms)
 
@@ -264,6 +267,9 @@ class LatencyStats:
     p90_ms: float
     p10_ms: float
     iqr_ms: float
+    #: Collections the garbage collector ran during the measured ranks, one
+    #: count per generation (``gc.get_stats()`` after less before).
+    gc_collections: tuple = ()
 
     @property
     def per_second(self) -> float:
@@ -293,14 +299,30 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _stats(latencies) -> LatencyStats:
+def _stats(latencies, gc_collections) -> LatencyStats:
     return LatencyStats(
         mean_ms=float(np.mean(latencies)),
         median_ms=nearest_rank_percentile(latencies, 50.0),
         p90_ms=nearest_rank_percentile(latencies, 90.0),
         p10_ms=nearest_rank_percentile(latencies, 10.0),
         iqr_ms=nearest_rank_percentile(latencies, 75.0) - nearest_rank_percentile(latencies, 25.0),
+        gc_collections=gc_collections,
     )
+
+
+def _measure(rank, workload, warmup: int) -> LatencyStats:
+    """``rank(query, docs)`` over the workload; the stats of its measured
+    ranks, the ones after the first ``warmup``, and the garbage collections
+    run during them."""
+    latencies = []
+    for i, (query, docs) in enumerate(workload):
+        if i == warmup:
+            before = gc.get_stats()
+        latency_ms = rank(query, docs).latency_ms
+        if i >= warmup:
+            latencies.append(latency_ms)
+    collections = tuple(a["collections"] - b["collections"] for a, b in zip(gc.get_stats(), before))
+    return _stats(latencies, collections)
 
 
 #: The most queries, warmup included, one ``benchmark_latency`` run draws.
@@ -356,15 +378,8 @@ def benchmark_latency(
         raise ConfigurationError(f"warmup + n_queries must be at most {MAX_BENCH_QUERIES}, got {warmup + n_queries}")
     workload = benchmark_workload(dataset, n_queries, list_size, seed, warmup)
 
-    teacher_ms = []
-    for i, (query, docs) in enumerate(workload):
-        result = rank_with_teacher(teacher, query, docs, tokenizer)
-        if i >= warmup:
-            teacher_ms.append(result.latency_ms)
-    student_ms = []
-    for i, (query, docs) in enumerate(workload):
-        result = rank_with_student(student, store, query, [d.doc_id for d in docs], tokenizer)
-        if i >= warmup:
-            student_ms.append(result.latency_ms)
-
-    return BenchmarkReport(teacher=_stats(teacher_ms), student=_stats(student_ms))
+    return BenchmarkReport(
+        teacher=_measure(lambda query, docs: rank_with_teacher(teacher, query, docs, tokenizer), workload, warmup),
+        student=_measure(lambda query, docs: rank_with_student(student, store, query, [d.doc_id for d in docs],
+                                                               tokenizer), workload, warmup),
+    )

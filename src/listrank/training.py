@@ -251,13 +251,13 @@ def _check_tokenizer(ckpt: Checkpoint, tokenizer: Tokenizer) -> None:
         )
 
 
-def _first_occurrences(items) -> tuple[list, np.ndarray]:
+def _first_occurrences(items) -> tuple[list, list]:
     """The distinct ``items`` in first-occurrence order, and each item's
     index among them: ``distinct[index[i]] == items[i]``. The one rule by
     which every inference forward runs each distinct text once."""
     positions = {}
     index = [positions.setdefault(item, len(positions)) for item in items]
-    return list(positions), np.asarray(index, dtype=np.intp)
+    return list(positions), index
 
 
 def score_pairs(ckpt: Checkpoint, tokenizer: Tokenizer, query: str, texts) -> np.ndarray:
@@ -283,7 +283,9 @@ def embed_texts(ckpt: Checkpoint, tokenizer: Tokenizer, texts) -> np.ndarray:
     same rows within rounding."""
     distinct, index = _first_occurrences(texts)
     rows = [tokenizer.encode_single(t, ckpt.config.max_len).ids for t in distinct]
-    return np.concatenate([*_embed_rows(ckpt.params, rows)])[index]
+    chunks = [*_embed_rows(ckpt.params, rows)]
+    states = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return states if len(distinct) == len(index) else states[index]
 
 
 def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows):
@@ -306,15 +308,15 @@ def _embed_rows(params: enc.EncoderParams, rows, read=enc._cls_rows):
     # 0-900 holds only once the process has freed a large array; in a fresh
     # process a build at 512 tokens takes 122k-125k faults.
     budget = (1 << 20) // (8 * params.config.ffn_dim)
-    starts, longest = [0], 0
+    start, longest = 0, 0
     for end, n in enumerate(map(len, rows)):
+        if end > start and (end + 1 - start) * max(longest, n) > budget:
+            ids, mask = enc.pad_token_rows(rows[start:end])
+            yield enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
+            start, longest = end, 0
         longest = max(longest, n)
-        if end > starts[-1] and (end + 1 - starts[-1]) * longest > budget:
-            starts.append(end)
-            longest = n
-    for start, end in zip(starts, starts[1:] + [len(rows)]):
-        ids, mask = enc.pad_token_rows(rows[start:end])
-        yield enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
+    ids, mask = enc.pad_token_rows(rows[start:])
+    yield enc.forward_batch(params, params.config, ids, mask, rows=read(ids))
 
 
 def make_cross_encoder_scorer(ckpt: Checkpoint, tokenizer: Tokenizer):

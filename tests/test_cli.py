@@ -28,7 +28,7 @@ from listrank.cli import _encoder_config, main
 from listrank.dataset import load_dataset
 from listrank.encoder import EncoderConfig
 from listrank.metrics import METRIC_CSV_HEADER
-from listrank.serve import EmbeddingStore, load_store, save_store
+from listrank.serve import BenchmarkReport, EmbeddingStore, LatencyStats, load_store, save_store
 from listrank.tokenizer import train_bpe
 from listrank.training import checkpoint_fingerprint, load_checkpoint
 
@@ -494,6 +494,31 @@ class TestPipelineCommands:
         assert re.search(rf"^\[bench\] teacher: {spread}$", stderr, re.M)
         assert re.search(rf"^\[bench\] student: {spread}$", stderr, re.M)
         assert re.search(r"^\[bench\] environment: BLAS threads 1, numpy \S+, scipy \S+, CPUs \d+$", stderr, re.M)
+        for system in ("teacher", "student"):
+            assert re.search(rf"^\[bench\] {system}: garbage collections during the measured ranks: "
+                             r"\d+ in generation 0, \d+ in generation 1, \d+ in generation 2$", stderr, re.M)
+
+    def test_bench_gc_counts_go_to_stderr_and_leave_the_csv_bytes(self, pipeline, monkeypatch):
+        """The collections each system ran are reported on stderr; stdout is
+        the report's CSV byte for byte, as before they were counted."""
+        report = BenchmarkReport(
+            teacher=LatencyStats(10.0, 9.5, 12.25, 8.0, 2.0, gc_collections=(3, 1, 0)),
+            student=LatencyStats(2.0, 1.5, 3.0, 1.0, 0.5, gc_collections=(0, 0, 0)),
+        )
+        monkeypatch.setattr(cli, "benchmark_latency", lambda *args, **kwargs: report)
+        code, stdout, stderr = run_cli([
+            "bench", "--teacher", pipeline["model"], "--student", pipeline["student"],
+            "--tokenizer", pipeline["tokenizer"], "--data", pipeline["data"],
+            "--store", pipeline["store"], "--n-queries", "30", "--list-size", "4",
+        ])
+        assert code == 0
+        assert stdout == ("system,mean_ms,median_ms,p90_ms,speedup_vs_teacher\n"
+                          "teacher,10,9.5,12.25,1\n"
+                          "student,2,1.5,3,5\n")
+        assert ("[bench] teacher: garbage collections during the measured ranks: "
+                "3 in generation 0, 1 in generation 1, 0 in generation 2\n") in stderr
+        assert ("[bench] student: garbage collections during the measured ranks: "
+                "0 in generation 0, 0 in generation 1, 0 in generation 2\n") in stderr
 
 
 class TestSharedDocuments:

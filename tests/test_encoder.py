@@ -224,6 +224,50 @@ class TestForward:
         with pytest.raises(EmptyInputError, match="a batch needs at least one row of token ids"):
             head(params, TINY, ids, np.ones_like(ids))
 
+    @pytest.mark.parametrize("ids, mask, match", [
+        ([[CLS_ID, 5.7]], [[1, 1]], "token ids must be integers"),
+        ([[CLS_ID, np.nan]], [[1, 1]], "token ids must be integers"),
+        ([[CLS_ID, 5]], [[1, 0.5]], "0 or 1"),
+        ([[CLS_ID, 5]], [[1, np.nan]], "0 or 1"),
+        ([[CLS_ID, 5]], [[1, -np.inf]], "0 or 1"),
+    ], ids=["fractional-id", "nan-id", "half-mask", "nan-mask", "inf-mask"])
+    def test_non_integer_ids_and_mask_entries_refused(self, ids, mask, match):
+        """Both arrays were cast to int64 before they were checked, so an id of
+        5.7 ran as 5 and a mask entry of 0.5 as 0, with no error."""
+        with pytest.raises(ValidationError, match=match):
+            forward_batch(init_params(TINY, seed=0), TINY, np.array(ids), np.array(mask))
+
+    def test_integral_float_and_bool_inputs_run_as_ints(self):
+        params = init_params(TINY, seed=0)
+        ids, mask = tiny_batch()
+        want, _ = forward_batch(params, TINY, ids, mask)
+        got, _ = forward_batch(params, TINY, ids.astype(np.float64), mask.astype(bool))
+        assert bits_equal(got, want)
+
+    @pytest.mark.parametrize("zero_queries", [False, True])
+    def test_unpadded_batch_skips_the_key_mask_bit_for_bit(self, monkeypatch, zero_queries):
+        """A batch without padding adds no key bias. Forcing the all-zero bias
+        in gives the same bits, full and [CLS]-read forward alike, also when
+        zeroed queries make every logit a signed zero."""
+        config = EncoderConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=16, vocab_size=20, max_len=12)
+        params = init_params(config, seed=3)
+        if zero_queries:
+            for layer in params.layers:
+                layer.w_q[:], layer.b_q[:] = 0.0, 0.0
+        ids = np.random.default_rng(3).integers(4, 20, size=(3, 11))
+        ids[:, 0] = CLS_ID
+        mask = np.ones_like(ids)
+        rows = encoder._cls_rows(ids)
+
+        def run():
+            return forward_batch(params, config, ids, mask)[0], forward_batch(params, config, ids, mask, rows=rows)
+
+        skipped = run()
+        check = encoder._check_batch_inputs
+        monkeypatch.setattr(encoder, "_check_batch_inputs", lambda *args: (*check(*args)[:2], True))
+        masked = run()
+        assert all(bits_equal(a, b) for a, b in zip(skipped, masked))
+
     def test_masked_first_position_rejected(self):
         params = init_params(TINY, seed=0)
         ids = np.array([[CLS_ID, 7]])

@@ -6,6 +6,8 @@ directly through the encoder API, so the serving paths are checked
 against independent arithmetic rather than against themselves.
 """
 
+import dataclasses
+import gc
 import os
 import random
 import struct
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import rewrite_header
 
-from listrank import encoder, serve, training
+from listrank import encoder, metrics, serve, training
 from listrank.dataset import Document, SyntheticSpec, corpus_lines, generate_synthetic
 from listrank.encoder import (
     EncoderConfig,
@@ -45,7 +47,7 @@ from listrank.serve import (
     save_store,
 )
 from listrank.metrics import score_order, str_rank
-from listrank.tokenizer import train_bpe
+from listrank.tokenizer import N_SPECIAL, train_bpe
 from listrank.training import checkpoint_fingerprint, init_checkpoint, make_cross_encoder_scorer
 
 TINY_ENC = dict(n_layers=1, n_heads=2, model_dim=16, ffn_dim=32, max_len=16)
@@ -522,6 +524,27 @@ class TestSortedRanking:
         for k in sorted({*range(1, min(n, 300) + 2), n // 2 + 1, n - 1, n, n + 1} - {0}):
             assert score_order(scores, id_rank, k).tolist() == want[:k].tolist()
 
+    @pytest.mark.parametrize("n_max", [40, 1000])
+    def test_short_lists_sort_as_long_ones(self, monkeypatch, n_max):
+        """A list of at most ``LEXSORT_MAX`` scores is sorted by one
+        ``lexsort``; the sort-then-runs path of longer lists gives the same
+        order on lists made of NaN, 0.0, -0.0, ±inf and a few finite values,
+        with id ranks drawn from a store's wider range, and both give the
+        order of Python's sort on (NaN last, -score, id rank)."""
+        rng = np.random.default_rng(n_max)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.25])
+        for _ in range(2000 if n_max == 40 else 20):
+            n = int(rng.integers(1, n_max))
+            scores = values[rng.integers(0, len(values), size=n)]
+            id_rank = rng.choice(10 * n, size=n, replace=False)
+            monkeypatch.setattr(metrics, "LEXSORT_MAX", n_max)
+            short = score_order(scores, id_rank)
+            monkeypatch.setattr(metrics, "LEXSORT_MAX", 0)
+            long = score_order(scores, id_rank)
+            want = sorted(range(n), key=lambda i: (bool(np.isnan(scores[i])), 0.0 if np.isnan(scores[i])
+                                                   else -scores[i], id_rank[i]))
+            assert short.tolist() == long.tolist() == want
+
     @pytest.mark.parametrize("seed", range(10))
     def test_store_subsets_out_of_id_order(self, seed):
         rng = np.random.default_rng(seed)
@@ -675,6 +698,24 @@ class TestRankWithStudent:
         _, tokenizer, _, student, _ = world
         with pytest.raises(MissingIdError):
             rank_with_student(student, store, "q", ["nonexistent"], tokenizer)
+
+    def test_vocab_below_the_tokenizer_ids_refused_before_any_layer(self, world, monkeypatch):
+        """A checkpoint whose vocabulary is smaller than its tokenizer's ids
+        is refused by the batch checks of the query's one-row forward."""
+        _, tokenizer, _, student, catalog = world
+        query = catalog[0].text
+        config = dataclasses.replace(student.config, vocab_size=N_SPECIAL + 1)
+        small = init_checkpoint(config, seed=1, tokenizer_hash=tokenizer.content_hash())
+        assert max(tokenizer.encode_single(query, config.max_len).ids) >= config.vocab_size
+        small_store = EmbeddingStore(fingerprint=checkpoint_fingerprint(small), doc_ids=[d.doc_id for d in catalog],
+                                     vectors=np.zeros((len(catalog), config.model_dim)))
+        calls, affine = [], encoder._affine
+        monkeypatch.setattr(encoder, "_affine", lambda *a: calls.append(1) or affine(*a))
+        with pytest.raises(ValidationError, match="token id outside vocabulary range"):
+            training.embed_texts(small, tokenizer, [query])
+        with pytest.raises(ValidationError, match="token id outside vocabulary range"):
+            rank_with_student(small, small_store, query, [d.doc_id for d in catalog[:5]], tokenizer)
+        assert calls == []
 
     def test_store_of_another_width_rejected(self, world):
         _, tokenizer, _, student, catalog = world
@@ -839,6 +880,27 @@ class TestBenchmarkLatency:
         assert (report.teacher.mean_ms, report.student.mean_ms) == (17.5, 49.5)
         assert (report.teacher.p10_ms, report.teacher.median_ms, report.teacher.p90_ms) == (5.0, 17.0, 29.0)
         assert report.teacher.iqr_ms == 25.0 - 10.0
+
+    def test_gc_collections_counted_over_the_measured_ranks_only(self, world, store, monkeypatch):
+        """Each rank runs one full collection, so each system counts one
+        generation-2 collection per measured rank and none for the warmup."""
+        dataset, tokenizer, teacher, student, _ = world
+
+        def rank(*args):
+            gc.collect()
+            return RankResult([], 1.0)
+
+        monkeypatch.setattr(serve, "rank_with_teacher", rank)
+        monkeypatch.setattr(serve, "rank_with_student", rank)
+        enabled = gc.isenabled()
+        gc.disable()  # no automatic collection between the counted ones
+        try:
+            report = benchmark_latency(teacher, student, store, dataset, tokenizer,
+                                       n_queries=30, list_size=4, seed=0, warmup=3)
+        finally:
+            if enabled:
+                gc.enable()
+        assert report.teacher.gc_collections == report.student.gc_collections == (0, 0, 30)
 
     def test_too_few_queries_rejected(self, world, store):
         dataset, tokenizer, teacher, student, _ = world
