@@ -88,12 +88,11 @@ class EncoderConfig:
 
 
 def _layout_tables(config: EncoderConfig) -> tuple:
-    """``(name, shape)`` of the arrays before the blocks, of one block's, and
-    of those after the blocks."""
+    """``(name, shape)`` of the arrays before the blocks, of one block's (the
+    query, key and value columns of ``w_qkv``, then the rest), and of those after."""
     d, f = config.model_dim, config.ffn_dim
     layer = (
-        ("w_q", (d, d)), ("b_q", (d,)), ("w_k", (d, d)), ("b_k", (d,)),
-        ("w_v", (d, d)), ("b_v", (d,)), ("w_o", (d, d)), ("b_o", (d,)),
+        ("w_qkv", (d, 3 * d)), ("b_qkv", (3 * d,)), ("w_o", (d, d)), ("b_o", (d,)),
         ("ln1_scale", (d,)), ("ln1_offset", (d,)), ("w_ffn1", (d, f)), ("b_ffn1", (f,)),
         ("w_ffn2", (f, d)), ("b_ffn2", (d,)), ("ln2_scale", (d,)), ("ln2_offset", (d,)),
     )
@@ -121,7 +120,7 @@ def param_count(config: EncoderConfig) -> int:
 class EncoderParams:
     """All trainable weights as one contiguous float64 vector, ``flat``.
 
-    Every array the encoder reads (``tok_emb``, ``pos_emb``, ``layers[i].w_q``
+    Every array the encoder reads (``tok_emb``, ``pos_emb``, ``layers[i].w_qkv``
     and the rest of each block, ``score_w``, the 0-d ``score_b``, ``mlm_bias``)
     is a view into ``flat`` placed by ``param_layout``, so a write through a
     view is a write to ``flat``, and Adam and checkpoints work on ``flat`` alone.
@@ -165,29 +164,29 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
         leaf = name.rpartition(".")[2]
         if leaf.endswith("_scale"):
             a[...] = 1.0
+        elif leaf == "w_qkv":  # its query, key and value blocks, drawn in that order
+            a[...] = np.hstack(rng.normal(0.0, INIT_STD, size=(3, len(a), len(a))))
         elif leaf.startswith("w_") or leaf in ("tok_emb", "pos_emb", "score_w"):
             a[...] = rng.normal(0.0, INIT_STD, size=a.shape)
     return params
 
 
 def pad_token_rows(rows):
-    """Stack variable-length id lists into (ids, attention_mask) arrays,
-    padding short rows with the padding token."""
+    """Stack id lists into (ids, attention_mask) arrays, padding short rows with
+    the padding token. The ids keep their dtype, so ``forward_batch`` refuses 5.7."""
     if not rows:
         raise EmptyInputError("a batch needs at least one row of token ids")
     lengths = [len(r) for r in rows]
-    max_len = max(lengths)
-    if min(lengths) == max_len:  # nothing to pad, as for one row
-        ids = np.array(rows, dtype=np.int64)
-        mask = np.empty_like(ids)
+    if min(lengths) == max(lengths):  # nothing to pad, as for one row
+        ids = np.array(rows)
+        mask = np.empty_like(ids, dtype=np.int64)
         mask.fill(1)
         return ids, mask
-    ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(rows), max_len), dtype=np.int64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = 1
-    return ids, mask
+    values = np.array([t for r in rows for t in r])
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    ids = np.full(mask.shape, PAD_ID, dtype=values.dtype)
+    ids[mask] = values
+    return ids, mask.astype(np.int64)
 
 
 # -- forward ----------------------------------------------------------------
@@ -296,9 +295,11 @@ class ForwardTrace:
     params_id: int = 0
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(x: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """``[batch, length, n·model_dim]`` as ``[n, batch, heads, length, head_dim]``
+    views, one per column block (the query, key and value blocks of ``w_qkv``)."""
+    b, l, w = x.shape
+    return x.reshape(b, l, w // config.model_dim, config.n_heads, config.head_dim).transpose(2, 0, 3, 1, 4)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -381,22 +382,19 @@ def forward_batch(params: EncoderParams, config: EncoderConfig, ids, attention_m
     key_bias = np.where(attention_mask[:, None, None, :] == 1, 0.0, -np.inf) if padded else None
     scale = 1.0 / math.sqrt(config.head_dim)
 
-    trace = ForwardTrace(
-        ids=ids, hidden=None, params_id=id(params)
-    ) if rows is None or _keep_trace else None
+    trace = ForwardTrace(ids=ids, hidden=None, params_id=id(params)) if rows is None or _keep_trace else None
     slots = None if rows is None else np.ones((b, 1), dtype=bool) if first else _slots(rows)
+    d = config.model_dim
     for i, layer in enumerate(params.layers):
-        k = _split_heads(_affine(x, layer.w_k, layer.b_k), config.n_heads)
-        v = _split_heads(_affine(x, layer.w_v, layer.b_v), config.n_heads)
         x_in = x if trace is not None else None  # without a trace the gather frees the full x
         gathered = slots is not None and i == len(params.layers) - 1
-        if gathered:  # the read rows' queries, in their sequences' slots
+        if gathered:  # keys and values of every position, the read rows' queries in their sequences' slots
+            k, v = _split_heads(_affine(x, layer.w_qkv[:, d:], layer.b_qkv[d:]), config)
             x = x[:, 0].copy() if first else x[rows]
-            q = _affine(x, layer.w_q, layer.b_q)
-            q = q[:, None] if first else _scatter(q, slots)  # one slot per sequence, each filled
+            q = _affine(x, layer.w_qkv[:, :d], layer.b_qkv[:d])
+            q = _split_heads(q[:, None] if first else _scatter(q, slots), config)[0]  # first: one slot per sequence
         else:
-            q = _affine(x, layer.w_q, layer.b_q)
-        q = _split_heads(q, config.n_heads)
+            q, k, v = _split_heads(_affine(x, layer.w_qkv, layer.b_qkv), config)
         logits = np.matmul(q, k.swapaxes(-1, -2))
         logits *= scale
         if key_bias is not None:
@@ -474,7 +472,7 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         )
     grads = zeros_like_params(params)
     scale = 1.0 / math.sqrt(config.head_dim)
-    l = trace.ids.shape[1]
+    l, d = trace.ids.shape[1], config.model_dim
 
     d_x = _scatter(d_hidden, trace.rows) if trace.rows is not None and not trace.layers else d_hidden
     for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers), reversed(grads.layers)):
@@ -492,7 +490,7 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         )
         # r1 = x_in + ctx @ w_o + b_o
         d_ctx = _affine_backward(lt.ctx, d_r1, layer.w_o, g.w_o, g.b_o)
-        d_ctx = _split_heads(d_ctx if lt.slots is None else _scatter(d_ctx, lt.slots), config.n_heads)
+        d_ctx = _split_heads(d_ctx if lt.slots is None else _scatter(d_ctx, lt.slots), config)[0]
 
         d_v = np.matmul(lt.probs.swapaxes(-1, -2), d_ctx)
         # softmax backward in place: d_logits = probs * (d_probs - sum(d_probs * probs))
@@ -504,15 +502,17 @@ def backward_batch(params: EncoderParams, config: EncoderConfig, trace: ForwardT
         d_k = np.matmul(d_logits.swapaxes(-1, -2), lt.q)
         d_k *= scale
 
-        d_q = _merge_heads(d_q)
+        # Q, K and V apart: one weight-gradient product over all three rounds otherwise at some sizes
+        w, g_w, g_b = layer.w_qkv.reshape(d, 3, d), g.w_qkv.reshape(d, 3, d), g.b_qkv.reshape(3, d)
+        q_block, k_block, v_block = ((w[:, j], g_w[:, j], g_b[j]) for j in range(3))
         if lt.slots is None:
             d_x = d_r1  # nothing reads d_r1 after this, so the input gradient accumulates in it
-            d_x += _affine_backward(lt.x_in, d_q, layer.w_q, g.w_q, g.b_q)
+            d_x += _affine_backward(lt.x_in, _merge_heads(d_q), *q_block)
         else:
-            d_r1 += _affine_backward(lt.x_in[trace.rows], d_q[lt.slots], layer.w_q, g.w_q, g.b_q)
+            d_r1 += _affine_backward(lt.x_in[trace.rows], _merge_heads(d_q)[lt.slots], *q_block)
             d_x = _scatter(d_r1, trace.rows)
-        d_x += _affine_backward(lt.x_in, _merge_heads(d_k), layer.w_k, g.w_k, g.b_k)
-        d_x += _affine_backward(lt.x_in, _merge_heads(d_v), layer.w_v, g.w_v, g.b_v)
+        d_x += _affine_backward(lt.x_in, _merge_heads(d_k), *k_block)
+        d_x += _affine_backward(lt.x_in, _merge_heads(d_v), *v_block)
 
     np.add.at(grads.tok_emb, trace.ids, d_x)
     grads.pos_emb[:l] = d_x.sum(axis=0)

@@ -39,7 +39,7 @@ from .losses import (
 from .metrics import MetricRow, mean_ndcg
 from .tokenizer import MASK_ID, N_SPECIAL, UNMASKED, Tokenizer, mask_for_mlm
 
-CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 4, CheckpointError)
+CKPT_FORMAT = FrameFormat("checkpoint", b"LRCKPT01", 5, CheckpointError)
 
 
 @dataclass(frozen=True)

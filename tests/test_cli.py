@@ -655,7 +655,7 @@ def test_rank_with_a_version_3_student_fails_with_one_line(pipeline, tmp_path):
                                  "--student", str(path), "--store", pipeline["store"]])
     assert code == 1
     assert stdout == ""
-    assert error_lines(err) == [f"error: {path}: unsupported checkpoint version 3 (reader supports 4)"]
+    assert error_lines(err) == [f"error: {path}: unsupported checkpoint version 3 (reader supports 5)"]
 
 
 def test_checkpoint_with_an_edited_loss_name_fails_with_one_line(pipeline, tmp_path):

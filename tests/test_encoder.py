@@ -103,6 +103,17 @@ class TestEncoderConfig:
     def test_param_count_is_the_layout_size(self, config):
         assert param_count(config) == sum(math.prod(shape) for _, shape in param_layout(config))
 
+    @pytest.mark.parametrize("config", [TINY, EncoderConfig(), EncoderConfig(n_layers=3, n_heads=3, model_dim=12)])
+    def test_block_holds_twelve_arrays_of_the_same_size(self, config):
+        """One ``w_qkv [d, 3d]`` and one ``b_qkv [3d]`` hold what six Q, K and V
+        arrays held, so a block's size is 4d² + 2df + f + 9d, as before."""
+        d, f = config.model_dim, config.ffn_dim
+        block = [(name.rpartition(".")[2], shape) for name, shape in param_layout(config) if name.startswith("layer0.")]
+        assert len(block) == 12
+        assert block[:2] == [("w_qkv", (d, 3 * d)), ("b_qkv", (3 * d,))]
+        fixed = config.vocab_size * d + config.max_len * d + d + 1 + config.vocab_size
+        assert param_count(config) == fixed + config.n_layers * (4 * d * d + 2 * d * f + f + 9 * d)
+
 
 class TestInitParams:
     def test_same_seed_is_bit_identical(self):
@@ -119,11 +130,23 @@ class TestInitParams:
         layer = params.layers[0]
         np.testing.assert_array_equal(layer.ln1_scale, 1.0)
         np.testing.assert_array_equal(layer.ln2_scale, 1.0)
-        np.testing.assert_array_equal(layer.b_q, 0.0)
+        np.testing.assert_array_equal(layer.b_qkv, 0.0)
         np.testing.assert_array_equal(layer.b_ffn1, 0.0)
         np.testing.assert_array_equal(params.mlm_bias, 0.0)
         assert params.score_b.shape == ()
         assert params.score_b == 0.0
+
+    def test_qkv_blocks_are_drawn_query_key_value(self):
+        """``w_qkv``'s column blocks hold the seed's next three ``[d, d]``
+        draws after the embeddings, in query, key, value order, so a seed gives
+        the values that separate Q, K and V arrays held."""
+        d = TINY.model_dim
+        rng = np.random.default_rng(5)
+        for shape in ((TINY.vocab_size, d), (TINY.max_len, d)):
+            rng.normal(0.0, encoder.INIT_STD, size=shape)
+        w_qkv = init_params(TINY, seed=5).layers[0].w_qkv
+        for j in range(3):
+            assert bits_equal(w_qkv[:, j * d : (j + 1) * d], rng.normal(0.0, encoder.INIT_STD, size=(d, d)))
 
     def test_weight_scale_matches_init_std(self):
         """With 2000 x 64 = 128k draws the sample standard deviation of the
@@ -139,6 +162,21 @@ class TestPadTokenRows:
         ids, mask = pad_token_rows([[1, 7, 9], [1, 5]])
         np.testing.assert_array_equal(ids, [[1, 7, 9], [1, 5, PAD_ID]])
         np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 1, 0]])
+        assert ids.dtype == mask.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [[[1, 7], [1, 5]], [[1, 7], []]], ids=["unpadded", "empty-row"])
+    def test_int_rows_give_int64(self, rows):
+        ids, mask = pad_token_rows(rows)
+        assert ids.dtype == mask.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [[[CLS_ID, 5.7]], [[CLS_ID, 5.7], [CLS_ID]]], ids=["unpadded", "padded"])
+    def test_fractional_id_reaches_the_forward_refusal(self, rows):
+        """Both paths cast to int64 and so ran an id of 5.7 as 5, past
+        ``forward_batch``'s refusal of fractional ids."""
+        ids, mask = pad_token_rows(rows)
+        assert ids[0, 1] == 5.7
+        with pytest.raises(ValidationError, match="token ids must be integers"):
+            forward_batch(init_params(TINY, seed=0), TINY, ids, mask)
 
     def test_empty_batch_refused(self):
         """``max`` of no lengths raised a bare ValueError."""
@@ -253,7 +291,7 @@ class TestForward:
         params = init_params(config, seed=3)
         if zero_queries:
             for layer in params.layers:
-                layer.w_q[:], layer.b_q[:] = 0.0, 0.0
+                layer.w_qkv[:, : config.model_dim], layer.b_qkv[: config.model_dim] = 0.0, 0.0
         ids = np.random.default_rng(3).integers(4, 20, size=(3, 11))
         ids[:, 0] = CLS_ID
         mask = np.ones_like(ids)
@@ -450,9 +488,9 @@ class TestParamContainers:
         params = init_params(TINY, seed=0)
         clone = params.copy()
         clone.tok_emb[0, 0] += 1.0
-        clone.layers[0].w_q[0, 0] += 1.0
+        clone.layers[0].w_qkv[0, 0] += 1.0
         assert params.tok_emb[0, 0] != clone.tok_emb[0, 0]
-        assert params.layers[0].w_q[0, 0] != clone.layers[0].w_q[0, 0]
+        assert params.layers[0].w_qkv[0, 0] != clone.layers[0].w_qkv[0, 0]
 
     def test_copy_and_zeros_like_share_no_memory(self):
         params = init_params(TINY, seed=0)
@@ -494,8 +532,7 @@ class TestParamContainers:
             before, flat_before = outputs(), params.flat.copy()
             a += rng.normal(size=a.shape)
             assert np.count_nonzero(params.flat != flat_before) == a.size, name
-            if not name.endswith(".b_k"):  # adds q·b_k to a whole logit row, which the softmax cancels
-                assert not all(np.array_equal(x, y) for x, y in zip(before, outputs())), name
+            assert not all(np.array_equal(x, y) for x, y in zip(before, outputs())), name
 
 
 def _edge_sample(shape, seed):

@@ -301,7 +301,7 @@ class TestCheckpointFiles:
             b[8:12] = struct.pack("<I", 99)
 
         path = self.corrupt(tmp_path, bump)
-        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 99 \(reader supports 4\)$"):
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 99 \(reader supports 5\)$"):
             load_checkpoint(path)
 
     def test_truncation_raises_truncated_error(self, tmp_path):
@@ -423,14 +423,15 @@ class TestCheckpointFiles:
 
     def test_version_1_file_is_refused_by_name(self, tmp_path):
         """Version 1 files, whose hash covered the payload only, version 2
-        files, whose encoder config named a pooling, and version 3 files,
-        sealed with blake2b, are refused."""
-        for version in (1, 2, 3):
+        files, whose encoder config named a pooling, version 3 files, sealed
+        with blake2b, and version 4 files, whose blocks held separate Q, K and
+        V arrays, are refused."""
+        for version in (1, 2, 3, 4):
             def downgrade(b):
                 b[8:12] = struct.pack("<I", version)
 
             path = self.corrupt(tmp_path, downgrade)
-            message = fr"unsupported checkpoint version {version} \(reader supports 4\)$"
+            message = fr"unsupported checkpoint version {version} \(reader supports 5\)$"
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(path)
 
